@@ -47,12 +47,14 @@ import importlib.resources
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -164,7 +166,14 @@ def bundled_config_path(name: str) -> Path:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float (bools, infinities, NaN and ints beyond the
+    float range are not)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _is_int(x) -> bool:
@@ -215,7 +224,7 @@ def _validate(data: dict) -> ExperimentConfig:
     omega = data.get("omega")
     if omega is not None:
         if not isinstance(omega, list) or not all(_is_number(x) for x in omega):
-            fail("omega: must be a list of numbers")
+            fail("omega: must be a list of finite numbers")
             omega = None
         elif n is not None and len(omega) != n:
             fail(f"omega: length {len(omega)} != graph.n {n}")
@@ -240,7 +249,7 @@ def _validate(data: dict) -> ExperimentConfig:
                 mean = entry.get("mean", 0.0)
                 variance = entry.get("variance", 0.0)
                 if not _is_number(mean) or not _is_number(variance):
-                    fail(f"noise[{i}]: mean and variance must be numbers")
+                    fail(f"noise[{i}]: mean and variance must be finite numbers")
                     continue
                 try:
                     nodes.append(
@@ -263,7 +272,7 @@ def _validate(data: dict) -> ExperimentConfig:
         if value is None:
             return None
         if not _is_number(value) or not value > 0:
-            fail(f"{key}: must be a positive number")
+            fail(f"{key}: must be a positive finite number")
             return None
         return float(value)
 
@@ -315,7 +324,7 @@ def _validate(data: dict) -> ExperimentConfig:
                 if not isinstance(phases, list) or not all(
                     _is_number(x) for x in phases
                 ):
-                    fail("initial.phases: must be a list of numbers")
+                    fail("initial.phases: must be a list of finite numbers")
                 elif n is not None and len(phases) != n:
                     fail(f"initial.phases: length {len(phases)} != graph.n {n}")
                 else:
@@ -328,7 +337,7 @@ def _validate(data: dict) -> ExperimentConfig:
                 low = initial.get("low", 0.0)
                 high = initial.get("high", 0.5 * math.pi)
                 if not (_is_number(low) and _is_number(high)):
-                    fail("initial.low/high: must be numbers")
+                    fail("initial.low/high: must be finite numbers")
                 elif not 0.0 <= low < high <= 0.5 * math.pi:
                     fail("initial: need 0 <= low < high <= pi/2")
                 else:
@@ -739,6 +748,30 @@ def _run_drift(config: ExperimentConfig):
     return results, provenance, {"probes.csv": (header, rows())}
 
 
+def _environment() -> dict:
+    """The numeric environment of a run: results are bit-reproducible
+    only for the same platform and numpy/LAPACK build."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
+        deps = {}
+
+    def library(kind):
+        info = deps.get(kind, {})
+        parts = [str(info[k]) for k in ("name", "version") if k in info]
+        return " ".join(parts) or None
+
+    uname = platform.uname()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": library("blas"),
+        "lapack": library("lapack"),
+        "platform": f"{uname.system}-{uname.release}-{uname.machine}",
+    }
+
+
 _COMMANDS = {
     "bounds": _run_bounds,
     "spectral": _run_spectral,
@@ -773,6 +806,7 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
         "results": results,
         "provenance": provenance,
         "data_files": written,
+        "environment": _environment(),
         "wall_clock_s": time.perf_counter() - started,
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as handle:

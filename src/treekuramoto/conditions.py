@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericError
 from .dynamics import validate_gamma
 from .graph import TreeGraph, edge_laplacian
-from .linalg import NoConvergence, jacobi_eigenvalues, weighted_edge_laplacian
+from .linalg import NoConvergence, batch_eigenvalues, weighted_edge_laplacian
 from .noise import NoiseSpec, RandomStream, sample_noise_block
 
 #: Default cohesion half-width when the caller does not choose one.
@@ -36,7 +36,11 @@ DEFAULT_GAMMA = 0.5 * math.pi - 0.05
 #: Default Monte Carlo sample count for spectral statistics.
 DEFAULT_SPECTRAL_SAMPLES = 100_000
 
+#: Most Monte Carlo samples solved per batch, and the most bytes one
+#: batch of ``m x m`` Laplacians may take; the batch is the smaller of
+#: the two, so memory stays bounded on large trees.
 _CHUNK = 20_000
+_CHUNK_BYTES = 32 * 2**20
 
 
 class HypothesisViolated(NumericError):
@@ -106,7 +110,7 @@ def mc_spectral_stats(
     b = graph.incidence_matrix
 
     if noise.is_deterministic:
-        ev = jacobi_eigenvalues(weighted_edge_laplacian(b, omega))
+        ev = batch_eigenvalues(weighted_edge_laplacian(b, omega))
         return SpectralStats(float(ev[0]), float(ev[-1]), 0.0, 0.0, n_samples)
 
     if stream is None:
@@ -114,11 +118,12 @@ def mc_spectral_stats(
     spectral_stream = stream.child(purpose="spectral")
     lam_min = np.empty(n_samples)
     lam_max = np.empty(n_samples)
-    for start in range(0, n_samples, _CHUNK):
-        count = min(_CHUNK, n_samples - start)
+    chunk = min(_CHUNK, max(1, _CHUNK_BYTES // (8 * graph.m**2)))
+    for start in range(0, n_samples, chunk):
+        count = min(chunk, n_samples - start)
         draws = sample_noise_block(noise, spectral_stream, start, count)
         try:
-            ev = jacobi_eigenvalues(weighted_edge_laplacian(b, omega + draws))
+            ev = batch_eigenvalues(weighted_edge_laplacian(b, omega + draws))
         except NoConvergence as exc:
             raise NoConvergence(
                 f"eigensolver failed at sample {start + exc.batch_index}: {exc}",
@@ -222,7 +227,7 @@ def bounds_undirected(
     which is positive definite on every tree - no expectation and no
     positivity hypothesis is involved.
     """
-    ev = jacobi_eigenvalues(edge_laplacian(graph))
+    ev = batch_eigenvalues(edge_laplacian(graph))
     return _evaluate_bounds(
         float(ev[0]), float(ev[-1]), e_max_dw, gamma, tau, kappa, "undirected"
     )
@@ -248,9 +253,7 @@ def continuous_reference_kappa(
         raise NonPositiveEigenvalue(
             "reference bound assumes strictly positive frequencies"
         )
-    ev = jacobi_eigenvalues(
-        weighted_edge_laplacian(graph.incidence_matrix, omega)
-    )
+    ev = batch_eigenvalues(weighted_edge_laplacian(graph.incidence_matrix, omega))
     lam_min = float(ev[0])
     if lam_min <= 0:
         raise NonPositiveEigenvalue(f"lambda_min = {lam_min} is not positive")

@@ -1,13 +1,11 @@
-"""Dense symmetric-matrix helpers: weighted edge Laplacians and a cyclic
-Jacobi eigensolver.
+"""Weighted edge Laplacians and the eigenvalues of symmetric matrices.
 
-The eigensolver makes no definiteness assumption: node weights in this
-package can go negative, which makes ``B^T diag(w) B`` indefinite. Only
-eigenvalues are computed (the coupling bounds need nothing else).
-
-All functions accept a leading batch dimension so Monte Carlo loops can
-decompose many small matrices in one call; the unbatched case is the
-same code path with batch size one.
+Eigenvalues come from LAPACK through one batched ``np.linalg.eigvalsh``
+call. It makes no definiteness assumption: node weights in this package
+can go negative, which makes ``B^T diag(w) B`` indefinite. Every function
+accepts a leading batch dimension, so Monte Carlo loops decompose many
+small matrices at once; a batch gives the same bits as its matrices
+solved one at a time.
 """
 
 from __future__ import annotations
@@ -16,61 +14,43 @@ import numpy as np
 
 from .errors import NumericError, TreeKuramotoError
 
-#: Relative off-diagonal threshold: iteration stops once the Frobenius
-#: norm of the off-diagonal part drops below this multiple of the full
-#: Frobenius norm.
-OFF_DIAGONAL_TOLERANCE = 1e-12
-
-#: Maximum number of full cyclic sweeps before giving up.
-MAX_SWEEPS = 100
-
 
 class DimensionMismatch(TreeKuramotoError):
     """Operands have incompatible shapes."""
 
 
 class NoConvergence(NumericError):
-    """Jacobi iteration did not reach the off-diagonal threshold.
-
-    ``batch_index`` identifies the first offending matrix of a batch.
-    """
+    """The eigensolver failed or returned a non-finite eigenvalue;
+    ``batch_index`` is the first offending matrix of a batch."""
 
     def __init__(self, message: str, batch_index: int = 0):
         super().__init__(message)
         self.batch_index = batch_index
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return ``(M + M^T) / 2``, removing accumulated rounding asymmetry."""
+def _square(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected square matrix, got shape {m.shape}")
+    return m
 
 
 def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     """Validate that ``m`` is square and symmetric within ``rtol``.
 
-    Entries must satisfy ``|a_ij - a_ji| <= rtol * max(1, |a_ij|)``.
-    Returns the array unchanged.
+    Entries must satisfy ``|a_ij - a_ji| <= rtol * max(1, |a_ij|)``;
+    returns the array unchanged.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expected square matrix, got shape {m.shape}")
-    mt = np.swapaxes(m, -1, -2)
+    m = _square(m)
     bound = rtol * np.maximum(1.0, np.abs(m))
-    if np.any(np.abs(m - mt) > bound):
+    if np.any(np.abs(m - np.swapaxes(m, -1, -2)) > bound):
         raise DimensionMismatch("matrix is not symmetric within tolerance")
     return m
 
 
 def weighted_edge_laplacian(b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Form ``B^T diag(w) B``, symmetrized.
-
-    Args:
-        b: Incidence matrix of shape ``(n, m)``.
-        w: Node weights of shape ``(n,)`` or ``(..., n)`` for a batch.
-
-    Returns:
-        Array of shape ``(m, m)`` or ``(..., m, m)``.
+    """Form ``B^T diag(w) B``, symmetrized, of shape ``(..., m, m)`` from
+    an ``(n, m)`` incidence matrix and node weights of shape ``(..., n)``.
 
     Raises:
         DimensionMismatch: weight length does not match the node count.
@@ -86,106 +66,46 @@ def weighted_edge_laplacian(b: np.ndarray, w: np.ndarray) -> np.ndarray:
     # (..., n, 1) * (n, m) broadcasts diag(w) @ B without forming diag(w).
     wb = w[..., :, None] * b
     lap = np.swapaxes(wb, -1, -2) @ b if wb.ndim > 2 else b.T @ wb
-    return symmetrize(lap)
+    return 0.5 * (lap + np.swapaxes(lap, -1, -2))
 
 
-def jacobi_eigenvalues(
-    m: np.ndarray, max_sweeps: int = MAX_SWEEPS
-) -> np.ndarray:
-    """Eigenvalues of symmetric ``m`` by cyclic Jacobi rotations, ascending.
-
-    Handles a batch ``(..., d, d)`` by rotating every matrix in lockstep;
-    rotations on already-converged entries reduce to the identity. Input
-    is symmetrized first so tiny asymmetries from matrix products cannot
-    accumulate.
+def batch_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each symmetric matrix in ``(..., d, d)``, ascending;
+    only the lower triangle is read.
 
     Raises:
-        NoConvergence: off-diagonal mass still above threshold after
-            ``max_sweeps`` sweeps (pathological input).
+        NoConvergence: LAPACK failed or gave a non-finite eigenvalue
+            (``eigvalsh`` maps NaN input to NaN silently); ``batch_index``
+            is the first such matrix in flattened batch order.
     """
-    a = symmetrize(np.asarray(m, dtype=float)).copy()
-    if a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
-    batch_shape = a.shape[:-2]
-    d = a.shape[-1]
-    a = a.reshape(-1, d, d)
-
-    if d == 1:
-        return a[..., 0, 0].reshape(batch_shape + (1,)).copy()
-
-    # Rescale each matrix by a power of two (exact in binary floating
-    # point) so squared entries in the norms below can neither underflow
-    # to zero nor overflow for extreme inputs.
-    _, exponent = np.frexp(np.max(np.abs(a), axis=(-2, -1)))
-    factor = np.ldexp(1.0, exponent)
-    a /= factor[:, None, None]
-
-    idx = np.arange(a.shape[0])
-    threshold = OFF_DIAGONAL_TOLERANCE * np.linalg.norm(a, axis=(-2, -1))
-
-    def off_norm(x: np.ndarray) -> np.ndarray:
-        off = x.copy()
-        off[:, range(d), range(d)] = 0.0
-        return np.linalg.norm(off, axis=(-2, -1))
-
-    sweeps = 0
-    while not np.all(off_norm(a) <= threshold):
-        if sweeps >= max_sweeps:
-            bad = int(np.flatnonzero(off_norm(a) > threshold)[0])
-            raise NoConvergence(
-                f"no convergence after {max_sweeps} sweeps "
-                f"(first offending batch index {bad})",
-                batch_index=bad,
-            )
-        sweeps += 1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[:, p, q]
-                rotate = apq != 0.0
-                if not np.any(rotate):
-                    continue
-                app = a[:, p, p]
-                aqq = a[:, q, q]
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    theta = (aqq - app) / (2.0 * apq)
-                    # For very large |theta| the quadratic formula would
-                    # overflow in theta**2; its limit is t = 1/(2 theta).
-                    big = np.abs(theta) > 1e150
-                    theta_safe = np.where(big, 1.0, theta)
-                    t = np.sign(theta_safe) / (
-                        np.abs(theta_safe) + np.sqrt(theta_safe * theta_safe + 1.0)
-                    )
-                    t = np.where(big, 0.5 / theta, t)
-                    # theta == 0 gives sign 0; the limit rotation is t = 1.
-                    t = np.where(theta == 0.0, 1.0, t)
-                t = np.where(rotate, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                row_p = a[:, p, :].copy()
-                row_q = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * row_p - s[:, None] * row_q
-                a[:, q, :] = s[:, None] * row_p + c[:, None] * row_q
-                col_p = a[:, :, p].copy()
-                col_q = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * col_p - s[:, None] * col_q
-                a[:, :, q] = s[:, None] * col_p + c[:, None] * col_q
-                a[idx, p, q] = 0.0
-                a[idx, q, p] = 0.0
-
-    diag = a[:, range(d), range(d)] * factor[:, None]
-    return np.sort(diag, axis=-1).reshape(batch_shape + (d,))
+    m = _square(m)
+    d = m.shape[-1]
+    try:
+        ev = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError:
+        # LAPACK does not say which matrix failed: solve them one by one.
+        ev = np.array([_eigvalsh_or_nan(a) for a in m.reshape(-1, d, d)])
+    failed = ~np.all(np.isfinite(ev), axis=-1).reshape(-1)
+    if np.any(failed):
+        index = int(np.argmax(failed))
+        raise NoConvergence(
+            f"eigensolver failed or gave non-finite eigenvalues "
+            f"(first offending batch index {index})",
+            batch_index=index,
+        )
+    return ev.reshape(m.shape[:-1])
 
 
-def eigenvalues_symmetric(
-    m: np.ndarray, max_sweeps: int = MAX_SWEEPS
-) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted ascending.
+def _eigvalsh_or_nan(a: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError:
+        return np.full(len(a), np.nan)
 
-    Validates symmetry first; see :func:`jacobi_eigenvalues` for the
-    iteration. Deterministic for a fixed input.
-    """
-    return jacobi_eigenvalues(check_symmetric(m), max_sweeps=max_sweeps)
+
+def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending; validates symmetry."""
+    return batch_eigenvalues(check_symmetric(m))
 
 
 def extreme_eigenvalues(m: np.ndarray) -> tuple[float, float]:

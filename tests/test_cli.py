@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 
@@ -284,6 +285,44 @@ def test_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, data)
     assert main(["simulate", "--config", str(path)]) == 2
     assert "kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [("tau=inf", "tau"), ("kappa=1e400", "kappa"), ("gamma=nan", "gamma")],
+)
+def test_non_finite_override_is_config_error(tmp_path, capsys, override, key):
+    path = write_config(tmp_path, tiny_config(tmp_path / "o"))
+    assert main(["bounds", "--config", str(path), "--set", override]) == 2
+    assert f"{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "before, after, key",
+    [
+        ("mean: 0.0", "mean: .inf", "noise[0]: mean"),
+        ("kappa: 8.0", "kappa: 1" + "0" * 400, "kappa:"),  # int beyond float range
+    ],
+)
+def test_non_finite_yaml_number_is_config_error(
+    tmp_path, capsys, before, after, key
+):
+    text = yaml.safe_dump(tiny_config(tmp_path / "o"))
+    assert before in text
+    path = tmp_path / "exp.yaml"
+    path.write_text(text.replace(before, after, 1), encoding="utf-8")
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_summary_records_numeric_environment(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, tiny_config(out))
+    assert main(["spectral", "--config", str(path)]) == 0
+    env = json.loads((out / "summary.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "lapack", "platform"}
+    assert env["numpy"] == np.__version__
+    assert all(env[key] for key in ("python", "scipy", "platform"))
 
 
 def test_io_error_exit_code(tmp_path):

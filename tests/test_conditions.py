@@ -110,24 +110,60 @@ def test_no_convergence_carries_sample_index(line5, monkeypatch):
     import treekuramoto.conditions as cond
     from treekuramoto.linalg import NoConvergence
 
-    calls = {"count": 0}
+    real_block = cond.sample_noise_block
 
-    def failing(m, max_sweeps=100):
-        if calls["count"] == 1:  # second chunk
-            raise NoConvergence("stub", batch_index=3)
-        calls["count"] += 1
-        import numpy as real_np
-
-        return real_np.zeros(m.shape[:-1])
+    def poisoned(spec, stream, start, count):
+        draws = real_block(spec, stream, start, count)
+        if start <= 103 < start + count:
+            draws[103 - start, 2] = np.nan
+        return draws
 
     monkeypatch.setattr(cond, "_CHUNK", 100)
-    monkeypatch.setattr(cond, "jacobi_eigenvalues", failing)
+    monkeypatch.setattr(cond, "sample_noise_block", poisoned)
     with pytest.raises(NoConvergence) as err:
         mc_spectral_stats(
             line5, OMEGA5, line5_spec(), n_samples=300, stream=RandomStream(seed=1)
         )
     assert err.value.batch_index == 103
     assert "sample 103" in str(err.value)
+
+
+def test_large_tree_chunks_bounded_and_match_oracle(monkeypatch):
+    # 200 nodes: one batch of 199 x 199 Laplacians is capped by memory,
+    # so the samples span several chunks.
+    import treekuramoto.conditions as cond
+    from conftest import random_tree
+    from treekuramoto.noise import sample_noise_block
+
+    rng = np.random.default_rng(11)
+    g = random_tree(rng, 200)
+    omega = rng.uniform(1.0, 10.0, size=200)
+    spec = NoiseSpec.gaussian(rng.uniform(0.5, 5.0, size=200), np.zeros(200))
+    batches = []
+    real_laplacian = cond.weighted_edge_laplacian
+
+    def spy(b, w):
+        batches.append(w.shape[0])
+        return real_laplacian(b, w)
+
+    monkeypatch.setattr(cond, "weighted_edge_laplacian", spy)
+    n_samples = 240
+    stats = mc_spectral_stats(
+        g, omega, spec, n_samples=n_samples, stream=RandomStream(seed=12)
+    )
+    assert len(batches) >= 2 and sum(batches) == n_samples
+    assert max(batches) * 8 * g.m**2 <= cond._CHUNK_BYTES
+
+    draws = sample_noise_block(
+        spec, RandomStream(seed=12).child(purpose="spectral"), 0, n_samples
+    )
+    b = g.incidence_matrix
+    ev = np.array([np.linalg.eigvalsh(b.T @ np.diag(omega + d) @ b) for d in draws])
+    assert stats.e_lambda_min == pytest.approx(np.mean(ev[:, 0]), rel=1e-10)
+    assert stats.e_lambda_max == pytest.approx(np.mean(ev[:, -1]), rel=1e-10)
+    assert stats.stderr_min == pytest.approx(
+        np.std(ev[:, 0], ddof=1) / math.sqrt(n_samples), rel=1e-8
+    )
 
 
 def test_spectral_stats_validation():

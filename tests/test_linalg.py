@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treekuramoto import (
     build_tree,
@@ -11,8 +13,8 @@ from treekuramoto import (
 from treekuramoto.linalg import (
     DimensionMismatch,
     NoConvergence,
+    batch_eigenvalues,
     check_symmetric,
-    jacobi_eigenvalues,
 )
 
 from conftest import LINE5_EDGES, OMEGA5
@@ -148,10 +150,33 @@ def test_indefinite_weighted_laplacian_regression():
     assert hi == pytest.approx(ref[-1], abs=1e-10)
 
 
-def test_no_convergence_signals():
-    a = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    with pytest.raises(NoConvergence):
-        jacobi_eigenvalues(a, max_sweeps=0)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_signals_with_batch_index(bad):
+    batch = np.tile(np.eye(3), (6, 1, 1))
+    batch[4, 1, 0] = bad
+    with pytest.raises(NoConvergence) as err:
+        batch_eigenvalues(batch)
+    assert err.value.batch_index == 4
+    with pytest.raises(NoConvergence) as err:
+        batch_eigenvalues(batch[4])
+    assert err.value.batch_index == 0
+
+
+def test_lapack_failure_maps_to_no_convergence(monkeypatch):
+    # LAPACK names no matrix when it fails; the solver finds it itself.
+    real = np.linalg.eigvalsh
+
+    def failing(a):
+        if np.any(a[..., 0, 0] == 5.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    batch = np.tile(np.eye(3), (6, 1, 1))
+    batch[2, 0, 0] = 5.0
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NoConvergence) as err:
+        batch_eigenvalues(batch)
+    assert err.value.batch_index == 2
 
 
 def test_asymmetric_input_rejected():
@@ -165,8 +190,8 @@ def test_batch_equals_single():
     rng = np.random.default_rng(7)
     batch = rng.normal(size=(40, 5, 5))
     batch = batch + np.swapaxes(batch, -1, -2)
-    stacked = jacobi_eigenvalues(batch)
-    singles = np.stack([jacobi_eigenvalues(batch[i]) for i in range(40)])
+    stacked = batch_eigenvalues(batch)
+    singles = np.stack([batch_eigenvalues(batch[i]) for i in range(40)])
     assert np.array_equal(stacked, singles)
 
 
@@ -183,3 +208,78 @@ def test_extreme_scales():
         ours = eigenvalues_symmetric(a)
         ref = np.linalg.eigvalsh(a)
         assert np.allclose(ours, ref, rtol=1e-12, atol=0.0)
+
+
+# --- properties of the batched solver on random weighted trees ---------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+WEIGHTS = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def weighted_trees(draw, batch=1):
+    """A random tree on 2-60 nodes and a ``(batch, n)`` array of node
+    weights, which may be negative (indefinite Laplacians)."""
+    n = draw(st.integers(2, 60))
+    edges = []
+    for node in range(1, n):
+        parent = draw(st.integers(0, node - 1))
+        edges.append((parent, node) if draw(st.booleans()) else (node, parent))
+    w = draw(arrays(float, (batch, n), elements=WEIGHTS))
+    return build_tree(n, edges), w
+
+
+def spectra_close(a, b):
+    scale = np.max(np.abs(a))
+    return np.all(np.abs(a - b) <= 1e-10 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(weighted_trees(batch=5))
+def test_property_batch_equals_per_matrix(tree):
+    g, w = tree
+    laplacians = weighted_edge_laplacian(g.incidence_matrix, w)
+    stacked = batch_eigenvalues(laplacians)
+    singles = np.stack([batch_eigenvalues(lap) for lap in laplacians])
+    assert np.array_equal(stacked, singles)
+
+
+@PROPERTY_SETTINGS
+@given(weighted_trees(), st.data())
+def test_property_orientation_and_labels_leave_spectrum(tree, data):
+    g, w = tree
+    w = w[0]
+    ev = batch_eigenvalues(weighted_edge_laplacian(g.incidence_matrix, w))
+
+    flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    flipped = build_tree(
+        g.n, [(h, t) if f else (t, h) for (t, h), f in zip(g.edges, flips)]
+    )
+    signs = np.where(flips, -1.0, 1.0)
+    assert np.array_equal(flipped.incidence_matrix, g.incidence_matrix * signs)
+    ev_flipped = batch_eigenvalues(
+        weighted_edge_laplacian(flipped.incidence_matrix, w)
+    )
+    assert spectra_close(ev, ev_flipped)
+
+    # Relabel the nodes and list the edges in another order as well.
+    perm = np.array(data.draw(st.permutations(range(g.n))))
+    order = data.draw(st.permutations(range(g.m)))
+    relabelled = build_tree(
+        g.n, [(perm[g.edges[e][0]], perm[g.edges[e][1]]) for e in order]
+    )
+    w_relabelled = np.empty_like(w)
+    w_relabelled[perm] = w
+    ev_relabelled = batch_eigenvalues(
+        weighted_edge_laplacian(relabelled.incidence_matrix, w_relabelled)
+    )
+    assert spectra_close(ev, ev_relabelled)
+
+
+@PROPERTY_SETTINGS
+@given(weighted_trees())
+def test_property_eigenvalue_sum_equals_trace(tree):
+    g, w = tree
+    lap = weighted_edge_laplacian(g.incidence_matrix, w[0])
+    tol = 1e-10 * g.m * np.max(np.abs(lap))
+    assert abs(batch_eigenvalues(lap).sum() - np.trace(lap)) <= tol
