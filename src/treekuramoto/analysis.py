@@ -9,7 +9,11 @@ Three instruments:
   states and collects first-return times to the cohesive set, maximal
   excursions and escape counts. Finite-horizon return fractions are the
   checkable surrogate for almost-sure recurrence and are always reported
-  as fractions, never asserted as probability one.
+  as fractions, never asserted as probability one (:func:`wilson_interval`
+  gives their confidence interval). The trials are stepped as one
+  trials-minor batch ``(n, trials)`` in preallocated buffers; per step
+  only each trial's largest edge distance is stored, and the set
+  bookkeeping runs once per noise chunk, vectorized over its steps.
 * :func:`drift_estimate` / :func:`drift_sweep` probe the one-step
   conditional drift ``E[V(theta(k+1)) | theta(k)] - V(theta(k))`` by
   re-drawing noise for a fixed state, exactly matching the conditional
@@ -28,8 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    TWO_PI,
     NetworkModel,
     PhaseState,
+    _advance,
+    _edge_differences,
     drift_function_V,
     drift_values,
     edge_geodesics,
@@ -37,7 +44,7 @@ from .dynamics import (
     validate_gamma,
     wrap_angle,
 )
-from .errors import TreeKuramotoError
+from .errors import NumericError, TreeKuramotoError
 from .graph import TreeGraph
 from .noise import RandomStream, sample_noise_block
 
@@ -112,6 +119,31 @@ class RecurrenceStats:
     def return_times(self) -> np.ndarray:
         """Finite first-return times, one entry per returned trial."""
         return self.return_time[self.returned]
+
+
+#: Two-sided 95% standard normal quantile.
+Z_95 = 1.959963984540054
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson (1927) 95% score interval for a binomial proportion.
+
+    Unlike the normal approximation it stays inside ``[0, 1]`` and has a
+    nonzero width at ``0/trials`` and ``trials/trials``, the usual
+    outcomes of a finite-horizon return fraction.
+    """
+    if trials < 1 or not 0 <= successes <= trials:
+        raise ValueError(
+            f"need 0 <= successes <= trials >= 1, got {successes}/{trials}"
+        )
+    p = successes / trials
+    z2 = Z_95 * Z_95
+    denominator = 1.0 + z2 / trials
+    center = (p + z2 / (2.0 * trials)) / denominator
+    half = (
+        Z_95 / denominator * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials**2))
+    )
+    return max(0.0, center - half), min(1.0, center + half)
 
 
 @dataclass(frozen=True)
@@ -201,6 +233,10 @@ def simulate(
     Noise for step ``k`` is drawn at stream index ``k`` under purpose
     ``"noise"``; two calls with equal inputs produce bit-identical
     records.
+
+    Raises:
+        NumericError: the phases become non-finite (the message names
+            the first such step).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -216,14 +252,19 @@ def simulate(
     realized = np.empty((horizon + 1, n))
 
     chunk = _noise_chunk_steps(n)
-    for k0 in range(0, horizon + 1, chunk):
-        count = min(chunk, horizon + 1 - k0)
-        noise = sample_noise_block(model.noise, noise_stream, k0, count)
-        realized[k0 : k0 + count] = model.omega + noise
-        for j in range(count):
-            k = k0 + j
-            if k < horizon:
-                theta[k + 1] = step_theta(model, theta[k], noise[j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, horizon + 1, chunk):
+            count = min(chunk, horizon + 1 - k0)
+            noise = sample_noise_block(model.noise, noise_stream, k0, count)
+            realized[k0 : k0 + count] = model.omega + noise
+            for j in range(count):
+                k = k0 + j
+                if k < horizon:
+                    theta[k + 1] = step_theta(model, theta[k], noise[j])
+            stepped = theta[k0 + 1 : k0 + count + 1]
+            if not np.isfinite(stepped).all():
+                k = k0 + 1 + int(np.argwhere(~np.isfinite(stepped))[0, 0])
+                raise NumericError(f"phases became non-finite at step {k}")
 
     distances = edge_geodesics(model.graph, theta)
     max_distance = distances.max(axis=-1)
@@ -255,12 +296,20 @@ def recurrence_experiment(
     ``(graph, stream) -> phases`` whose output must lie in the
     admissible set: every edge distance at most pi/2) and its own noise
     stream, then runs for ``horizon`` steps. Trials are stepped together
-    as one batch; per-trial stream coordinates make the result identical
-    to running them one at a time.
+    as one trials-minor batch: the state is held as ``(n, trials)`` and
+    advanced in place by the same kernel as :func:`step_theta`, so each
+    column follows exactly the trajectory :func:`simulate` records for
+    that trial. Per step only the largest edge distance of every trial
+    is kept; return, exit, escape and excursion bookkeeping runs once
+    per noise chunk over all of that chunk's steps. Per-trial stream
+    coordinates make the result independent of the batch and chunk
+    sizes.
 
     Raises:
         InvalidInitSampler: a sampled state has an edge distance beyond
             pi/2.
+        NumericError: a trial's phases become non-finite (the message
+            names the first such trial and step).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -271,7 +320,8 @@ def recurrence_experiment(
     n = graph.n
     escape_level = 0.5 * math.pi - ESCAPE_TOLERANCE
 
-    theta = np.empty((trials, n))
+    # trials-minor: one column per trial
+    theta = np.empty((n, trials))
     for t in range(trials):
         candidate = np.asarray(
             init_sampler(graph, stream.child(trial=t, purpose="init")), float
@@ -284,9 +334,9 @@ def recurrence_experiment(
             raise InvalidInitSampler(
                 f"trial {t} starts outside the admissible set"
             )
-        theta[t] = wrap_angle(candidate)
+        theta[:, t] = wrap_angle(candidate)
 
-    max_edge = edge_geodesics(graph, theta).max(axis=-1)
+    max_edge = edge_geodesics(graph, theta.T).max(axis=-1)
     started_in_set = max_edge <= gamma
     max_excursion = max_edge.copy()
     returned = np.zeros(trials, dtype=bool)
@@ -295,26 +345,67 @@ def recurrence_experiment(
     escaped = max_edge >= escape_level
     escape_time = np.where(escaped, 0, -1).astype(np.int64)
 
+    # work buffers, reused by every step and chunk
+    rel = _edge_differences(model, theta)
+    distance = np.empty_like(rel)
+    folded = np.empty_like(rel)
+    coupling = np.empty_like(theta)
+    scratch = np.empty_like(theta)
+    mask = np.empty(theta.shape, dtype=bool)
     noise_streams = [stream.child(trial=t, purpose="noise") for t in range(trials)]
-    chunk = max(1, _noise_chunk_steps(n) // max(1, trials))
-    for k0 in range(0, horizon, chunk):
-        count = min(chunk, horizon - k0)
-        noise = np.stack(
-            [sample_noise_block(model.noise, s, k0, count) for s in noise_streams]
-        )
-        for j in range(count):
-            k = k0 + j + 1
-            theta = step_theta(model, theta, noise[:, j, :])
-            max_edge = edge_geodesics(graph, theta).max(axis=-1)
-            np.maximum(max_excursion, max_edge, out=max_excursion)
-            inside = max_edge <= gamma
-            fresh_return = ~returned & inside & (~started_in_set | exited)
-            return_time[fresh_return] = k
-            returned |= fresh_return
-            exited |= started_in_set & ~inside
-            fresh_escape = ~escaped & (max_edge >= escape_level)
-            escape_time[fresh_escape] = k
+    chunk = min(horizon, max(1, _noise_chunk_steps(n) // trials))
+    drive_buffer = np.empty((chunk, n, trials))
+    max_buffer = np.empty((chunk, trials))
+    omega = model.omega[:, None]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, horizon, chunk):
+            count = min(chunk, horizon - k0)
+            drive = drive_buffer[:count]
+            for t, noise_stream in enumerate(noise_streams):
+                drive[:, :, t] = sample_noise_block(
+                    model.noise, noise_stream, k0, count
+                )
+            drive += omega
+            drive *= model.tau
+            step_max = max_buffer[:count]
+            for j in range(count):
+                _advance(model, theta, rel, drive[j], theta, coupling, scratch, mask)
+                # geodesic edge distances; |rel| <= 2 pi for wrapped phases
+                _edge_differences(model, theta, out=rel)
+                np.absolute(rel, out=distance)
+                np.subtract(TWO_PI, distance, out=folded)
+                np.minimum(distance, folded, out=folded)
+                np.maximum.reduce(folded, axis=0, out=step_max[j])
+
+            if not np.isfinite(step_max).all():
+                j, t = np.argwhere(~np.isfinite(step_max))[0]
+                raise NumericError(
+                    f"trial {t} has non-finite phases at step {k0 + j + 1}"
+                )
+            np.maximum(max_excursion, step_max.max(axis=0), out=max_excursion)
+            inside = step_max <= gamma
+
+            first_escape = _first_true(step_max >= escape_level)
+            fresh_escape = ~escaped & (first_escape >= 0)
+            escape_time[fresh_escape] = k0 + 1 + first_escape[fresh_escape]
             escaped |= fresh_escape
+
+            # a trial that starts inside may count a return only after
+            # its first exit; one that starts outside from its first step
+            first_exit = _first_true(~inside)
+            fresh_exit = started_in_set & ~exited & (first_exit >= 0)
+            eligible_from = np.where(
+                ~started_in_set | exited,
+                0,
+                np.where(fresh_exit, first_exit + 1, count),
+            )
+            rows = np.arange(count)[:, None]
+            first_return = _first_true(inside & (rows >= eligible_from))
+            fresh_return = ~returned & (first_return >= 0)
+            return_time[fresh_return] = k0 + 1 + first_return[fresh_return]
+            returned |= fresh_return
+            exited |= fresh_exit
 
     never_exited = started_in_set & ~exited
     return_time[never_exited] = 1
@@ -333,6 +424,12 @@ def recurrence_experiment(
     )
 
 
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Row of the first True in each column of ``mask``; -1 where none."""
+    first = np.argmax(mask, axis=0)
+    return np.where(mask[first, np.arange(mask.shape[1])], first, -1)
+
+
 def drift_estimate(
     model: NetworkModel,
     state,
@@ -344,16 +441,29 @@ def drift_estimate(
 
     Averages ``V(step(state, noise)) - V(state)`` over fresh noise draws
     conditioned on the fixed state, with the standard error of the mean.
+
+    Raises:
+        NumericError: a stepped state is non-finite.
     """
     if noise_samples < 2:
         raise ValueError(f"need at least 2 noise samples, got {noise_samples}")
     gamma = validate_gamma(gamma)
     theta = wrap_angle(_as_theta(state))
-    if model.noise.is_deterministic:
+    deterministic = model.noise.is_deterministic
+    if deterministic:
         # one evaluation is exact; averaging identical values would only
         # add rounding noise to the zero standard error
-        v_next = drift_values(model.graph, step_theta(model, theta, 0.0), gamma)
-        v_now = drift_function_V(model.graph, theta, gamma)
+        noise = 0.0
+    else:
+        noise = sample_noise_block(
+            model.noise, stream.child(purpose="drift"), 0, noise_samples
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_next = drift_values(model.graph, step_theta(model, theta, noise), gamma)
+    if not np.isfinite(v_next).all():
+        raise NumericError("one step from the probed state is non-finite")
+    v_now = drift_function_V(model.graph, theta, gamma)
+    if deterministic:
         return DriftEstimate(
             theta=theta,
             gamma=gamma,
@@ -361,11 +471,6 @@ def drift_estimate(
             stderr=0.0,
             samples=noise_samples,
         )
-    noise = sample_noise_block(
-        model.noise, stream.child(purpose="drift"), 0, noise_samples
-    )
-    v_next = drift_values(model.graph, step_theta(model, theta, noise), gamma)
-    v_now = drift_function_V(model.graph, theta, gamma)
     return DriftEstimate(
         theta=theta,
         gamma=gamma,

@@ -25,18 +25,19 @@ Config schema (unknown keys are rejected):
     tau:        float > 0                    # seconds
     gamma:      float in (0, pi/2)           # optional, default pi/2 - 0.05
     seed:       int
-    horizon:    int >= 1                     # simulate / recurrence
-    trials:     int >= 1                     # recurrence
-    mc_samples: int >= 1                     # spectral / bounds / MC gap
+    horizon:    int in [1, 2**53]            # simulate / recurrence
+    trials:     int in [1, 2**53]            # recurrence
+    mc_samples: int in [1, 2**53]            # spectral / bounds / MC gap
     pair_set:   all | edges                  # optional, default all
     initial:    {mode: explicit, phases: [float, ...]}
                 | {mode: sample, low: float, high: float}  # optional
-    drift:      {probes: int >= 0, noise_samples: int >= 2}  # optional
-    output:     {directory: str, decimation: int >= 1}       # optional
+    drift:      {probes: int >= 0, noise_samples: int >= 2}  # optional, <= 2**53
+    output:     {directory: str, decimation: int >= 1}       # optional, <= 2**53
 
 Data files are comma-separated with a header row; the summary report is
 a single JSON file. Exit codes: 0 success, 2 configuration error,
-3 numeric error, 4 I/O error.
+3 numeric error (including a non-finite state and an allocation that
+fails), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -180,6 +181,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+#: Largest accepted count field: every integer up to 2**53 is exact as a
+#: float, and anything larger could never be allocated or iterated.
+_MAX_COUNT = 2**53
+
+
+def _is_count(x, minimum: int) -> bool:
+    return _is_int(x) and minimum <= x <= _MAX_COUNT
+
+
 def _validate(data: dict) -> ExperimentConfig:
     bad: list[str] = []
 
@@ -293,8 +303,8 @@ def _validate(data: dict) -> ExperimentConfig:
         value = data.get(key)
         if value is None:
             return None
-        if not _is_int(value) or value < minimum:
-            fail(f"{key}: must be an integer >= {minimum}")
+        if not _is_count(value, minimum):
+            fail(f"{key}: must be an integer in [{minimum}, 2**53]")
             return None
         return value
 
@@ -356,12 +366,12 @@ def _validate(data: dict) -> ExperimentConfig:
                     fail(f"drift: unknown key {key!r}")
             probes = drift.get("probes", drift_probes)
             samples = drift.get("noise_samples", drift_noise_samples)
-            if not _is_int(probes) or probes < 0:
-                fail("drift.probes: must be an integer >= 0")
+            if not _is_count(probes, 0):
+                fail("drift.probes: must be an integer in [0, 2**53]")
             else:
                 drift_probes = probes
-            if not _is_int(samples) or samples < 2:
-                fail("drift.noise_samples: must be an integer >= 2")
+            if not _is_count(samples, 2):
+                fail("drift.noise_samples: must be an integer in [2, 2**53]")
             else:
                 drift_noise_samples = samples
 
@@ -380,8 +390,8 @@ def _validate(data: dict) -> ExperimentConfig:
             else:
                 output_directory = directory
             dec = output.get("decimation", 1)
-            if not _is_int(dec) or dec < 1:
-                fail("output.decimation: must be an integer >= 1")
+            if not _is_count(dec, 1):
+                fail("output.decimation: must be an integer in [1, 2**53]")
             else:
                 decimation = dec
 
@@ -697,9 +707,16 @@ def _run_recurrence(config: ExperimentConfig):
         "horizon": stats.horizon,
         "gamma": stats.gamma,
         "return_fraction": stats.return_fraction,
+        "return_fraction_ci95": list(
+            analysis.wilson_interval(int(stats.returned.sum()), stats.trials)
+        ),
         "escaped_fraction": stats.escaped_fraction,
+        "escaped_fraction_ci95": list(
+            analysis.wilson_interval(int(stats.escaped.sum()), stats.trials)
+        ),
         "max_excursion_overall": float(np.max(stats.max_excursion)),
         "return_time_median": float(np.median(finite)) if finite.size else None,
+        "return_time_p90": float(np.percentile(finite, 90)) if finite.size else None,
         "return_time_max": int(np.max(finite)) if finite.size else None,
     }
     provenance = {
@@ -865,7 +882,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, MemoryError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,10 +49,25 @@ def wrap_angle(x):
     idempotent bit for bit and zero-increment steps are exact fixed
     points.
     """
-    x = np.asarray(x, dtype=float)
-    wrapped = x - TWO_PI * np.round(x / TWO_PI)
-    wrapped = np.where(wrapped > np.pi, wrapped - TWO_PI, wrapped)
-    return np.where(wrapped <= -np.pi, wrapped + TWO_PI, wrapped)
+    x = np.array(x, dtype=float)
+    return _wrap_inplace(x, np.empty_like(x), np.empty(x.shape, dtype=bool))
+
+
+def _wrap_inplace(x, scratch, mask):
+    """Wrap the float array ``x`` in place, exactly as :func:`wrap_angle`.
+
+    ``scratch`` (float) and ``mask`` (bool) are work buffers of
+    ``x``'s shape; returns ``x``.
+    """
+    np.divide(x, TWO_PI, out=scratch)
+    np.rint(scratch, out=scratch)
+    scratch *= TWO_PI
+    x -= scratch
+    np.greater(x, np.pi, out=mask)
+    np.subtract(x, TWO_PI, out=x, where=mask)
+    np.less_equal(x, -np.pi, out=mask)
+    np.add(x, TWO_PI, out=x, where=mask)
+    return x
 
 
 def geodesic_distance(a, b):
@@ -100,6 +116,42 @@ class NetworkModel:
                 f"unknown variant {self.variant!r}, expected one of {VARIANTS}"
             )
 
+    @cached_property
+    def _incidence_blocks(self) -> tuple[np.ndarray, tuple]:
+        """``(B^T, blocks)`` with the edges reordered into consecutive
+        blocks in which every node meets at most two edges, and
+        ``blocks`` the ``(B columns, edge slice)`` pair of each block.
+
+        Within a block a node's neighbor sum has at most two terms and so
+        one rounding, whatever order BLAS sums in for the batch shape at
+        hand; the blocks are then added in a fixed order. One step is
+        therefore bitwise the same for a single state and inside any
+        batch. Trees without a node of degree three or more (paths) form
+        a single block in the original edge order.
+        """
+        graph = self.graph
+        load: list[list[int]] = []
+        members: list[list[int]] = []
+        for e, (tail, head) in enumerate(graph.edges):
+            for b, counts in enumerate(load):
+                if counts[tail] < 2 and counts[head] < 2:
+                    break
+            else:
+                b = len(load)
+                load.append([0] * graph.n)
+                members.append([])
+            load[b][tail] += 1
+            load[b][head] += 1
+            members[b].append(e)
+        order = np.concatenate(members)
+        incidence = np.ascontiguousarray(graph.incidence_matrix[:, order])
+        blocks, start = [], 0
+        for block in members:
+            edges = slice(start, start + len(block))
+            blocks.append((incidence[:, edges], edges))
+            start = edges.stop
+        return np.ascontiguousarray(incidence.T), tuple(blocks)
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -127,18 +179,70 @@ def step_theta(model: NetworkModel, theta: np.ndarray, noise_draw) -> np.ndarray
     """Advance raw phase arrays one step; broadcasts over leading axes.
 
     ``theta`` and ``noise_draw`` have shape ``(..., n)``; the result is
-    wrapped to ``(-pi, pi]``. This is the only integrator in the
-    package; everything else layers bookkeeping on top of it.
+    wrapped to ``(-pi, pi]``. A single state ``(n,)`` stepped under a
+    batch of draws computes its coupling once.
     """
-    graph = model.graph
-    rel = theta[..., graph.tails] - theta[..., graph.heads]
-    coupling = np.sin(rel) @ graph.incidence_matrix.T
-    realized = model.omega + noise_draw
+    theta = np.asarray(theta, dtype=float)
+    drive = model.tau * (model.omega + noise_draw)
+    n = model.graph.n
+    if drive.shape != theta.shape:
+        shape = np.broadcast_shapes(theta.shape, drive.shape)
+        if theta.size != n:
+            theta = np.broadcast_to(theta, shape)
+        drive = np.broadcast_to(drive, shape)
+    # node axis first, leading axes flattened into columns
+    nodes = theta.reshape(-1, n).T
+    out = np.empty(drive.shape)
+    flat = out.reshape(-1, n).T
+    drive = drive.reshape(-1, n).T
+    _advance(
+        model,
+        nodes,
+        _edge_differences(model, nodes),
+        drive,
+        flat,
+        np.empty(nodes.shape),
+        np.empty_like(flat),
+        np.empty_like(flat, dtype=bool),
+    )
+    return out
+
+
+def _edge_differences(model: NetworkModel, theta, out=None) -> np.ndarray:
+    """``B^T theta`` for node-first ``theta``, edges in the order of
+    ``model._incidence_blocks``. Exact: each edge row holds one +1 and
+    one -1, so the difference is rounded once."""
+    return np.matmul(model._incidence_blocks[0], theta, out=out)
+
+
+def _advance(model, theta, rel, drive, out, coupling, scratch, mask) -> None:
+    """The model equation: one step on node-first arrays, written to ``out``.
+
+    ``theta`` is ``(n, c)`` with one state per column (``c`` may be 1
+    and broadcast), ``rel`` holds :func:`_edge_differences` of ``theta``
+    and is overwritten by its sine, ``drive`` is ``tau * (omega +
+    noise)`` of ``out``'s shape ``(n, k)``, and ``out`` may be ``theta``
+    itself. ``coupling`` has ``theta``'s shape; ``scratch`` and ``mask``
+    have ``out``'s. This is the only integrator in the package:
+    :func:`step_theta` and the batched recurrence loop both call it.
+    """
+    np.sin(rel, out=rel)
+    (incidence, edges), *rest = model._incidence_blocks[1]
+    np.matmul(incidence, rel[edges], out=coupling)
+    for incidence, edges in rest:
+        coupling += incidence @ rel[edges]
     if model.variant == "frequency_dependent":
-        nxt = theta + model.tau * realized * (1.0 - model.kappa * coupling)
+        # theta + tau * realized * (1 - kappa * S)
+        coupling *= model.kappa
+        np.subtract(1.0, coupling, out=coupling)
+        np.multiply(drive, coupling, out=scratch)
+        np.add(theta, scratch, out=out)
     else:
-        nxt = theta + model.tau * realized - model.kappa * model.tau * coupling
-    return wrap_angle(nxt)
+        # theta + tau * realized - kappa * tau * S
+        coupling *= model.kappa * model.tau
+        np.add(theta, drive, out=out)
+        np.subtract(out, coupling, out=out)
+    _wrap_inplace(out, scratch, mask)
 
 
 def step(model: NetworkModel, state: PhaseState, noise_draw) -> PhaseState:

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treekuramoto import analysis
 from treekuramoto import (
     NetworkModel,
     NoiseSpec,
@@ -16,7 +19,12 @@ from treekuramoto import (
     recurrence_experiment,
     simulate,
 )
-from treekuramoto.analysis import ESCAPE_TOLERANCE, InvalidInitSampler
+from treekuramoto.analysis import (
+    ESCAPE_TOLERANCE,
+    InvalidInitSampler,
+    wilson_interval,
+)
+from treekuramoto.errors import NumericError
 from treekuramoto.dynamics import edge_geodesics
 from treekuramoto.noise import sample_noise
 
@@ -160,21 +168,144 @@ def oracle_trial_stats(max_edge, gamma):
     return return_time, escape_time, float(max_edge.max())
 
 
-def test_batch_trials_equal_sequential_simulation():
-    model = make_line5_model(kappa=5.0)  # weaker coupling: some exits happen
-    base = RandomStream(seed=11)
+@st.composite
+def small_models(draw):
+    """A random tree on 2-8 nodes with Gaussian noise, either variant."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = random_tree(rng, n)
+    return NetworkModel(
+        graph=graph,
+        omega=rng.uniform(0.0, 10.0, n),
+        noise=NoiseSpec.gaussian(
+            rng.uniform(0.5, 5.0, n), rng.uniform(-2.0, 2.0, n)
+        ),
+        kappa=float(rng.uniform(0.5, 10.0)),
+        tau=float(rng.uniform(0.002, 0.05)),
+        variant=draw(st.sampled_from(["frequency_dependent", "undirected"])),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_models(),
+    st.integers(1, 5),
+    st.integers(1, 40),
+    st.floats(0.3, 1.4),
+    st.integers(1, 64),
+    st.integers(0, 1000),
+)
+def test_batch_trials_equal_sequential_simulation(
+    model, trials, horizon, gamma, block_words, seed
+):
+    # chunks of a few steps, so chunk boundaries fall inside the horizon
+    base = RandomStream(seed=seed)
     sampler = edge_box_sampler(0.0, PI / 2)
-    horizon, trials = 300, 6
-    stats = recurrence_experiment(model, sampler, GAMMA, trials, horizon, base)
-    for t in range(trials):
-        theta0 = sampler(model.graph, base.child(trial=t, purpose="init"))
-        rec = simulate(model, theta0, horizon, GAMMA, base.child(trial=t))
-        rt, et, mx = oracle_trial_stats(rec.max_edge_distance, GAMMA)
-        assert stats.return_time[t] == rt
-        assert stats.escape_time[t] == et
-        assert stats.max_excursion[t] == pytest.approx(mx, abs=0.0)
-        assert stats.returned[t] == (rt >= 0)
-        assert stats.started_in_set[t] == (rec.max_edge_distance[0] <= GAMMA)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_MAX_BLOCK_WORDS", block_words)
+        stats = recurrence_experiment(model, sampler, gamma, trials, horizon, base)
+        for t in range(trials):
+            theta0 = sampler(model.graph, base.child(trial=t, purpose="init"))
+            rec = simulate(model, theta0, horizon, gamma, base.child(trial=t))
+            rt, et, mx = oracle_trial_stats(rec.max_edge_distance, gamma)
+            assert stats.return_time[t] == rt
+            assert stats.escape_time[t] == et
+            assert stats.max_excursion[t] == pytest.approx(mx, abs=0.0)
+            assert stats.returned[t] == (rt >= 0)
+            assert stats.started_in_set[t] == (rec.max_edge_distance[0] <= gamma)
+
+
+CHUNK_REGIMES = {
+    # (model, initial sampler, gamma, trials, horizon)
+    "returns_k5": (
+        make_line5_model(kappa=5.0), edge_box_sampler(0.0, 0.8), 0.6, 30, 600
+    ),
+    "exits_k2": (
+        make_line5_model(kappa=2.0), edge_box_sampler(0.0, 0.8), 0.6, 30, 600
+    ),
+    "exits_undirected_k5": (
+        make_line5_model(kappa=5.0, variant="undirected"),
+        edge_box_sampler(0.0, 1.0),
+        0.9,
+        30,
+        600,
+    ),
+    "escapes": (
+        make_line5_model(means=np.array([0.0, 0.0, -3.0, 0.0, 0.0])),
+        fixed_initial(THETA0_5),
+        GAMMA,
+        10,
+        2000,
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(CHUNK_REGIMES))
+def test_recurrence_independent_of_chunk_size(regime, monkeypatch):
+    model, sampler, gamma, trials, horizon = CHUNK_REGIMES[regime]
+    run = lambda: recurrence_experiment(  # noqa: E731
+        model, sampler, gamma, trials, horizon, RandomStream(seed=11)
+    )
+    reference = run()
+    # the regime exercises the bookkeeping it is named for
+    exited_and_returned = reference.started_in_set & (reference.return_time > 1)
+    assert reference.returned.any()
+    assert {
+        "returns_k5": (~reference.started_in_set & reference.returned).any(),
+        "exits_k2": exited_and_returned.any() and not reference.returned.all(),
+        "exits_undirected_k5": exited_and_returned.any() and reference.escaped.any(),
+        "escapes": reference.escaped.all(),
+    }[regime]
+    for steps_per_chunk in (1, 3, 7):
+        # 8 noise words per step for five nodes
+        words = 8 * trials * steps_per_chunk
+        monkeypatch.setattr(analysis, "_MAX_BLOCK_WORDS", words)
+        chunked = run()
+        for field in dataclasses.fields(reference):
+            assert np.array_equal(
+                getattr(chunked, field.name), getattr(reference, field.name)
+            ), (steps_per_chunk, field.name)
+
+
+def test_non_finite_state_is_numeric_error():
+    model = make_line5_model(kappa=1e308)
+    with pytest.raises(NumericError, match=r"trial \d+ has non-finite .* step \d+"):
+        recurrence_experiment(
+            model, fixed_initial(THETA0_5), GAMMA, 3, 50, RandomStream(seed=1)
+        )
+    with pytest.raises(NumericError, match=r"at step \d+"):
+        simulate(model, THETA0_5, 50, GAMMA, RandomStream(seed=1))
+    # node 1's coupling sum is 2 sin(1.5), so kappa times it overflows
+    with pytest.raises(NumericError):
+        drift_estimate(
+            model, [0.0, 1.5, 0.0, 1.5, 0.0], GAMMA, 100, RandomStream(seed=1)
+        )
+
+
+@pytest.mark.parametrize(
+    "successes, trials, low, high",
+    [
+        (200, 200, 0.9812, 1.0),
+        (0, 200, 0.0, 0.0188),
+        # Newcombe (1998), Table I, Wilson score interval
+        (81, 263, 0.2553, 0.3662),
+        (15, 148, 0.0624, 0.1605),
+        (0, 20, 0.0, 0.1611),
+        (1, 29, 0.0061, 0.1718),
+    ],
+)
+def test_wilson_interval_closed_form(successes, trials, low, high):
+    lo, hi = wilson_interval(successes, trials)
+    assert lo == pytest.approx(low, abs=5e-5)
+    assert hi == pytest.approx(high, abs=5e-5)
+    assert 0.0 <= lo <= successes / trials <= hi <= 1.0
+
+
+def test_wilson_interval_validation():
+    with pytest.raises(ValueError):
+        wilson_interval(3, 2)
+    with pytest.raises(ValueError):
+        wilson_interval(0, 0)
 
 
 def test_two_node_rotation_returns():

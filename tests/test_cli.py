@@ -14,6 +14,7 @@ from treekuramoto.cli import (
     load_config,
     main,
 )
+from treekuramoto.analysis import wilson_interval
 
 PI = math.pi
 
@@ -160,6 +161,75 @@ def test_recurrence_and_drift_write_row_files(tmp_path):
     rows = read_csv(out / "probes.csv")
     assert rows[0][:4] == ["probe", "estimate", "stderr", "samples"]
     assert len(rows) == 4
+
+
+def test_recurrence_summary_reports_uncertainty(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, tiny_config(out))
+    assert main(["recurrence", "--config", str(path)]) == 0
+    results = json.loads((out / "summary.json").read_text())["results"]
+    rows = read_csv(out / "trials.csv")[1:]
+    returned = sum(row[2] == "1" for row in rows)
+    escaped = sum(row[5] == "1" for row in rows)
+    assert results["return_fraction_ci95"] == list(wilson_interval(returned, 4))
+    assert results["escaped_fraction_ci95"] == list(wilson_interval(escaped, 4))
+    low, high = results["return_fraction_ci95"]
+    assert low <= results["return_fraction"] <= high
+    times = [int(row[3]) for row in rows if row[2] == "1"]
+    assert results["return_time_p90"] == float(np.percentile(times, 90))
+    for key in ("return_fraction", "escaped_fraction", "return_time_median"):
+        assert key in results
+
+
+@pytest.mark.parametrize("command", ["recurrence", "simulate"])
+def test_non_finite_state_exits_numeric(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    code = main(
+        [
+            command,
+            "--bundled",
+            "line5_zero_mean",
+            "--out",
+            str(out),
+            "--set",
+            "kappa=1e308",
+            "--set",
+            "horizon=50",
+            "--set",
+            "trials=3",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numeric error:" in err and "non-finite" in err
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "samples, code, message",
+    [
+        (10**23, 2, "mc_samples: must be an integer in [1, 2**53]"),
+        # 7 PiB of float64: beyond any 64-bit user address space
+        (10**15, 3, "numeric error: Unable to allocate"),
+    ],
+)
+def test_huge_count_exit_codes(tmp_path, capsys, samples, code, message):
+    argv = ["spectral", "--bundled", "line5_zero_mean", "--out", str(tmp_path)]
+    assert main(argv + ["--set", f"mc_samples={samples}"]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) <= 2
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["horizon", "trials", "drift.probes", "drift.noise_samples", "output.decimation"],
+)
+def test_count_beyond_2_53_is_config_error(tmp_path, capsys, key):
+    argv = ["bounds", "--bundled", "line5_zero_mean", "--out", str(tmp_path)]
+    assert main(argv + ["--set", f"{key}={2**53 + 1}"]) == 2
+    assert f"{key}: must be an integer in [" in capsys.readouterr().err
 
 
 def test_spectral_and_bounds_reports(tmp_path):
