@@ -27,6 +27,7 @@ across workers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,22 @@ from .errors import NumericError, TreeKuramotoError
 from .graph import TreeGraph
 from .noise import RandomStream, sample_noise_block
 
-#: States whose largest edge distance reaches pi/2 - ESCAPE_TOLERANCE are
-#: flagged as escaped: beyond that the cohesiveness analysis regime no
-#: longer applies.
+#: States whose largest edge distance reaches ``ESCAPE_LEVEL = pi/2 -
+#: ESCAPE_TOLERANCE`` are flagged as escaped: beyond that the
+#: cohesiveness analysis regime no longer applies.
 ESCAPE_TOLERANCE = 1e-9
+ESCAPE_LEVEL = 0.5 * math.pi - ESCAPE_TOLERANCE
+
+#: Fewest trial*steps for which :func:`recurrence_experiment` splits its
+#: trials across forked workers. Starting a worker and returning its
+#: results costs about 10 ms, against about 0.5 us per trial*step.
+_MIN_FORK_WORK = 200_000
+
+#: Fewest trials per worker. A step's numpy dispatch costs about as much
+#: as stepping 50 line5 trials, and every worker pays it, so narrower
+#: slices run no faster than one batch (measured on line5: 2 x 5 trials
+#: took 1.6x as long as 1 x 10, 2 x 16 took 0.94x as long as 1 x 32).
+_MIN_SLICE_TRIALS = 16
 
 _MAX_BLOCK_WORDS = 1 << 21
 
@@ -94,7 +107,9 @@ class RecurrenceStats:
     is inside the cohesive set (for trials starting outside) or back
     inside after an exit (for trials starting inside; 1 when the trial
     never exits). Unreturned trials carry ``-1`` there and are exactly
-    the complement of ``return_fraction``.
+    the complement of ``return_fraction``. ``workers`` is the number of
+    processes that stepped the trials; it does not affect any other
+    field.
     """
 
     trials: int
@@ -106,6 +121,7 @@ class RecurrenceStats:
     max_excursion: np.ndarray
     escaped: np.ndarray
     escape_time: np.ndarray
+    workers: int = 1
 
     @property
     def return_fraction(self) -> float:
@@ -296,20 +312,26 @@ def recurrence_experiment(
     ``(graph, stream) -> phases`` whose output must lie in the
     admissible set: every edge distance at most pi/2) and its own noise
     stream, then runs for ``horizon`` steps. Trials are stepped together
-    as one trials-minor batch: the state is held as ``(n, trials)`` and
+    as a trials-minor batch: the state is held as ``(n, trials)`` and
     advanced in place by the same kernel as :func:`step_theta`, so each
     column follows exactly the trajectory :func:`simulate` records for
     that trial. Per step only the largest edge distance of every trial
     is kept; return, exit, escape and excursion bookkeeping runs once
-    per noise chunk over all of that chunk's steps. Per-trial stream
-    coordinates make the result independent of the batch and chunk
-    sizes.
+    per noise chunk over all of that chunk's steps.
+
+    Large runs split the trials into contiguous slices, one per CPU
+    this process may run on: this process steps the first slice and
+    forked worker processes step the others (see :func:`_worker_count`).
+    Per-trial stream coordinates make the result independent of the
+    batch, chunk and slice sizes, so it is bit-identical at every
+    worker count; ``RecurrenceStats.workers`` records the count.
 
     Raises:
-        InvalidInitSampler: a sampled state has an edge distance beyond
-            pi/2.
+        InvalidInitSampler: a sampled state is non-finite or has an edge
+            distance beyond pi/2.
         NumericError: a trial's phases become non-finite (the message
-            names the first such trial and step).
+            names the first such step and, at that step, the first
+            trial), or a worker process ended without a result.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -318,7 +340,6 @@ def recurrence_experiment(
     gamma = validate_gamma(gamma)
     graph = model.graph
     n = graph.n
-    escape_level = 0.5 * math.pi - ESCAPE_TOLERANCE
 
     # trials-minor: one column per trial
     theta = np.empty((n, trials))
@@ -330,20 +351,79 @@ def recurrence_experiment(
             raise InvalidInitSampler(
                 f"sampler returned shape {candidate.shape}, expected ({n},)"
             )
-        if np.max(edge_geodesics(graph, candidate)) > 0.5 * math.pi + 1e-12:
+        # NaN compares False, so non-finite phases are rejected too
+        if not np.all(edge_geodesics(graph, candidate) <= 0.5 * math.pi + 1e-12):
             raise InvalidInitSampler(
                 f"trial {t} starts outside the admissible set"
             )
         theta[:, t] = wrap_angle(candidate)
+    noise_streams = [stream.child(trial=t, purpose="noise") for t in range(trials)]
 
-    max_edge = edge_geodesics(graph, theta.T).max(axis=-1)
+    def run(lo: int, hi: int):
+        # the kernel steps its slice in place, in a contiguous array
+        return _step_trials(
+            model,
+            np.ascontiguousarray(theta[:, lo:hi]),
+            noise_streams[lo:hi],
+            gamma,
+            horizon,
+        )
+
+    workers = _worker_count(trials, horizon)
+    bounds = [
+        (w * trials // workers, (w + 1) * trials // workers) for w in range(workers)
+    ]
+    parts = _run_forked(run, bounds) if workers > 1 else [run(0, trials)]
+
+    # the error a single batch raises: earliest step, then lowest trial
+    failures = [
+        (first[0], lo + first[1])
+        for (lo, _), (_, first) in zip(bounds, parts)
+        if first is not None
+    ]
+    if failures:
+        step, t = min(failures)
+        raise NumericError(f"trial {t} has non-finite phases at step {step}")
+    return RecurrenceStats(
+        trials=trials,
+        gamma=gamma,
+        horizon=horizon,
+        workers=workers,
+        **{
+            name: np.concatenate([fields[name] for fields, _ in parts])
+            for name in parts[0][0]
+        },
+    )
+
+
+def _step_trials(model, theta, noise_streams, gamma, horizon):
+    """Step the trials-minor batch ``theta`` ``(n, width)`` in place for
+    ``horizon`` steps, column ``t`` driven by ``noise_streams[t]``.
+
+    Returns the per-trial fields of :class:`RecurrenceStats` as a dict,
+    and ``None`` or, when a state became non-finite, ``(step, column)``
+    of the first one (earliest step, then lowest column); stepping stops
+    at the end of that noise chunk and the fields are then incomplete.
+    """
+    n, width = theta.shape
+    max_edge = edge_geodesics(model.graph, theta.T).max(axis=-1)
     started_in_set = max_edge <= gamma
     max_excursion = max_edge.copy()
-    returned = np.zeros(trials, dtype=bool)
-    return_time = np.full(trials, -1, dtype=np.int64)
-    exited = np.zeros(trials, dtype=bool)
-    escaped = max_edge >= escape_level
+    returned = np.zeros(width, dtype=bool)
+    return_time = np.full(width, -1, dtype=np.int64)
+    exited = np.zeros(width, dtype=bool)
+    escaped = max_edge >= ESCAPE_LEVEL
     escape_time = np.where(escaped, 0, -1).astype(np.int64)
+
+    # the loop below updates these arrays in place
+    fields = {
+        "started_in_set": started_in_set,
+        "returned": returned,
+        "return_time": return_time,
+        "max_excursion": max_excursion,
+        "escaped": escaped,
+        "escape_time": escape_time,
+    }
 
     # work buffers, reused by every step and chunk
     rel = _edge_differences(model, theta)
@@ -352,10 +432,9 @@ def recurrence_experiment(
     coupling = np.empty_like(theta)
     scratch = np.empty_like(theta)
     mask = np.empty(theta.shape, dtype=bool)
-    noise_streams = [stream.child(trial=t, purpose="noise") for t in range(trials)]
-    chunk = min(horizon, max(1, _noise_chunk_steps(n) // trials))
-    drive_buffer = np.empty((chunk, n, trials))
-    max_buffer = np.empty((chunk, trials))
+    chunk = min(horizon, max(1, _noise_chunk_steps(n) // width))
+    drive_buffer = np.empty((chunk, n, width))
+    max_buffer = np.empty((chunk, width))
     omega = model.omega[:, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -380,13 +459,11 @@ def recurrence_experiment(
 
             if not np.isfinite(step_max).all():
                 j, t = np.argwhere(~np.isfinite(step_max))[0]
-                raise NumericError(
-                    f"trial {t} has non-finite phases at step {k0 + j + 1}"
-                )
+                return fields, (k0 + int(j) + 1, int(t))
             np.maximum(max_excursion, step_max.max(axis=0), out=max_excursion)
             inside = step_max <= gamma
 
-            first_escape = _first_true(step_max >= escape_level)
+            first_escape = _first_true(step_max >= ESCAPE_LEVEL)
             fresh_escape = ~escaped & (first_escape >= 0)
             escape_time[fresh_escape] = k0 + 1 + first_escape[fresh_escape]
             escaped |= fresh_escape
@@ -410,18 +487,95 @@ def recurrence_experiment(
     never_exited = started_in_set & ~exited
     return_time[never_exited] = 1
     returned |= never_exited
+    return fields, None
 
-    return RecurrenceStats(
-        trials=trials,
-        gamma=gamma,
-        horizon=horizon,
-        started_in_set=started_in_set,
-        returned=returned,
-        return_time=return_time,
-        max_excursion=max_excursion,
-        escaped=escaped,
-        escape_time=escape_time,
-    )
+
+def _worker_count(trials: int, horizon: int) -> int:
+    """Processes that step the trials of one recurrence run.
+
+    One per CPU in this process's affinity mask, with at least
+    ``_MIN_SLICE_TRIALS`` trials each; a single one when the run is below
+    ``_MIN_FORK_WORK`` trial*steps, where there is no fork start method
+    (or no affinity mask), and inside a worker process, so that workers
+    never fork again.
+    """
+    slices = trials // _MIN_SLICE_TRIALS
+    if (
+        slices < 2
+        or trials * horizon < _MIN_FORK_WORK
+        or not hasattr(os, "sched_getaffinity")
+    ):
+        return 1
+    # imported here, so that loading the package does not pay for it
+    import multiprocessing
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.parent_process() is not None
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), slices)
+
+
+def _run_forked(run, bounds):
+    """``[run(lo, hi) for lo, hi in bounds]``: the first slice in this
+    process, each other one in a forked worker that sends its result
+    back through a pipe. Every worker is reaped before this returns or
+    raises; an exception raised in a worker is raised here.
+
+    Raises:
+        NumericError: a worker could not be started or ended without
+            sending its result (killed, for example, by the kernel when
+            memory runs out).
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for lo, hi in bounds[1:]:
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=_worker, args=(send, run, lo, hi))
+            try:
+                process.start()
+            except OSError as exc:
+                receive.close()
+                raise NumericError(f"cannot start a worker process: {exc}") from None
+            finally:
+                send.close()
+            workers.append((process, receive, lo, hi))
+        parts = [run(*bounds[0])]
+        for process, receive, lo, hi in workers:
+            try:
+                failed, value = receive.recv()
+            except EOFError:
+                process.join()
+                raise NumericError(
+                    f"the worker stepping trials {lo}..{hi - 1} ended without "
+                    f"a result (exit code {process.exitcode})"
+                ) from None
+            process.join()
+            if failed:
+                raise value
+            parts.append(value)
+        return parts
+    finally:
+        for process, receive, _, _ in workers:
+            receive.close()
+            if process.exitcode is None:
+                process.kill()
+                process.join()
+
+
+def _worker(send, run, lo, hi) -> None:
+    """Body of a forked worker: send ``(False, run(lo, hi))``, or
+    ``(True, exception)`` for the parent to raise."""
+    try:
+        outcome = (False, run(lo, hi))
+    except Exception as exc:  # raised again in the parent, as in one process
+        outcome = (True, exc)
+    send.send(outcome)
+    send.close()
 
 
 def _first_true(mask: np.ndarray) -> np.ndarray:
@@ -493,6 +647,10 @@ def drift_sweep(
     This is the region where the recurrence argument requires a strictly
     negative drift; probing it systematically turns that requirement
     into a testable statement.
+
+    Raises:
+        NumericError: a step from a probed state is non-finite (the
+            message names the probe).
     """
     if n_states < 0:
         raise ValueError(f"n_states must be nonnegative, got {n_states}")
@@ -501,9 +659,12 @@ def drift_sweep(
     estimates = []
     for i in range(n_states):
         theta = sampler(model.graph, stream.child(trial=i, purpose="probe"))
-        estimates.append(
-            drift_estimate(
-                model, theta, gamma, noise_samples, stream.child(trial=i)
+        try:
+            estimates.append(
+                drift_estimate(
+                    model, theta, gamma, noise_samples, stream.child(trial=i)
+                )
             )
-        )
+        except NumericError as exc:
+            raise NumericError(f"probe {i}: {exc}") from exc
     return estimates

@@ -36,8 +36,8 @@ Config schema (unknown keys are rejected):
 
 Data files are comma-separated with a header row; the summary report is
 a single JSON file. Exit codes: 0 success, 2 configuration error,
-3 numeric error (including a non-finite state and an allocation that
-fails), 4 I/O error.
+3 numeric error (including a non-finite state, an allocation that
+fails and a worker process that ends without a result), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from . import analysis, conditions, noise as noise_mod
 from .conditions import DEFAULT_GAMMA
 from .dynamics import NetworkModel, edge_geodesics, wrap_angle
 from .graph import TreeGraph, build_tree
-from .noise import NodeNoise, NoiseSpec, RandomStream
+from .noise import InvalidNoiseSpec, NodeNoise, NoiseSpec, RandomStream
 
 SEED_ENV_VAR = "TREEKURAMOTO_SEED"
 
@@ -265,7 +265,7 @@ def _validate(data: dict) -> ExperimentConfig:
                     nodes.append(
                         NodeNoise(family, mean=float(mean), variance=float(variance))
                     )
-                except Exception as exc:
+                except InvalidNoiseSpec as exc:
                     fail(f"noise[{i}]: {exc}")
             if not bad and nodes:
                 spec = NoiseSpec(tuple(nodes))
@@ -649,8 +649,9 @@ def _run_simulate(config: ExperimentConfig):
                 + list(record.realized_frequency[k])
             )
 
-    escape_level = 0.5 * math.pi - analysis.ESCAPE_TOLERANCE
-    escaped_steps = np.flatnonzero(record.max_edge_distance >= escape_level)
+    escaped_steps = np.flatnonzero(
+        record.max_edge_distance >= analysis.ESCAPE_LEVEL
+    )
     results = {
         "horizon": record.horizon,
         "in_set_fraction": float(np.mean(record.in_set)),
@@ -720,7 +721,11 @@ def _run_recurrence(config: ExperimentConfig):
         "return_time_max": int(np.max(finite)) if finite.size else None,
     }
     provenance = {
-        "recurrence": {"method": "monte-carlo", "samples": stats.trials}
+        "recurrence": {
+            "method": "monte-carlo",
+            "samples": stats.trials,
+            "workers": stats.workers,
+        }
     }
     return results, provenance, {"trials.csv": (header, rows())}
 

@@ -160,8 +160,22 @@ class RandomStream:
 
     def uniforms(self, index: int, count: int) -> np.ndarray:
         """``count`` doubles in the open interval (0, 1)."""
-        words = self.raw_words(index, count)
-        return (words >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+        return _open_unit(self.raw_words(index, count))
+
+
+#: The largest double below one.
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
+def _open_unit(words: np.ndarray) -> np.ndarray:
+    """Doubles in the open interval (0, 1) from 64-bit words: the top 53
+    bits scaled to [0, 1) plus 2**-54. The sum rounds to exactly 1 for
+    the one word value whose top 53 bits are all ones; that value is
+    mapped to the largest double below 1, and every other is unchanged.
+    """
+    u = (words >> np.uint64(11)) * 2.0**-53
+    u += 2.0**-54
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def _words_per_step(n: int) -> int:

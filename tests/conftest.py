@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -46,3 +47,12 @@ def random_tree(rng, n):
         else:
             edges.append((node, parent))
     return build_tree(n, edges)
+
+
+def no_children_left() -> bool:
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return True
+    return False

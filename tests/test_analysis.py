@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from treekuramoto.errors import NumericError
 from treekuramoto.dynamics import edge_geodesics
 from treekuramoto.noise import sample_noise
 
-from conftest import THETA0_5, make_line5_model, random_tree
+from conftest import THETA0_5, make_line5_model, no_children_left, random_tree
 
 PI = math.pi
 GAMMA = PI / 2 - 0.05
@@ -265,6 +267,113 @@ def test_recurrence_independent_of_chunk_size(regime, monkeypatch):
             assert np.array_equal(
                 getattr(chunked, field.name), getattr(reference, field.name)
             ), (steps_per_chunk, field.name)
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(analysis, "_worker_count", lambda trials, horizon: workers)
+
+
+WORKER_REGIMES = {
+    "cohesive": (make_line5_model(), edge_box_sampler(0.0, 0.8), GAMMA, 400),
+    **{
+        name: CHUNK_REGIMES[name][:3] + (CHUNK_REGIMES[name][4],)
+        for name in ("exits_k2", "escapes")
+    },
+}
+
+
+@pytest.mark.parametrize("regime", sorted(WORKER_REGIMES))
+def test_recurrence_identical_at_any_worker_count(regime, monkeypatch):
+    model, sampler, gamma, horizon = WORKER_REGIMES[regime]
+    runs = {}
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        # 7 trials: uneven slices of 3+4 and 2+2+3 trials
+        runs[workers] = recurrence_experiment(
+            model, sampler, gamma, 7, horizon, RandomStream(seed=3)
+        )
+        assert runs[workers].workers == workers
+        assert no_children_left()
+    reference = runs[1]
+    assert {
+        "cohesive": reference.returned.all() and not reference.escaped.any(),
+        "exits_k2": not reference.returned.all(),
+        "escapes": reference.escaped.all(),
+    }[regime]
+    for workers in (2, 3):
+        for field in dataclasses.fields(reference):
+            if field.name != "workers":
+                assert np.array_equal(
+                    getattr(runs[workers], field.name),
+                    getattr(reference, field.name),
+                ), (workers, field.name)
+
+
+def diverging_trials(bad_trials):
+    """A silent model whose zero state stays put, and a sampler that
+    gives only ``bad_trials`` a state whose coupling overflows."""
+    model = NetworkModel(
+        build_tree(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        np.zeros(5),
+        NoiseSpec.none(5),
+        1e308,
+        0.002,
+        "frequency_dependent",
+    )
+
+    def sampler(graph, stream):
+        if stream.trial in bad_trials:
+            return np.array([0.0, 1.5, 0.0, 1.5, 0.0])
+        return np.zeros(5)
+
+    return model, sampler
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("bad_trials", [(5,), (1, 5)])
+def test_worker_numeric_error_names_global_trial(workers, bad_trials, monkeypatch):
+    # trial 5 lies in the second slice at 2 workers, the third at 3; the
+    # message names the lowest failing trial at the earliest step, as in
+    # a single batch
+    model, sampler = diverging_trials(bad_trials)
+    force_workers(monkeypatch, workers)
+    with pytest.raises(
+        NumericError,
+        match=rf"^trial {bad_trials[0]} has non-finite phases at step 1$",
+    ):
+        recurrence_experiment(model, sampler, GAMMA, 7, 20, RandomStream(seed=1))
+    assert no_children_left()
+
+
+def test_worker_count_derivation():
+    cpus = len(os.sched_getaffinity(0))
+    assert analysis._worker_count(200, 10_000) == min(cpus, 200 // 16)
+    assert analysis._worker_count(1, 10**9) == 1
+    assert analysis._worker_count(31, 10**9) == 1  # slices narrower than 16
+    assert analysis._worker_count(200, 10) == 1  # below the work threshold
+    # a worker process never forks again
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(
+        target=lambda: send.send(analysis._worker_count(200, 10_000))
+    )
+    child.start()
+    send.close()
+    assert receive.poll(30) and receive.recv() == 1
+    child.join(30)
+    assert child.exitcode == 0
+
+
+def test_non_finite_initial_state_rejected():
+    with pytest.raises(InvalidInitSampler, match="trial 0 starts outside"):
+        recurrence_experiment(
+            make_line5_model(),
+            fixed_initial([0.0, math.nan, 0.0, 0.0, 0.0]),
+            GAMMA,
+            2,
+            5,
+            RandomStream(seed=1),
+        )
 
 
 def test_non_finite_state_is_numeric_error():

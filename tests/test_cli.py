@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from treekuramoto.cli import (
     load_config,
     main,
 )
+from treekuramoto import analysis
 from treekuramoto.analysis import wilson_interval
+
+from conftest import no_children_left
 
 PI = math.pi
 
@@ -204,6 +209,64 @@ def test_non_finite_state_exits_numeric(tmp_path, capsys, command):
     assert "numeric error:" in err and "non-finite" in err
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
+
+
+def test_drift_numeric_error_names_probe(tmp_path, capsys):
+    argv = ["drift", "--bundled", "line5_zero_mean", "--out", str(tmp_path)]
+    assert main(argv + ["--set", "kappa=1e308"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: probe 0: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def run_recurrence_with_workers(monkeypatch, out, workers):
+    monkeypatch.setattr(
+        analysis, "_worker_count", lambda trials, horizon: workers
+    )
+    argv = ["recurrence", "--bundled", "line5_zero_mean", "--out", str(out)]
+    return main(argv + ["--set", "horizon=1000", "--set", "trials=31"])
+
+
+def test_recurrence_outputs_independent_of_worker_count(tmp_path, monkeypatch):
+    summaries = {}
+    for workers in (1, 3):
+        out = tmp_path / str(workers)
+        assert run_recurrence_with_workers(monkeypatch, out, workers) == 0
+        summaries[workers] = json.loads((out / "summary.json").read_text())
+        assert summaries[workers]["provenance"]["recurrence"]["workers"] == workers
+    assert (tmp_path / "1" / "trials.csv").read_bytes() == (
+        tmp_path / "3" / "trials.csv"
+    ).read_bytes()
+    assert summaries[1]["results"] == summaries[3]["results"]
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        ("killed", "the worker stepping trials 15..30 ended without a result"),
+        ("memory", "no memory for the noise block"),
+    ],
+)
+def test_failing_worker_exits_numeric(
+    tmp_path, capsys, monkeypatch, failure, message
+):
+    parent = os.getpid()
+    step_trials = analysis._step_trials
+
+    def failing_in_workers(*args):
+        if os.getpid() != parent:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise MemoryError("no memory for the noise block")
+        return step_trials(*args)
+
+    monkeypatch.setattr(analysis, "_step_trials", failing_in_workers)
+    assert run_recurrence_with_workers(monkeypatch, tmp_path, 2) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: {message}")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "summary.json").exists()
+    assert no_children_left()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from treekuramoto import (
     NodeNoise,
@@ -17,6 +18,7 @@ from treekuramoto.noise import (
     InvalidNoiseSpec,
     NegativeVariance,
     UnsupportedFamily,
+    _open_unit,
     sample_noise_block,
 )
 
@@ -234,3 +236,21 @@ def test_gap_analytic_rejected_for_uniform_family():
         np.zeros(2), spec, mc_samples=10_000, stream=RandomStream(seed=5)
     )
     assert est.method == "monte-carlo"
+
+
+def test_open_unit_stays_below_one_for_all_ones_words():
+    # the top 53 bits all ones: (2**53 - 1) * 2**-53 + 2**-54 rounds to 1
+    words = np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
+    u = _open_unit(words)
+    assert np.all(u < 1.0)
+    assert np.all(u == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(ndtri(u)))
+
+
+def test_open_unit_bits_equal_plain_formula():
+    words = RandomStream(seed=17, purpose="words").raw_words(0, 100_000)
+    words[:3] = [0, 1 << 11, 2**64 - 2**12]  # smallest and next-to-largest
+    plain = (words >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    assert np.array_equal(_open_unit(words).view(np.uint64), plain.view(np.uint64))
+    u = RandomStream(seed=17).uniforms(5, 1000)
+    assert np.all((0.0 < u) & (u < 1.0))
