@@ -45,7 +45,7 @@ from .dynamics import (
     validate_gamma,
     wrap_angle,
 )
-from .errors import NumericError, TreeKuramotoError
+from .errors import ConfigError, NumericError
 from .graph import TreeGraph
 from .noise import RandomStream, sample_noise_block
 
@@ -69,7 +69,7 @@ _MIN_SLICE_TRIALS = 16
 _MAX_BLOCK_WORDS = 1 << 21
 
 
-class InvalidInitSampler(TreeKuramotoError):
+class InvalidInitSampler(ConfigError):
     """Initial-state sampler produced a state outside the admissible set."""
 
 

@@ -14,30 +14,34 @@ variable ``TREEKURAMOTO_SEED`` overrides the config seed; an explicit
 ``--set seed=...`` wins over both. All angles are radians, frequencies
 rad/s, the sampling period seconds.
 
-Config schema (unknown keys are rejected):
+Config schema (unknown keys are rejected, a null value counts as absent,
+numbers must be finite; every violation is reported at once):
 
-    graph:      {n: int >= 2, edges: [[tail, head], ...]}  # a tree
+    graph:      {n: int, edges: [[tail, head], ...]}  # a tree on n nodes
     omega:      [float, ...]                 # length n, rad/s
     noise:      [{family: gaussian|uniform|none,
                   mean: float, variance: float}, ...]      # length n
     variant:    frequency_dependent | undirected
     kappa:      float > 0
     tau:        float > 0                    # seconds
-    gamma:      float in (0, pi/2)           # optional, default pi/2 - 0.05
+    gamma:      float in (0, pi/2)           # default pi/2 - 0.05
     seed:       int
-    horizon:    int in [1, 2**53]            # simulate / recurrence
-    trials:     int in [1, 2**53]            # recurrence
-    mc_samples: int in [1, 2**53]            # spectral / bounds / MC gap
-    pair_set:   all | edges                  # optional, default all
-    initial:    {mode: explicit, phases: [float, ...]}
-                | {mode: sample, low: float, high: float}  # optional
-    drift:      {probes: int >= 0, noise_samples: int >= 2}  # optional, <= 2**53
-    output:     {directory: str, decimation: int >= 1}       # optional, <= 2**53
+    horizon:    int in [1, 2**53]            # needed by simulate, recurrence
+    trials:     int in [1, 2**53]            # needed by recurrence
+    mc_samples: int in [1, 2**53]            # needed by spectral, and by bounds
+                                             # for a Monte Carlo estimate
+    pair_set:   all | edges                  # default all
+    initial:    {mode: explicit, phases: [float, ...]}      # length n, or
+                {mode: sample, low: float = 0, high: float = pi/2}
+                # default {mode: sample}; 0 <= low < high <= pi/2
+    drift:      {probes: int in [0, 2**53] = 100,
+                 noise_samples: int in [2, 2**53] = 10000}
+    output:     {directory: str without NUL = out, decimation: int in [1, 2**53] = 1}
 
 Data files are comma-separated with a header row; the summary report is
 a single JSON file. Exit codes: 0 success, 2 configuration error,
-3 numeric error (including a non-finite state, an allocation that
-fails and a worker process that ends without a result), 4 I/O error.
+3 numeric error (including a non-finite state or result, an allocation
+that fails and a worker process that ends without a result), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -64,9 +69,10 @@ from . import analysis, conditions, noise as noise_mod
 from .conditions import DEFAULT_GAMMA
 from .dynamics import NetworkModel, edge_geodesics, wrap_angle
 from .graph import TreeGraph, build_tree
-from .noise import InvalidNoiseSpec, NodeNoise, NoiseSpec, RandomStream
+from .noise import NodeNoise, NoiseSpec, RandomStream
 
 SEED_ENV_VAR = "TREEKURAMOTO_SEED"
+_HALF_PI = 0.5 * math.pi
 
 BUNDLED_CONFIGS = (
     "line5_noise_free",
@@ -77,25 +83,6 @@ BUNDLED_CONFIGS = (
     "two_node_minimal",
 )
 
-_TOP_KEYS = {
-    "graph",
-    "omega",
-    "noise",
-    "variant",
-    "kappa",
-    "tau",
-    "gamma",
-    "seed",
-    "horizon",
-    "trials",
-    "mc_samples",
-    "pair_set",
-    "initial",
-    "drift",
-    "output",
-}
-
-
 class ParseError(ConfigError):
     """Config file is not parseable YAML."""
 
@@ -105,9 +92,8 @@ class ValidationError(ConfigError):
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__(
-            "invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations)
-        )
+        sep = "\n  - " if len(self.violations) > 1 else " "
+        super().__init__("invalid configuration:" + sep + sep.join(self.violations))
 
 
 @dataclass(frozen=True)
@@ -181,224 +167,162 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-#: Largest accepted count field: every integer up to 2**53 is exact as a
-#: float, and anything larger could never be allocated or iterated.
-_MAX_COUNT = 2**53
+class _Field(NamedTuple):
+    """One config field: its dotted key, a check of its value, the violation
+    message, a default (``...`` when required) and the commands that need it.
+    A section's default is the mapping used when the section is absent."""
+
+    key: str
+    check: Callable[[object], bool]
+    message: str
+    default: object = ...
+    commands: tuple[str, ...] = ()
+
+    @property
+    def section(self) -> str:
+        return self.key.rpartition(".")[0]
+
+    @property
+    def leaf(self) -> str:
+        return self.key.rpartition(".")[2]
 
 
-def _is_count(x, minimum: int) -> bool:
-    return _is_int(x) and minimum <= x <= _MAX_COUNT
+def _instance(kind: type):
+    return lambda x: isinstance(x, kind)
+
+
+def _numbers(x) -> bool:
+    return isinstance(x, list) and all(_is_number(v) for v in x)
+
+
+def _edges(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e) for e in x
+    )
+
+
+def _between(low: float, high: float):
+    return lambda x: _is_number(x) and low < x < high
+
+
+def _path(x) -> bool:
+    return isinstance(x, str) and x != "" and "\0" not in x
+
+
+def _one_of(*choices):
+    """Check and message of a field that takes one of ``choices``."""
+    check = lambda x: isinstance(x, str) and x in choices  # noqa: E731
+    return check, f"must be {' or '.join(choices)}"
+
+
+def _count(minimum: int):
+    """Check and message of a count field. Integers up to 2**53 are exact
+    as floats; a larger count could never be allocated or iterated."""
+    check = lambda x: _is_int(x) and minimum <= x <= 2**53  # noqa: E731
+    return check, f"must be an integer in [{minimum}, 2**53]"
+
+
+_FIELDS = tuple(_Field(*row) for row in (
+    ("graph", _instance(dict), "must be a mapping with keys n, edges"),
+    ("graph.n", _is_int, "must be an integer"),
+    ("graph.edges", _edges, "must be a list of [tail, head] integer pairs"),
+    ("omega", _numbers, "must be a list of finite numbers"),
+    ("noise", _instance(list), "must be a list of per-node mappings"),
+    ("variant", *_one_of("frequency_dependent", "undirected")),
+    ("kappa", _between(0.0, math.inf), "must be a positive finite number"),
+    ("tau", _between(0.0, math.inf), "must be a positive finite number"),
+    ("gamma", _between(0.0, _HALF_PI), "must lie strictly in (0, pi/2)", DEFAULT_GAMMA),
+    ("seed", _is_int, "must be an integer"),
+    ("horizon", *_count(1), None, ("simulate", "recurrence")),
+    ("trials", *_count(1), None, ("recurrence",)),
+    ("mc_samples", *_count(1), None, ("spectral",)),
+    ("pair_set", *_one_of("all", "edges"), "all"),
+    ("initial", _instance(dict), "must be a mapping", {"mode": "sample"}),
+    ("initial.mode", *_one_of("explicit", "sample")),
+    ("initial.phases", _numbers, "must be a list of finite numbers", None),
+    ("initial.low", _is_number, "must be a finite number", 0.0),
+    ("initial.high", _is_number, "must be a finite number", _HALF_PI),
+    ("drift", _instance(dict), "must be a mapping", {}),
+    ("drift.probes", *_count(0), 100),
+    ("drift.noise_samples", *_count(2), 10_000),
+    ("output", _instance(dict), "must be a mapping", {}),
+    ("output.directory", _path, "must be a nonempty string without NUL", "out"),
+    ("output.decimation", *_count(1), 1),
+))
+
+#: Known keys of the top level ("") and of each section.
+_KEYS = {
+    f.section: {g.leaf for g in _FIELDS if g.section == f.section} for f in _FIELDS
+}
+
+
+def _unknown(prefix: str, mapping: dict, known) -> list[str]:
+    return [f"{prefix}unknown key {key!r}" for key in mapping if key not in known]
 
 
 def _validate(data: dict) -> ExperimentConfig:
-    bad: list[str] = []
+    # A null value counts as absent.
+    bad = _unknown("", data, _KEYS[""])
+    values = {}
+    for field in _FIELDS:
+        mapping = values.get(field.section) if field.section else data
+        if mapping is None:  # its section is invalid or missing
+            continue
+        value = mapping.get(field.leaf)
+        if value is None and field.default is not ...:
+            values[field.key] = field.default
+        elif value is None and not field.section:
+            bad.append(f"missing required key {field.key!r}")
+        elif not field.check(value):
+            bad.append(f"{field.key}: {field.message}")
+        else:
+            values[field.key] = value
+            if field.key in _KEYS:
+                bad += _unknown(f"{field.key}: ", value, _KEYS[field.key])
 
-    def fail(msg: str):
-        bad.append(msg)
-
-    if not isinstance(data, dict):
-        raise ValidationError(["top level must be a mapping"])
-
-    for key in data:
-        if key not in _TOP_KEYS:
-            fail(f"unknown key {key!r}")
-    for key in ("graph", "omega", "noise", "variant", "kappa", "tau", "seed"):
-        if key not in data:
-            fail(f"missing required key {key!r}")
-
+    # Checks that relate fields to each other or to graph.n.
     graph = None
-    n = None
-    graph_raw = data.get("graph")
-    if isinstance(graph_raw, dict):
-        for key in graph_raw:
-            if key not in {"n", "edges"}:
-                fail(f"graph: unknown key {key!r}")
-        n = graph_raw.get("n")
-        edges = graph_raw.get("edges")
-        if not _is_int(n):
-            fail("graph.n: must be an integer")
-            n = None
-        elif not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)
-            for e in edges
-        ):
-            fail("graph.edges: must be a list of [tail, head] integer pairs")
-        else:
-            try:
-                graph = build_tree(n, [tuple(e) for e in edges])
-            except ConfigError as exc:
-                fail(f"graph: {exc}")
-    elif graph_raw is not None:
-        fail("graph: must be a mapping with keys n, edges")
+    n, edges = values.get("graph.n"), values.get("graph.edges")
+    if n is not None and edges is not None and n > len(edges) + 1:
+        bad.append(f"graph.n: {n} nodes need {n - 1} edges, got {len(edges)}")
+    elif n is not None and edges is not None:
+        try:
+            graph = build_tree(n, [tuple(e) for e in edges])
+        except ConfigError as exc:
+            bad.append(f"graph: {exc}")
+    for key in ("omega", "noise", "initial.phases"):
+        if n is not None and values.get(key) is not None and len(values[key]) != n:
+            bad.append(f"{key}: length {len(values[key])} != graph.n {n}")
 
-    omega = data.get("omega")
-    if omega is not None:
-        if not isinstance(omega, list) or not all(_is_number(x) for x in omega):
-            fail("omega: must be a list of finite numbers")
-            omega = None
-        elif n is not None and len(omega) != n:
-            fail(f"omega: length {len(omega)} != graph.n {n}")
+    nodes = []
+    for i, entry in enumerate(values.get("noise") or ()):
+        if not isinstance(entry, dict):
+            bad.append(f"noise[{i}]: must be a mapping")
+            continue
+        bad += _unknown(f"noise[{i}]: ", entry, ("family", "mean", "variance"))
+        given = {key: value for key, value in entry.items() if value is not None}
+        mean, variance = given.get("mean", 0.0), given.get("variance", 0.0)
+        if not _is_number(mean) or not _is_number(variance):
+            bad.append(f"noise[{i}]: mean and variance must be finite numbers")
+            continue
+        try:
+            nodes.append(NodeNoise(given.get("family"), float(mean), float(variance)))
+        except ConfigError as exc:
+            bad.append(f"noise[{i}]: {exc}")
 
-    spec = None
-    noise_raw = data.get("noise")
-    if noise_raw is not None:
-        if not isinstance(noise_raw, list):
-            fail("noise: must be a list of per-node mappings")
-        else:
-            if n is not None and len(noise_raw) != n:
-                fail(f"noise: length {len(noise_raw)} != graph.n {n}")
-            nodes = []
-            for i, entry in enumerate(noise_raw):
-                if not isinstance(entry, dict):
-                    fail(f"noise[{i}]: must be a mapping")
-                    continue
-                for key in entry:
-                    if key not in {"family", "mean", "variance"}:
-                        fail(f"noise[{i}]: unknown key {key!r}")
-                family = entry.get("family")
-                mean = entry.get("mean", 0.0)
-                variance = entry.get("variance", 0.0)
-                if not _is_number(mean) or not _is_number(variance):
-                    fail(f"noise[{i}]: mean and variance must be finite numbers")
-                    continue
-                try:
-                    nodes.append(
-                        NodeNoise(family, mean=float(mean), variance=float(variance))
-                    )
-                except InvalidNoiseSpec as exc:
-                    fail(f"noise[{i}]: {exc}")
-            if not bad and nodes:
-                spec = NoiseSpec(tuple(nodes))
-
-    variant = data.get("variant")
-    if variant is not None and variant not in (
-        "frequency_dependent",
-        "undirected",
-    ):
-        fail("variant: must be frequency_dependent or undirected")
-
-    def positive_number(key):
-        value = data.get(key)
-        if value is None:
-            return None
-        if not _is_number(value) or not value > 0:
-            fail(f"{key}: must be a positive finite number")
-            return None
-        return float(value)
-
-    kappa = positive_number("kappa")
-    tau = positive_number("tau")
-
-    gamma = data.get("gamma", DEFAULT_GAMMA)
-    if not _is_number(gamma) or not 0.0 < gamma < 0.5 * math.pi:
-        fail("gamma: must lie strictly in (0, pi/2)")
-        gamma = DEFAULT_GAMMA
-
-    seed = data.get("seed")
-    if seed is not None and not _is_int(seed):
-        fail("seed: must be an integer")
-        seed = None
-
-    def positive_int(key, minimum=1):
-        value = data.get(key)
-        if value is None:
-            return None
-        if not _is_count(value, minimum):
-            fail(f"{key}: must be an integer in [{minimum}, 2**53]")
-            return None
-        return value
-
-    horizon = positive_int("horizon")
-    trials = positive_int("trials")
-    mc_samples = positive_int("mc_samples")
-
-    pair_set = data.get("pair_set", "all")
-    if pair_set not in ("all", "edges"):
-        fail("pair_set: must be all or edges")
-        pair_set = "all"
-
-    initial_mode = "sample"
-    initial_phases = None
-    initial_low, initial_high = 0.0, 0.5 * math.pi
-    initial = data.get("initial")
-    if initial is not None:
-        if not isinstance(initial, dict):
-            fail("initial: must be a mapping")
-        else:
-            mode = initial.get("mode")
-            if mode == "explicit":
-                for key in initial:
-                    if key not in {"mode", "phases"}:
-                        fail(f"initial: unknown key {key!r}")
-                phases = initial.get("phases")
-                if not isinstance(phases, list) or not all(
-                    _is_number(x) for x in phases
-                ):
-                    fail("initial.phases: must be a list of finite numbers")
-                elif n is not None and len(phases) != n:
-                    fail(f"initial.phases: length {len(phases)} != graph.n {n}")
-                else:
-                    initial_mode = "explicit"
-                    initial_phases = tuple(float(x) for x in phases)
-            elif mode == "sample":
-                for key in initial:
-                    if key not in {"mode", "low", "high"}:
-                        fail(f"initial: unknown key {key!r}")
-                low = initial.get("low", 0.0)
-                high = initial.get("high", 0.5 * math.pi)
-                if not (_is_number(low) and _is_number(high)):
-                    fail("initial.low/high: must be finite numbers")
-                elif not 0.0 <= low < high <= 0.5 * math.pi:
-                    fail("initial: need 0 <= low < high <= pi/2")
-                else:
-                    initial_low, initial_high = float(low), float(high)
-            else:
-                fail("initial.mode: must be explicit or sample")
-
-    drift_probes, drift_noise_samples = 100, 10_000
-    drift = data.get("drift")
-    if drift is not None:
-        if not isinstance(drift, dict):
-            fail("drift: must be a mapping")
-        else:
-            for key in drift:
-                if key not in {"probes", "noise_samples"}:
-                    fail(f"drift: unknown key {key!r}")
-            probes = drift.get("probes", drift_probes)
-            samples = drift.get("noise_samples", drift_noise_samples)
-            if not _is_count(probes, 0):
-                fail("drift.probes: must be an integer in [0, 2**53]")
-            else:
-                drift_probes = probes
-            if not _is_count(samples, 2):
-                fail("drift.noise_samples: must be an integer in [2, 2**53]")
-            else:
-                drift_noise_samples = samples
-
-    output_directory, decimation = "out", 1
-    output = data.get("output")
-    if output is not None:
-        if not isinstance(output, dict):
-            fail("output: must be a mapping")
-        else:
-            for key in output:
-                if key not in {"directory", "decimation"}:
-                    fail(f"output: unknown key {key!r}")
-            directory = output.get("directory", output_directory)
-            if not isinstance(directory, str) or not directory:
-                fail("output.directory: must be a nonempty string")
-            else:
-                output_directory = directory
-            dec = output.get("decimation", 1)
-            if not _is_count(dec, 1):
-                fail("output.decimation: must be an integer in [1, 2**53]")
-            else:
-                decimation = dec
-
-    if initial_phases is not None and graph is not None:
-        wrapped = wrap_angle(np.array(initial_phases))
-        if float(np.max(edge_geodesics(graph, wrapped))) > 0.5 * math.pi + 1e-12:
-            fail("initial.phases: an edge distance exceeds pi/2")
+    initial, mode = values.get("initial"), values.get("initial.mode")
+    phases, low, high = (values.get(f"initial.{k}") for k in ("phases", "low", "high"))
+    if mode is not None:
+        foreign = ("low", "high") if mode == "explicit" else ("phases",)
+        bad += [f"initial: unknown key {k!r}" for k in initial if k in foreign]
+    if mode == "explicit" and initial.get("phases") is None:
+        bad.append("initial.phases: must be a list of finite numbers")
+    if mode == "sample" and None not in (low, high) and not 0 <= low < high <= _HALF_PI:
+        bad.append("initial: need 0 <= low < high <= pi/2")
+    if mode == "explicit" and graph and phases is not None and len(phases) == n:
+        distances = edge_geodesics(graph, wrap_angle(np.array(phases, dtype=float)))
+        if float(np.max(distances)) > _HALF_PI + 1e-12:
+            bad.append("initial.phases: an edge distance exceeds pi/2")
 
     if bad:
         raise ValidationError(bad)
@@ -406,25 +330,25 @@ def _validate(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         raw=data,
         graph=graph,
-        omega=tuple(float(x) for x in omega),
-        noise=spec,
-        variant=variant,
-        kappa=kappa,
-        tau=tau,
-        gamma=float(gamma),
-        seed=seed,
-        horizon=horizon,
-        trials=trials,
-        mc_samples=mc_samples,
-        pair_set=pair_set,
-        initial_mode=initial_mode,
-        initial_phases=initial_phases,
-        initial_low=initial_low,
-        initial_high=initial_high,
-        drift_probes=drift_probes,
-        drift_noise_samples=drift_noise_samples,
-        output_directory=output_directory,
-        decimation=decimation,
+        omega=tuple(float(x) for x in values["omega"]),
+        noise=NoiseSpec(tuple(nodes)),
+        variant=values["variant"],
+        kappa=float(values["kappa"]),
+        tau=float(values["tau"]),
+        gamma=float(values["gamma"]),
+        seed=values["seed"],
+        horizon=values["horizon"],
+        trials=values["trials"],
+        mc_samples=values["mc_samples"],
+        pair_set=values["pair_set"],
+        initial_mode=mode,
+        initial_phases=tuple(float(x) for x in phases) if mode == "explicit" else None,
+        initial_low=float(low),
+        initial_high=float(high),
+        drift_probes=values["drift.probes"],
+        drift_noise_samples=values["drift.noise_samples"],
+        output_directory=values["output.directory"],
+        decimation=values["output.decimation"],
     )
 
 
@@ -444,6 +368,8 @@ def _read_raw(path) -> dict:
         raise ParseError(f"invalid YAML in {path}{location}: {exc}") from exc
     if data is None:
         raise ValidationError(["config file is empty"])
+    if not isinstance(data, dict):
+        raise ValidationError(["top level must be a mapping"])
     return data
 
 
@@ -459,7 +385,21 @@ def load_config(path) -> ExperimentConfig:
     return _validate(_read_raw(path))
 
 
-def _apply_overrides(data: dict, pairs: list[str]) -> dict:
+def _set_field(data: dict, key: str, value, option: str) -> None:
+    """Set the scalar field at dotted ``key``, creating absent sections."""
+    *sections, leaf = key.split(".")
+    for part in sections:
+        if data.get(part) is None:
+            data[part] = {}
+        data = data[part]
+        if not isinstance(data, dict):
+            raise ConfigError(f"{option}: {part!r} is not a mapping")
+    if isinstance(data.get(leaf), (dict, list)):
+        raise ConfigError(f"{option}: only scalar fields can be overridden")
+    data[leaf] = value
+
+
+def _apply_overrides(data: dict, pairs: list[str]) -> None:
     """Apply ``--set KEY=VALUE`` overrides to the raw config mapping."""
     for pair in pairs:
         if "=" not in pair:
@@ -472,18 +412,7 @@ def _apply_overrides(data: dict, pairs: list[str]) -> dict:
                 parsed = float(value)
             except ValueError:
                 parsed = value
-        target = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = target.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set {key}: {part!r} is not a mapping")
-            target = node
-        leaf = parts[-1]
-        if isinstance(target.get(leaf), (dict, list)):
-            raise ConfigError(f"--set {key}: only scalar fields can be overridden")
-        target[leaf] = parsed
-    return data
+        _set_field(data, key, parsed, f"--set {key}")
 
 
 def _fmt(value) -> str:
@@ -502,12 +431,25 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
-def _require(config: ExperimentConfig, command: str, fields: dict) -> None:
-    missing = [name for name, value in fields.items() if value is None]
+def _require(config: ExperimentConfig, command: str) -> None:
+    missing = [
+        f"{command}: required field {f.key!r} is missing"
+        for f in _FIELDS
+        if command in f.commands and getattr(config, f.key.replace(".", "_")) is None
+    ]
     if missing:
-        raise ValidationError(
-            [f"{command}: required field {name!r} is missing" for name in missing]
-        )
+        raise ValidationError(missing)
+
+
+def _check_finite(results: dict, prefix: str = "") -> None:
+    """Raise NumericError naming the first non-finite float in results."""
+    for key, value in results.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, (dict, list)):
+            items = value if isinstance(value, dict) else dict(enumerate(value))
+            _check_finite(items, f"{name}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise NumericError(f"result {name} is not finite ({value})")
 
 
 def _gap_estimate(config: ExperimentConfig):
@@ -591,7 +533,6 @@ def _run_bounds(config: ExperimentConfig):
 
 
 def _run_spectral(config: ExperimentConfig):
-    _require(config, "spectral", {"mc_samples": config.mc_samples})
     stats = conditions.mc_spectral_stats(
         config.graph,
         np.array(config.omega),
@@ -618,7 +559,6 @@ def _run_spectral(config: ExperimentConfig):
 
 
 def _run_simulate(config: ExperimentConfig):
-    _require(config, "simulate", {"horizon": config.horizon})
     model = config.model()
     sampler = config.initial_sampler()
     stream = config.stream()
@@ -666,11 +606,6 @@ def _run_simulate(config: ExperimentConfig):
 
 
 def _run_recurrence(config: ExperimentConfig):
-    _require(
-        config,
-        "recurrence",
-        {"horizon": config.horizon, "trials": config.trials},
-    )
     model = config.model()
     stats = analysis.recurrence_experiment(
         model,
@@ -811,8 +746,10 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    _require(config, command)
     started = time.perf_counter()
     results, provenance, files = _COMMANDS[command](config)
+    _check_finite(results)
 
     out_dir = Path(config.output_directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -880,7 +817,7 @@ def main(argv=None) -> int:
                 ) from None
         _apply_overrides(data, args.overrides)
         if args.out:
-            data.setdefault("output", {})["directory"] = args.out
+            _set_field(data, "output.directory", args.out, "--out")
 
         config = _validate(data)
         report = run_subcommand(args.command, config)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, TreeKuramotoError
+from .errors import NumericError
 
 
-class DimensionMismatch(TreeKuramotoError):
+class DimensionMismatch(NumericError):
     """Operands have incompatible shapes."""
 
 

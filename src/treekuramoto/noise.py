@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import TreeKuramotoError
+from .errors import ConfigError
 
 FAMILIES = ("gaussian", "uniform", "none")
 
@@ -30,7 +30,7 @@ FAMILIES = ("gaussian", "uniform", "none")
 _WORDS_PER_COUNTER = 4
 
 
-class InvalidNoiseSpec(TreeKuramotoError):
+class InvalidNoiseSpec(ConfigError):
     """Noise specification violates its invariants."""
 
 
@@ -38,7 +38,7 @@ class NegativeVariance(InvalidNoiseSpec):
     """Variance below zero."""
 
 
-class UnsupportedFamily(TreeKuramotoError):
+class UnsupportedFamily(ConfigError):
     """Analytic computation requested for a family without a closed form."""
 
 

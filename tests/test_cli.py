@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import signal
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treekuramoto.cli import (
     BUNDLED_CONFIGS,
@@ -15,7 +20,9 @@ from treekuramoto.cli import (
     bundled_config_path,
     load_config,
     main,
+    run_subcommand,
 )
+from treekuramoto.conditions import DEFAULT_GAMMA
 from treekuramoto import analysis
 from treekuramoto.analysis import wilson_interval
 
@@ -98,6 +105,262 @@ def test_all_violations_reported_at_once(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_config(write_config(tmp_path, data))
     assert len(err.value.violations) >= 3
+
+
+def _drop(*keys):
+    def mutate(data):
+        for key in keys:
+            del data[key]
+
+    return mutate
+
+
+def _put(**fields):
+    def mutate(data):
+        for key, value in fields.items():
+            section, _, leaf = key.rpartition("__")
+            (data[section] if section else data)[leaf] = value
+
+    return mutate
+
+
+COUNT_MESSAGES = [
+    "horizon: must be an integer in [1, 2**53]",
+    "trials: must be an integer in [1, 2**53]",
+    "mc_samples: must be an integer in [1, 2**53]",
+    "drift.probes: must be an integer in [0, 2**53]",
+    "drift.noise_samples: must be an integer in [2, 2**53]",
+    "output.decimation: must be an integer in [1, 2**53]",
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, violations",
+    [
+        (_drop("graph"), ["missing required key 'graph'"]),
+        (
+            _drop("kappa", "seed"),
+            ["missing required key 'kappa'", "missing required key 'seed'"],
+        ),
+        (_put(graph={"edges": [[0, 1], [1, 2]]}), ["graph.n: must be an integer"]),
+        (_put(kappac=3.0), ["unknown key 'kappac'"]),
+        (
+            _put(
+                graph__colour="red",
+                initial={"mode": "sample", "shape": "box"},
+                drift__every=2,
+                output__format="csv",
+            ),
+            [
+                "graph: unknown key 'colour'",
+                "initial: unknown key 'shape'",
+                "drift: unknown key 'every'",
+                "output: unknown key 'format'",
+            ],
+        ),
+        (
+            _put(graph=5, initial=[0.0], drift="fast", output=3),
+            [
+                "graph: must be a mapping with keys n, edges",
+                "initial: must be a mapping",
+                "drift: must be a mapping",
+                "output: must be a mapping",
+            ],
+        ),
+        (
+            _put(initial={"mode": "explicit", "phases": [0.0] * 3, "low": 0.1}),
+            ["initial: unknown key 'low'"],
+        ),
+        (
+            _put(initial={"mode": "sample", "high": 1.0, "phases": [0.0] * 3}),
+            ["initial: unknown key 'phases'"],
+        ),
+        (
+            _put(
+                noise=[
+                    5,
+                    {"family": "laplace", "variance": 1.0},
+                    {"family": "gaussian", "mean": math.inf, "variance": 1.0},
+                    {"family": "none", "sd": 0.0},
+                ]
+            ),
+            [
+                "noise: length 4 != graph.n 3",
+                "noise[0]: must be a mapping",
+                "noise[1]: unknown family 'laplace', expected one of "
+                "('gaussian', 'uniform', 'none')",
+                "noise[2]: mean and variance must be finite numbers",
+                "noise[3]: unknown key 'sd'",
+            ],
+        ),
+        (
+            _put(
+                horizon=0,
+                trials=2**53 + 1,
+                mc_samples=True,
+                drift={"probes": -1, "noise_samples": 1},
+                output__decimation=0,
+            ),
+            COUNT_MESSAGES,
+        ),
+        (
+            _put(initial={"mode": "sample", "low": "zero"}),
+            ["initial.low: must be a finite number"],
+        ),
+        (
+            _put(initial={"mode": "explicit"}),
+            ["initial.phases: must be a list of finite numbers"],
+        ),
+        (
+            _put(graph={"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}),
+            ["graph: edge (2, 0) closes a cycle"],
+        ),
+        (
+            _put(omega=[1.0, 2.0], initial={"mode": "sample", "low": 1.0, "high": 0.5}),
+            ["omega: length 2 != graph.n 3", "initial: need 0 <= low < high <= pi/2"],
+        ),
+        (
+            _put(
+                extra=1,
+                variant="directed",
+                kappa=-1.0,
+                tau="fast",
+                gamma=2.0,
+                pair_set="none",
+                initial={"mode": "explicit", "phases": [0.0, 3.0, 0.0]},
+            ),
+            [
+                "unknown key 'extra'",
+                "variant: must be frequency_dependent or undirected",
+                "kappa: must be a positive finite number",
+                "tau: must be a positive finite number",
+                "gamma: must lie strictly in (0, pi/2)",
+                "pair_set: must be all or edges",
+                "initial.phases: an edge distance exceeds pi/2",
+            ],
+        ),
+    ],
+    ids=[
+        "missing_graph",
+        "missing_scalars",
+        "missing_graph_n",
+        "unknown_top_key",
+        "unknown_section_keys",
+        "sections_not_mappings",
+        "initial_explicit_with_low",
+        "initial_sample_with_phases",
+        "noise_entries",
+        "count_bounds",
+        "initial_low_not_a_number",
+        "initial_explicit_without_phases",
+        "cycle",
+        "lengths_and_range",
+        "several_at_once",
+    ],
+)
+def test_violation_messages(tmp_path, mutate, violations):
+    data = tiny_config(tmp_path / "o")
+    mutate(data)
+    with pytest.raises(ValidationError) as err:
+        load_config(write_config(tmp_path, data))
+    assert err.value.violations == violations
+
+
+def test_null_value_counts_as_absent(tmp_path):
+    data = tiny_config(tmp_path / "o", gamma=None, horizon=None, drift=None)
+    config = load_config(write_config(tmp_path, data))
+    assert (config.gamma, config.horizon, config.drift_probes) == (
+        DEFAULT_GAMMA,
+        None,
+        100,
+    )
+    for key in ("graph", "omega", "noise", "variant", "kappa", "tau", "seed"):
+        data = tiny_config(tmp_path / "o", **{key: None})
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, data))
+        assert err.value.violations == [f"missing required key {key!r}"]
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        ("simulate", ["horizon"]),
+        ("recurrence", ["horizon", "trials"]),
+        ("spectral", ["mc_samples"]),
+    ],
+)
+def test_command_reports_its_missing_fields(tmp_path, command, missing):
+    data = tiny_config(tmp_path / "o")
+    for key in ("horizon", "trials", "mc_samples"):
+        del data[key]
+    config = load_config(write_config(tmp_path, data))
+    with pytest.raises(ValidationError) as err:
+        run_subcommand(command, config)
+    assert err.value.violations == [
+        f"{command}: required field {key!r} is missing" for key in missing
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [(["--out", "o"], None), (["--set", "kappa=3"], None), ([], "3")],
+)
+def test_non_mapping_top_level_is_config_error(
+    tmp_path, capsys, monkeypatch, argv, seed
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TREEKURAMOTO_SEED", raising=False)
+    if seed is not None:
+        monkeypatch.setenv("TREEKURAMOTO_SEED", seed)
+    (tmp_path / "list.yaml").write_text("- 1\n- 2\n", encoding="utf-8")
+    assert main(["bounds", "--config", "list.yaml"] + argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid configuration: top level must be a mapping\n"
+    )
+
+
+def test_out_is_set_like_a_dotted_override(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = tiny_config("unused", output=5)
+    argv = ["bounds", "--config", "exp.yaml", "--out"]
+    write_config(tmp_path, data)
+    assert main(argv + ["d"]) == 2
+    assert capsys.readouterr().err == "config error: --out: 'output' is not a mapping\n"
+    data["output"] = None
+    write_config(tmp_path, data)
+    assert main(argv + ["123"]) == 0
+    summary = json.loads((tmp_path / "123" / "summary.json").read_text())
+    assert summary["config"]["output"] == {"directory": "123"}
+
+
+def test_nul_in_output_directory_is_config_error(tmp_path, capsys):
+    data = tiny_config(tmp_path / "o")
+    data["output"]["directory"] = "a\0b"
+    assert main(["bounds", "--config", str(write_config(tmp_path, data))]) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid configuration: "
+        "output.directory: must be a nonempty string without NUL\n"
+    )
+
+
+def test_graph_n_beyond_edge_count_is_config_error(tmp_path, capsys):
+    argv = ["bounds", "--bundled", "line5_zero_mean", "--out", str(tmp_path)]
+    assert main(argv + ["--set", "graph.n=100000000000"]) == 2
+    assert (
+        "graph.n: 100000000000 nodes need 99999999999 edges, got 4"
+        in capsys.readouterr().err
+    )
+
+
+def test_non_finite_result_is_numeric_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["bounds", "--bundled", "line5_zero_mean", "--out", str(out)]
+    assert main(argv + ["--set", "tau=1e-320", "--set", "mc_samples=1000"]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: result kappa_min is not finite (inf)\n"
+    )
+    assert not out.exists()
 
 
 def test_parse_error_reports_location(tmp_path):
@@ -536,3 +799,179 @@ def test_summary_echo_round_trips(tmp_path):
         (out_a / "trajectory.csv").read_bytes()
         == (out_b / "trajectory.csv").read_bytes()
     )
+
+
+# --- fuzzing the CLI boundary ---------------------------------------------------
+
+#: Count fields: fuzzed only with small values or values beyond 2**53,
+#: so that an accepted value keeps a run short.
+FUZZ_COUNTS = {
+    "horizon",
+    "trials",
+    "mc_samples",
+    "drift.probes",
+    "drift.noise_samples",
+}
+
+FUZZ_KEYS = [
+    "graph",
+    "graph.n",
+    "graph.edges",
+    "omega",
+    "noise",
+    "noise.0",
+    "noise.1.family",
+    "noise.1.mean",
+    "noise.1.variance",
+    "variant",
+    "kappa",
+    "tau",
+    "gamma",
+    "seed",
+    "pair_set",
+    "initial",
+    "initial.mode",
+    "initial.phases",
+    "initial.low",
+    "initial.high",
+    "drift",
+    "output",
+    "output.directory",
+    "output.decimation",
+    "colour",
+    *sorted(FUZZ_COUNTS),
+]
+
+#: Relative directories only: every run works inside a temporary cwd.
+FUZZ_DIRECTORIES = ["run", "a\0b", "", "sub/run"]
+
+EXTREME_FLOATS = [5e-324, 1e-320, 1e-300, 1e308, -1e308, -0.0, math.inf, math.nan]
+
+fuzz_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.sampled_from([2**53 + 1, 10**11, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(EXTREME_FLOATS),
+    st.sampled_from(["a\0b", "", "none", "gaussian", "explicit", "sample", "edges"]),
+)
+fuzz_values = st.one_of(
+    fuzz_scalars,
+    st.lists(st.floats(-4.0, 4.0), max_size=6),
+    st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=6),
+    st.dictionaries(
+        st.sampled_from(["n", "mode", "family", "x"]), fuzz_scalars, max_size=2
+    ),
+)
+count_values = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([2**53 + 1, 10**30, 2.0, "7", None, True]),
+)
+
+
+def fuzz_value(key):
+    if key in FUZZ_COUNTS:
+        return count_values
+    if key == "output.directory":
+        return st.sampled_from(FUZZ_DIRECTORIES)
+    return fuzz_values
+
+
+def fuzz_set_text(key):
+    if key in FUZZ_COUNTS:
+        values = st.integers(-3, 40).map(str) | st.just(str(2**53 + 1))
+    elif key == "output.directory":
+        values = st.sampled_from(FUZZ_DIRECTORIES)
+    else:
+        values = st.sampled_from(
+            ["1e-320", "5e-324", "1e308", "1e400", "inf", "nan", "-0", "100000000000"]
+        ) | st.integers(-3, 40).map(str) | st.text(max_size=4)
+    return values.map(lambda value: f"{key}={value}")
+
+
+mutations = st.lists(
+    st.one_of(
+        st.sampled_from(FUZZ_KEYS).map(lambda key: (key, "drop")),
+        st.sampled_from(FUZZ_KEYS).flatmap(
+            lambda key: fuzz_value(key).map(lambda value: (key, value))
+        ),
+    ),
+    max_size=4,
+)
+
+
+def apply_mutation(data, key, value):
+    *parents, leaf = [int(p) if p.isdigit() else p for p in key.split(".")]
+    for part in parents:
+        try:
+            data = data[part]
+        except (KeyError, IndexError, TypeError):
+            return
+    if value == "drop":
+        if isinstance(data, dict):
+            data.pop(leaf, None)
+    elif isinstance(data, dict) or (
+        isinstance(data, list) and isinstance(leaf, int) and leaf < len(data)
+    ):
+        data[leaf] = value
+
+
+def all_finite(value):
+    if isinstance(value, dict):
+        return all(all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    command=st.sampled_from(["bounds", "spectral", "simulate", "recurrence", "drift"]),
+    name=st.sampled_from(BUNDLED_CONFIGS),
+    changes=mutations,
+    top_level=st.sampled_from([None, [1, 2], "graph", 3]),
+    overrides=st.lists(
+        st.sampled_from(FUZZ_KEYS + ["graph.n.x"]).flatmap(fuzz_set_text),
+        max_size=3,
+    ),
+    out=st.sampled_from([None] + FUZZ_DIRECTORIES[:2]),
+)
+def test_fuzzed_configs_exit_cleanly(command, name, changes, top_level, overrides, out):
+    data = yaml.safe_load(bundled_config_path(name).read_text(encoding="utf-8"))
+    data.update(horizon=30, trials=3, mc_samples=50)
+    data["drift"] = {"probes": 2, "noise_samples": 20}
+    for key, value in changes:
+        apply_mutation(data, key, value)
+    if top_level is not None and not changes:
+        data = top_level
+    argv = [command, "--config", "exp.yaml"] + [
+        arg for pair in overrides for arg in ("--set", pair)
+    ]
+    if out is not None:
+        argv += ["--out", out]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            Path("exp.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(
+                io.StringIO()
+            ):
+                code = main(argv)
+            summaries = list(Path(work).rglob("summary.json"))
+            results = [json.loads(p.read_text())["results"] for p in summaries]
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        assert len(results) == 1 and all_finite(results[0])
+    else:
+        assert stderr.getvalue().count("error: ") == 1, stderr.getvalue()
