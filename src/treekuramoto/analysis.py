@@ -4,16 +4,20 @@ Three instruments:
 
 * :func:`simulate` records a full trajectory together with the per-edge
   geodesic distances, drift-function values and set membership used in
-  the recurrence arguments.
+  the recurrence arguments. It steps each noise chunk with one call of
+  the same kernel, straight into the rows of the record.
 * :func:`recurrence_experiment` runs many trials from sampled initial
   states and collects first-return times to the cohesive set, maximal
   excursions and escape counts. Finite-horizon return fractions are the
   checkable surrogate for almost-sure recurrence and are always reported
   as fractions, never asserted as probability one (:func:`wilson_interval`
   gives their confidence interval). The trials are stepped as one
-  trials-minor batch ``(n, trials)`` in preallocated buffers; per step
-  only each trial's largest edge distance is stored, and the set
-  bookkeeping runs once per noise chunk, vectorized over its steps.
+  trials-minor batch ``(n, trials)``, one call of the integrator kernel
+  ``dynamics._integrate`` per noise chunk, which writes each step's
+  state over that step's drive. Per step only each trial's largest
+  edge distance is kept (the kernel takes those once per sub-block of
+  up to 64 steps), and the set bookkeeping runs once per noise chunk,
+  vectorized over its steps.
 * :func:`drift_estimate` / :func:`drift_sweep` probe the one-step
   conditional drift ``E[V(theta(k+1)) | theta(k)] - V(theta(k))`` by
   re-drawing noise for a fixed state, exactly matching the conditional
@@ -33,11 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    TWO_PI,
     NetworkModel,
     PhaseState,
-    _advance,
-    _edge_differences,
+    _integrate,
     drift_function_V,
     drift_values,
     edge_geodesics,
@@ -57,13 +59,15 @@ ESCAPE_LEVEL = 0.5 * math.pi - ESCAPE_TOLERANCE
 
 #: Fewest trial*steps for which :func:`recurrence_experiment` splits its
 #: trials across forked workers. Starting a worker and returning its
-#: results costs about 10 ms, against about 0.5 us per trial*step.
+#: results costs about 7 to 10 ms, against about 0.4 us per trial*step
+#: (line5, 200 trials in one process).
 _MIN_FORK_WORK = 200_000
 
 #: Fewest trials per worker. A step's numpy dispatch costs about as much
-#: as stepping 50 line5 trials, and every worker pays it, so narrower
-#: slices run no faster than one batch (measured on line5: 2 x 5 trials
-#: took 1.6x as long as 1 x 10, 2 x 16 took 0.94x as long as 1 x 32).
+#: as stepping 20 line5 trials, and every worker pays it, so narrow
+#: slices gain little over one batch. Measured on line5 (median of 10
+#: alternating pairs, 30 000 steps, 2 CPUs), two processes took 0.99x
+#: the time of one at 2 x 5 trials, 0.91x at 2 x 8 and 0.80x at 2 x 16.
 _MIN_SLICE_TRIALS = 16
 
 _MAX_BLOCK_WORDS = 1 << 21
@@ -273,11 +277,15 @@ def simulate(
             count = min(chunk, horizon + 1 - k0)
             noise = sample_noise_block(model.noise, noise_stream, k0, count)
             realized[k0 : k0 + count] = model.omega + noise
-            for j in range(count):
-                k = k0 + j
-                if k < horizon:
-                    theta[k + 1] = step_theta(model, theta[k], noise[j])
-            stepped = theta[k0 + 1 : k0 + count + 1]
+            steps = min(count, horizon - k0)
+            if steps == 0:
+                break
+            # row k + 1 holds the drive of step k until the kernel
+            # overwrites it with the state after that step
+            stepped = theta[k0 + 1 : k0 + steps + 1]
+            np.multiply(model.tau, realized[k0 : k0 + steps], out=stepped)
+            rows = stepped[:, :, None]
+            _integrate(model, theta[k0, :, None], rows, rows)
             if not np.isfinite(stepped).all():
                 k = k0 + 1 + int(np.argwhere(~np.isfinite(stepped))[0, 0])
                 raise NumericError(f"phases became non-finite at step {k}")
@@ -425,13 +433,8 @@ def _step_trials(model, theta, noise_streams, gamma, horizon):
         "escape_time": escape_time,
     }
 
-    # work buffers, reused by every step and chunk
-    rel = _edge_differences(model, theta)
-    distance = np.empty_like(rel)
-    folded = np.empty_like(rel)
-    coupling = np.empty_like(theta)
-    scratch = np.empty_like(theta)
-    mask = np.empty(theta.shape, dtype=bool)
+    # work buffers, reused by every chunk; the kernel writes each step's
+    # state over that step's drive
     chunk = min(horizon, max(1, _noise_chunk_steps(n) // width))
     drive_buffer = np.empty((chunk, n, width))
     max_buffer = np.empty((chunk, width))
@@ -448,14 +451,8 @@ def _step_trials(model, theta, noise_streams, gamma, horizon):
             drive += omega
             drive *= model.tau
             step_max = max_buffer[:count]
-            for j in range(count):
-                _advance(model, theta, rel, drive[j], theta, coupling, scratch, mask)
-                # geodesic edge distances; |rel| <= 2 pi for wrapped phases
-                _edge_differences(model, theta, out=rel)
-                np.absolute(rel, out=distance)
-                np.subtract(TWO_PI, distance, out=folded)
-                np.minimum(distance, folded, out=folded)
-                np.maximum.reduce(folded, axis=0, out=step_max[j])
+            _integrate(model, theta, drive, drive, step_max)
+            theta[...] = drive[-1]
 
             if not np.isfinite(step_max).all():
                 j, t = np.argwhere(~np.isfinite(step_max))[0]

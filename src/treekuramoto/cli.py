@@ -423,12 +423,29 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _replace(path: Path, write) -> None:
+    """Write ``path`` through ``write(handle)`` into a temporary file in
+    its directory, then rename that over ``path``. A write that fails
+    midway leaves the previous ``path`` intact and removes the temporary
+    file."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", newline="", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    def write(handle):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
+
+    _replace(path, write)
 
 
 def _require(config: ExperimentConfig, command: str) -> None:
@@ -768,9 +785,12 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
         "environment": _environment(),
         "wall_clock_s": time.perf_counter() - started,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as handle:
+
+    def write(handle):
         json.dump(report, handle, indent=2, sort_keys=True, default=float)
         handle.write("\n")
+
+    _replace(out_dir / "summary.json", write)
     return report
 
 

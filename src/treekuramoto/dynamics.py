@@ -23,6 +23,32 @@ geodesic distance throughout. The neighbor sum is computed as
 Stepping is a pure function of ``(model, state, noise draw)``: the
 caller supplies the disturbance vector, so conditional expectations can
 re-draw noise for a fixed state.
+
+One kernel, :func:`_integrate`, steps every caller: :func:`step_theta`
+(one step, so the drift probes too), ``analysis.simulate`` (one state,
+a whole noise chunk per call) and the batched recurrence loop (one
+column per trial). It runs the steps in sub-blocks of up to 64. Model
+constants are looked up once per call, and the per-step edge
+differences ``B^T theta``, which the next step's coupling needs anyway,
+are kept for the sub-block, so that their geodesic distances and
+per-state maxima cost four numpy calls per sub-block, not per step.
+
+Most steps are wrapped by :func:`_wrap_small`: two compares, and a
+masked update only where one of them holds, in place of
+:func:`wrap_angle`'s eight operations, with the same bits. It is exact
+for ``|x| < 3 pi`` (see its docstring). The kernel uses it only for a
+sub-block whose increments are provably below pi in magnitude:
+
+* ``max|drive| * (1 + kappa * maxdeg) < pi`` (frequency-dependent),
+* ``max|drive| + kappa * tau * maxdeg < pi`` (undirected),
+
+with ``drive = tau * (omega + noise)`` and ``maxdeg`` the largest node
+degree. Since ``|S_i| <= deg_i`` and rounding is monotone, the bound
+holds for the computed increments too, and from a wrapped state the
+pre-wrap value stays near ``2 pi`` at most, well inside ``3 pi``. This
+is the paper's small-tau regime; other sub-blocks take the general
+wrap. Every result is bitwise the one that :func:`wrap_angle` after
+each step gives.
 """
 
 from __future__ import annotations
@@ -67,6 +93,29 @@ def _wrap_inplace(x, scratch, mask):
     np.subtract(x, TWO_PI, out=x, where=mask)
     np.less_equal(x, -np.pi, out=mask)
     np.add(x, TWO_PI, out=x, where=mask)
+    return x
+
+
+def _wrap_small(x, mask):
+    """Wrap ``x`` in place to ``(-pi, pi]`` by adding or subtracting
+    ``2 pi`` at most once; ``mask`` is a bool work buffer of ``x``'s
+    shape. Returns ``x``.
+
+    For ``|x| < 3 pi`` this gives the same bits as :func:`wrap_angle`,
+    which subtracts ``q * 2 pi`` with ``q = rint(x / 2 pi)`` in
+    ``{-2, ..., 2}`` and then corrects by ``2 pi`` once. Every step of
+    both is exact: ``q * 2 pi`` is, and by the Sterbenz lemma so is each
+    subtraction of ``2 pi`` or ``4 pi`` from an ``x`` of at least half
+    its size. Both therefore return the exact ``x - k * 2 pi`` that lies
+    in ``(-pi, pi]``, and only one integer ``k`` puts it there; the ties
+    ``x / 2 pi = +-0.5`` (``x = +-pi``) agree too. The one exception is
+    ``-0.0``: :func:`wrap_angle` turns it into ``+0.0``, this function
+    keeps it.
+    """
+    if np.count_nonzero(np.greater(x, np.pi, out=mask)):
+        np.subtract(x, TWO_PI, out=x, where=mask)
+    if np.count_nonzero(np.less_equal(x, -np.pi, out=mask)):
+        np.add(x, TWO_PI, out=x, where=mask)
     return x
 
 
@@ -152,6 +201,11 @@ class NetworkModel:
             start = edges.stop
         return np.ascontiguousarray(incidence.T), tuple(blocks)
 
+    @cached_property
+    def _max_degree(self) -> float:
+        """Most edges at one node; bounds every coupling sum's magnitude."""
+        return float(np.abs(self.graph.incidence_matrix).sum(axis=1).max())
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -190,20 +244,13 @@ def step_theta(model: NetworkModel, theta: np.ndarray, noise_draw) -> np.ndarray
         if theta.size != n:
             theta = np.broadcast_to(theta, shape)
         drive = np.broadcast_to(drive, shape)
-    # node axis first, leading axes flattened into columns
-    nodes = theta.reshape(-1, n).T
     out = np.empty(drive.shape)
-    flat = out.reshape(-1, n).T
-    drive = drive.reshape(-1, n).T
-    _advance(
+    # node axis first, leading axes flattened into columns: one step
+    _integrate(
         model,
-        nodes,
-        _edge_differences(model, nodes),
-        drive,
-        flat,
-        np.empty(nodes.shape),
-        np.empty_like(flat),
-        np.empty_like(flat, dtype=bool),
+        theta.reshape(-1, n).T,
+        drive.reshape(-1, n).T[None],
+        out.reshape(-1, n).T[None],
     )
     return out
 
@@ -215,34 +262,120 @@ def _edge_differences(model: NetworkModel, theta, out=None) -> np.ndarray:
     return np.matmul(model._incidence_blocks[0], theta, out=out)
 
 
-def _advance(model, theta, rel, drive, out, coupling, scratch, mask) -> None:
-    """The model equation: one step on node-first arrays, written to ``out``.
+#: Most steps, and most words of edge differences, in one sub-block of
+#: :func:`_integrate`.
+_SUB_STEPS = 64
+_SUB_WORDS = 1 << 16
 
-    ``theta`` is ``(n, c)`` with one state per column (``c`` may be 1
-    and broadcast), ``rel`` holds :func:`_edge_differences` of ``theta``
-    and is overwritten by its sine, ``drive`` is ``tau * (omega +
-    noise)`` of ``out``'s shape ``(n, k)``, and ``out`` may be ``theta``
-    itself. ``coupling`` has ``theta``'s shape; ``scratch`` and ``mask``
-    have ``out``'s. This is the only integrator in the package:
-    :func:`step_theta` and the batched recurrence loop both call it.
+
+def _integrate(model, theta, drive, out, step_max=None) -> None:
+    """The model equation, stepped once per row of ``drive``. This is the
+    only integrator in the package: :func:`step_theta`, ``simulate`` and
+    the batched recurrence loop all call it.
+
+    ``theta`` ``(n, c)`` holds one start state per column, ``drive``
+    ``(steps, n, w)`` holds ``tau * (omega + noise)`` of each step, and
+    ``out`` of the same shape receives the state after each step.
+    ``out`` may be ``drive`` itself: row ``j`` of ``drive`` is read only
+    before row ``j`` of ``out`` is written. ``c`` is ``w``, or 1 for one
+    state under ``w`` draws, whose first coupling is then computed once.
+    ``step_max`` ``(steps, w)``, if given, receives the largest edge
+    geodesic distance of every state in ``out``.
+
+    The steps run in sub-blocks of at most ``_SUB_STEPS``. Per step,
+    ``B^T theta`` goes to one row of a sub-block buffer, and the geodesic
+    distances and their maxima are taken once over the whole sub-block.
+    A sub-block whose increments are provably below pi in magnitude is
+    wrapped by :func:`_wrap_small`, which gives the same bits as
+    :func:`wrap_angle` in half the numpy calls; any other sub-block (and
+    the first, if a start state lies outside ``[-pi, pi]`` or is -0.0)
+    is wrapped by :func:`_wrap_inplace`.
     """
-    np.sin(rel, out=rel)
-    (incidence, edges), *rest = model._incidence_blocks[1]
-    np.matmul(incidence, rel[edges], out=coupling)
-    for incidence, edges in rest:
-        coupling += incidence @ rel[edges]
-    if model.variant == "frequency_dependent":
-        # theta + tau * realized * (1 - kappa * S)
-        coupling *= model.kappa
-        np.subtract(1.0, coupling, out=coupling)
-        np.multiply(drive, coupling, out=scratch)
-        np.add(theta, scratch, out=out)
+    incidence_t, blocks = model._incidence_blocks
+    steps, n, width = out.shape
+    m = incidence_t.shape[0]
+    sub = max(1, min(_SUB_STEPS, steps, _SUB_WORDS // (m * width)))
+    rel = np.empty((sub, m, width))
+    folded = np.empty_like(rel) if step_max is not None else None
+    sines = np.empty((m, width))
+    coupling = np.empty((n, width))
+    # in the states' memory order, which step_theta's transposed view
+    # makes Fortran order: mixed orders would slow every wrap down
+    scratch = np.empty_like(out[0])
+    mask = np.empty_like(out[0], dtype=bool)
+    (first, first_edges), *rest = blocks
+    # np.dot with out= skips matmul's dispatch; both are exact here
+    sin, dot, multiply, subtract, add = (
+        np.sin, np.dot, np.multiply, np.subtract, np.add
+    )
+    frequency_dependent = model.variant == "frequency_dependent"
+    # Python floats: an overflowing bound is inf, without a warning
+    degree = model._max_degree
+    if frequency_dependent:
+        gain = float(model.kappa)
+        # |tau (omega + noise) (1 - kappa S)| <= |drive| (1 + kappa deg)
+        growth, offset = 1.0 + gain * degree, 0.0
     else:
-        # theta + tau * realized - kappa * tau * S
-        coupling *= model.kappa * model.tau
-        np.add(theta, drive, out=out)
-        np.subtract(out, coupling, out=out)
-    _wrap_inplace(out, scratch, mask)
+        gain = float(model.kappa) * float(model.tau)
+        # |tau (omega + noise) - kappa tau S| <= |drive| + kappa tau deg
+        growth, offset = 1.0, gain * degree
+
+    def factor(rel_now, sines, coupling):
+        """1 - kappa S (frequency dependent) or kappa tau S (undirected)."""
+        sin(rel_now, out=sines)
+        dot(first, sines[first_edges], out=coupling)
+        for incidence, edges in rest:
+            coupling += incidence @ sines[edges]
+        multiply(coupling, gain, out=coupling)
+        if frequency_dependent:
+            subtract(1.0, coupling, out=coupling)
+        return coupling
+
+    # the start states' coupling, at their own width
+    c = theta.shape[1]
+    current = factor(
+        _edge_differences(model, theta), np.empty((m, c)), np.empty((n, c))
+    )
+    # _wrap_small needs |theta| <= pi, and would keep a -0.0; every
+    # wrapped state after the first step has both properties
+    small = bool(np.abs(theta).max() <= np.pi) and not np.any(
+        np.signbit(theta[theta == 0.0])
+    )
+    previous = theta
+    last = steps - 1
+    for j0 in range(0, steps, sub):
+        count = min(sub, steps - j0)
+        block = drive[j0 : j0 + count]
+        # NaN fails the comparison, and so does an overflow to inf
+        bound = max(float(block.max()), -float(block.min())) * growth + offset
+        fast = small and bound < np.pi
+        small = True
+        for j in range(j0, j0 + count):
+            state = out[j]
+            if frequency_dependent:
+                # theta + tau * realized * (1 - kappa * S)
+                multiply(drive[j], current, out=state)
+                add(previous, state, out=state)
+            else:
+                # theta + tau * realized - kappa * tau * S
+                add(previous, drive[j], out=state)
+                subtract(state, current, out=state)
+            if fast:
+                _wrap_small(state, mask)
+            else:
+                _wrap_inplace(state, scratch, mask)
+            previous = state
+            if j == last and step_max is None:
+                break
+            rel_now = dot(incidence_t, state, out=rel[j - j0])
+            if j != last:
+                current = factor(rel_now, sines, coupling)
+        if step_max is not None:
+            # geodesic edge distances; |rel| < 2 pi for wrapped phases
+            distance = np.absolute(rel[:count], out=rel[:count])
+            np.subtract(TWO_PI, distance, out=folded[:count])
+            np.minimum(distance, folded[:count], out=folded[:count])
+            np.maximum.reduce(folded[:count], axis=1, out=step_max[j0 : j0 + count])
 
 
 def step(model: NetworkModel, state: PhaseState, noise_draw) -> PhaseState:

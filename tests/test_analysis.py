@@ -5,9 +5,9 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from treekuramoto import analysis
+from treekuramoto import analysis, dynamics
 from treekuramoto import (
     NetworkModel,
     NoiseSpec,
@@ -188,6 +188,17 @@ def small_models(draw):
     )
 
 
+#: Line5 at a large tau, where the kernel's wrap bound holds for some
+#: sub-blocks and fails for others, in the batch and in each single
+#: trajectory: ``(model, trials, horizon, gamma, block_words, seed)``.
+#: 333 steps are 5 sub-blocks of 64 and 13 steps; chunks of 150 steps
+#: at 5 trials, and 750 steps for one trajectory.
+LARGE_TAU_CASES = [
+    (make_line5_model(tau=0.0032), 5, 333, 1.0, 8 * 5 * 150, 5),
+    (make_line5_model(tau=0.042, variant="undirected"), 5, 333, 1.0, 8 * 5 * 150, 5),
+]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     small_models(),
@@ -197,6 +208,8 @@ def small_models(draw):
     st.integers(1, 64),
     st.integers(0, 1000),
 )
+@example(*LARGE_TAU_CASES[0])
+@example(*LARGE_TAU_CASES[1])
 def test_batch_trials_equal_sequential_simulation(
     model, trials, horizon, gamma, block_words, seed
 ):
@@ -215,6 +228,76 @@ def test_batch_trials_equal_sequential_simulation(
             assert stats.max_excursion[t] == pytest.approx(mx, abs=0.0)
             assert stats.returned[t] == (rt >= 0)
             assert stats.started_in_set[t] == (rec.max_edge_distance[0] <= gamma)
+
+
+def count_kernel_wraps(monkeypatch):
+    """Count the kernel's steps wrapped each way. The kernel's arrays
+    are node-first 2-d; ``wrap_angle``'s 1-d calls are not counted."""
+    counts = {"small": 0, "general": 0}
+    small, general = dynamics._wrap_small, dynamics._wrap_inplace
+
+    def counted_small(x, mask):
+        counts["small"] += 1
+        return small(x, mask)
+
+    def counted_general(x, scratch, mask):
+        counts["general"] += x.ndim == 2
+        return general(x, scratch, mask)
+
+    monkeypatch.setattr(dynamics, "_wrap_small", counted_small)
+    monkeypatch.setattr(dynamics, "_wrap_inplace", counted_general)
+    return counts
+
+
+@pytest.mark.parametrize("case", range(len(LARGE_TAU_CASES)))
+def test_large_tau_cases_take_both_wraps(case, monkeypatch):
+    model, trials, horizon, gamma, block_words, seed = LARGE_TAU_CASES[case]
+    monkeypatch.setattr(analysis, "_MAX_BLOCK_WORDS", block_words)
+    base = RandomStream(seed=seed)
+    sampler = edge_box_sampler(0.0, PI / 2)
+    counts = count_kernel_wraps(monkeypatch)
+    recurrence_experiment(model, sampler, gamma, trials, horizon, base)
+    assert counts["small"] > 0 and counts["general"] > 0, counts
+    counts.update(small=0, general=0)
+    for t in range(trials):
+        theta0 = sampler(model.graph, base.child(trial=t, purpose="init"))
+        simulate(model, theta0, horizon, gamma, base.child(trial=t))
+    assert counts["small"] + counts["general"] == trials * horizon
+    assert counts["small"] > 0 and counts["general"] > 0, counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    small_models(),
+    st.floats(0.002, 0.2),
+    st.integers(1, 200),
+    st.integers(0, 1000),
+)
+def test_guarded_wrap_leaves_results_unchanged(model, tau, horizon, seed):
+    # tau up to 0.2 makes most sub-blocks fail the bound, small tau none
+    model = dataclasses.replace(model, tau=tau)
+    sampler = edge_box_sampler(0.0, PI / 2)
+
+    def run():
+        base = RandomStream(seed=seed)
+        stats = recurrence_experiment(model, sampler, 1.0, 3, horizon, base)
+        theta0 = sampler(model.graph, base.child(trial=0, purpose="init"))
+        return stats, simulate(model, theta0, horizon, 1.0, base.child(trial=0))
+
+    guarded = run()
+    with pytest.MonkeyPatch.context() as mp:
+        # every sub-block through the general wrap
+        mp.setattr(
+            dynamics,
+            "_wrap_small",
+            lambda x, mask: dynamics._wrap_inplace(x, np.empty_like(x), mask),
+        )
+        general = run()
+    for field in dataclasses.fields(guarded[0]):
+        assert np.array_equal(
+            getattr(guarded[0], field.name), getattr(general[0], field.name)
+        ), field.name
+    assert guarded[1].theta.tobytes() == general[1].theta.tobytes()
 
 
 CHUNK_REGIMES = {

@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from treekuramoto.cli import (
     run_subcommand,
 )
 from treekuramoto.conditions import DEFAULT_GAMMA
-from treekuramoto import analysis
+from treekuramoto import analysis, cli
 from treekuramoto.analysis import wilson_interval
 
 from conftest import no_children_left
@@ -356,11 +357,16 @@ def test_graph_n_beyond_edge_count_is_config_error(tmp_path, capsys):
 def test_non_finite_result_is_numeric_error(tmp_path, capsys):
     out = tmp_path / "o"
     argv = ["bounds", "--bundled", "line5_zero_mean", "--out", str(out)]
-    assert main(argv + ["--set", "tau=1e-320", "--set", "mc_samples=1000"]) == 3
-    assert capsys.readouterr().err == (
-        "numeric error: result kappa_min is not finite (inf)\n"
-    )
-    assert not out.exists()
+    # the second gamma's sin(gamma)**2 underflows to zero, and no numpy
+    # warning may reach stderr before the one message
+    for override in ("tau=1e-320", "gamma=5e-324"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--set", override, "--set", "mc_samples=1000"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: result kappa_min is not finite (inf)\n"
+        )
+        assert not out.exists()
 
 
 def test_parse_error_reports_location(tmp_path):
@@ -727,6 +733,44 @@ def test_io_error_exit_code(tmp_path):
     data = tiny_config(blocker / "sub")
     path = write_config(tmp_path, data)
     assert main(["simulate", "--config", str(path)]) == 4
+
+
+def disk_full():
+    return OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("target", ["trajectory.csv", "summary.json"])
+def test_failed_write_leaves_previous_file(tmp_path, capsys, monkeypatch, target):
+    out = tmp_path / "run"
+    argv = ["simulate", "--bundled", "line5_zero_mean", "--out", str(out)]
+    assert main(argv + ["--set", "horizon=200"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    if target == "trajectory.csv":
+        # fail after part of the rows has reached the file
+        cells = iter(range(2000))
+        fmt = cli._fmt
+
+        def failing(value):
+            if next(cells) == 1999:
+                raise disk_full()
+            return fmt(value)
+
+        monkeypatch.setattr(cli, "_fmt", failing)
+    else:
+
+        def failing(report, handle, **kwargs):
+            handle.write('{\n  "command": ')
+            handle.flush()
+            raise disk_full()
+
+        monkeypatch.setattr(cli.json, "dump", failing)
+    # another seed and horizon: every output would differ
+    assert main(argv + ["--set", "horizon=300", "--set", "seed=7"]) == 4
+    assert capsys.readouterr().err.startswith("io error: [Errno 28]")
+    after = {path.name: path.read_bytes() for path in out.iterdir()}
+    # the same files, no temporary one among them
+    assert set(after) == set(before)
+    assert after[target] == before[target]
 
 
 def test_set_overrides_scalars(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treekuramoto import (
     NetworkModel,
@@ -18,7 +19,7 @@ from treekuramoto import (
     wrap_angle,
 )
 from treekuramoto.analysis import edge_box_sampler
-from treekuramoto.dynamics import step_theta
+from treekuramoto.dynamics import _wrap_small, step_theta
 
 from conftest import LINE5_EDGES, THETA0_5, make_line5_model, random_tree
 
@@ -51,6 +52,73 @@ def test_wrap_angle_range_and_fixed_points():
     assert np.all(wrapped <= PI)
     assert np.allclose(np.sin(wrapped), np.sin(xs), atol=1e-12)
     assert np.allclose(np.cos(wrapped), np.cos(xs), atol=1e-12)
+
+
+THREE_PI = 3 * PI
+
+
+def ulp_neighbours(center, count=64):
+    """``center`` and the ``count`` nearest floats on either side."""
+    points, below, above = [center], center, center
+    for _ in range(count):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        points += [float(below), float(above)]
+    return points
+
+
+#: The points where a wrap can go wrong: +-pi, +-2 pi, +-3 pi and 0, with
+#: their neighbours, inside ``|x| < 3 pi``. -0.0 is left out (see below).
+WRAP_EDGE_POINTS = np.array(
+    sorted(
+        x
+        for center in (PI, -PI, 2 * PI, -2 * PI, THREE_PI, -THREE_PI, 0.0)
+        for x in ulp_neighbours(center)
+        if abs(x) < THREE_PI and not (x == 0.0 and math.copysign(1.0, x) < 0)
+    )
+)
+
+
+def small_wrap(x):
+    x = np.array(x, dtype=float)
+    return _wrap_small(x, np.empty(x.shape, dtype=bool))
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def test_small_wrap_equals_wrap_angle_at_edge_points():
+    # +-pi are the floats whose quotient by 2 pi rounds to the ties
+    # +-0.5, where rint rounds to even; their neighbours' quotients do not
+    quotient = WRAP_EDGE_POINTS / (2 * np.pi)
+    for tie in (0.5, -0.5):
+        assert list(WRAP_EDGE_POINTS[quotient == tie]) == [tie * 2 * PI]
+    assert same_bits(small_wrap(WRAP_EDGE_POINTS), wrap_angle(WRAP_EDGE_POINTS))
+    assert small_wrap(PI) == PI and small_wrap(-PI) == PI
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            # + 0.0 turns -0.0 into +0.0 and leaves every other float as is
+            st.floats(-THREE_PI, THREE_PI, exclude_min=True, exclude_max=True).map(
+                lambda x: x + 0.0
+            ),
+            st.sampled_from(list(WRAP_EDGE_POINTS)),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_small_wrap_equals_wrap_angle(xs):
+    assert same_bits(small_wrap(xs), wrap_angle(xs))
+
+
+def test_small_wrap_keeps_negative_zero():
+    # the one difference: the integrator never holds -0.0 after a wrap
+    assert math.copysign(1.0, wrap_angle(-0.0)) == 1.0
+    assert math.copysign(1.0, small_wrap(-0.0)) == -1.0
 
 
 def test_geodesic_distance_examples():
@@ -101,6 +169,23 @@ def test_step_is_deterministic_bitwise():
     a = step(model, PhaseState(THETA0_5), draw)
     b = step(model, PhaseState(THETA0_5), draw)
     assert np.array_equal(a.theta, b.theta)
+
+
+@pytest.mark.parametrize("variant", ["frequency_dependent", "undirected"])
+def test_step_from_unwrapped_phases_is_the_model_equation(variant):
+    # phases far outside (-pi, pi]: one addition or subtraction of 2 pi
+    # cannot wrap them, so the kernel must take the general wrap
+    model = make_line5_model(variant=variant)
+    theta = THETA0_5 + np.array([8 * PI, -8 * PI, 20.0, 0.0, -31.0])
+    draw = np.array([0.3, -0.2, 0.9, 0.0, -1.4])
+    b = model.graph.incidence_matrix
+    coupling = b @ np.sin(b.T @ theta)
+    drive = model.tau * (model.omega + draw)
+    if variant == "frequency_dependent":
+        raw = theta + drive * (1.0 - model.kappa * coupling)
+    else:
+        raw = theta + drive - (model.kappa * model.tau) * coupling
+    assert step_theta(model, theta, draw).tobytes() == wrap_angle(raw).tobytes()
 
 
 def test_rotation_invariance():
