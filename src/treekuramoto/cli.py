@@ -47,7 +47,6 @@ that fails and a worker process that ends without a result), 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.resources
 import json
 import math
@@ -415,14 +414,6 @@ def _apply_overrides(data: dict, pairs: list[str]) -> None:
         _set_field(data, key, parsed, f"--set {key}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _replace(path: Path, write) -> None:
     """Write ``path`` through ``write(handle)`` into a temporary file in
     its directory, then rename that over ``path``. A write that fails
@@ -438,12 +429,32 @@ def _replace(path: Path, write) -> None:
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+#: Cells formatted per chunk of CSV rows. Bounds the memory that a chunk's
+#: strings take, however wide the table is.
+_CSV_CHUNK_CELLS = 1 << 13
+
+
+def _format(values: np.ndarray) -> list[str]:
+    """The CSV cells of ``values``, in C order: ``0``/``1`` for bools,
+    decimal integers, and the shortest round-trip ``repr`` of floats
+    (``-0.0`` kept). ``tolist`` gives the Python int or float whose
+    ``repr`` each of these is."""
+    if values.dtype == bool:
+        values = values.view(np.uint8)
+    return list(map(repr, values.ravel().tolist()))
+
+
+def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Write equal-length 1-D ``columns`` as a CSV table headed by their
+    names. Each column is formatted once per chunk of rows."""
+    rows = len(next(iter(columns.values())))
+    chunk = max(1, _CSV_CHUNK_CELLS // len(columns))
+
     def write(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        handle.write(",".join(columns) + "\n")
+        for start in range(0, rows, chunk):
+            cells = [_format(c[start : start + chunk]) for c in columns.values()]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
     _replace(path, write)
 
@@ -488,6 +499,30 @@ def _gap_estimate(config: ExperimentConfig):
     )
 
 
+def _spectral(config: ExperimentConfig, n_samples: int):
+    """Monte Carlo edge-Laplacian spectra: the statistics, their results
+    block and their provenance."""
+    stats = conditions.mc_spectral_stats(
+        config.graph,
+        np.array(config.omega),
+        config.noise,
+        n_samples=n_samples,
+        stream=config.stream(),
+    )
+    results = {
+        "e_lambda_min": stats.e_lambda_min,
+        "e_lambda_max": stats.e_lambda_max,
+        "stderr_min": stats.stderr_min,
+        "stderr_max": stats.stderr_max,
+        "samples": stats.samples,
+    }
+    provenance = {
+        "method": "deterministic" if config.noise.is_deterministic else "monte-carlo",
+        "samples": stats.samples,
+    }
+    return stats, results, provenance
+
+
 def _run_bounds(config: ExperimentConfig):
     gap = _gap_estimate(config)
     provenance = {
@@ -505,29 +540,12 @@ def _run_bounds(config: ExperimentConfig):
             raise ValidationError(
                 ["bounds: mc_samples is required for stochastic spectral statistics"]
             )
-        stats = conditions.mc_spectral_stats(
-            config.graph,
-            np.array(config.omega),
-            config.noise,
-            n_samples=config.mc_samples or 1,
-            stream=config.stream(),
+        stats, results["spectral"], provenance["spectral"] = _spectral(
+            config, config.mc_samples or 1
         )
         bound = conditions.bounds_frequency_dependent(
             stats, gap.value, config.gamma, tau=config.tau, kappa=config.kappa
         )
-        results["spectral"] = {
-            "e_lambda_min": stats.e_lambda_min,
-            "e_lambda_max": stats.e_lambda_max,
-            "stderr_min": stats.stderr_min,
-            "stderr_max": stats.stderr_max,
-            "samples": stats.samples,
-        }
-        provenance["spectral"] = {
-            "method": "deterministic"
-            if config.noise.is_deterministic
-            else "monte-carlo",
-            "samples": stats.samples,
-        }
     else:
         bound = conditions.bounds_undirected(
             config.graph, gap.value, config.gamma, tau=config.tau, kappa=config.kappa
@@ -550,29 +568,13 @@ def _run_bounds(config: ExperimentConfig):
 
 
 def _run_spectral(config: ExperimentConfig):
-    stats = conditions.mc_spectral_stats(
-        config.graph,
-        np.array(config.omega),
-        config.noise,
-        n_samples=config.mc_samples,
-        stream=config.stream(),
-    )
-    results = {
-        "e_lambda_min": stats.e_lambda_min,
-        "e_lambda_max": stats.e_lambda_max,
-        "stderr_min": stats.stderr_min,
-        "stderr_max": stats.stderr_max,
-        "samples": stats.samples,
-    }
-    provenance = {
-        "spectral": {
-            "method": "deterministic"
-            if config.noise.is_deterministic
-            else "monte-carlo",
-            "samples": stats.samples,
-        }
-    }
-    return results, provenance, {}
+    _, results, provenance = _spectral(config, config.mc_samples)
+    return results, {"spectral": provenance}, {}
+
+
+def _numbered(prefix: str, block: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns of the 2-D ``block``, named ``prefix_0``, ``prefix_1``, ..."""
+    return {f"{prefix}_{i}": column for i, column in enumerate(block.T)}
 
 
 def _run_simulate(config: ExperimentConfig):
@@ -583,29 +585,16 @@ def _run_simulate(config: ExperimentConfig):
     record = analysis.simulate(
         model, theta0, config.horizon, config.gamma, stream.child(trial=0)
     )
-    n, m = config.graph.n, config.graph.m
-    header = (
-        ["step"]
-        + [f"theta_{i}" for i in range(n)]
-        + [f"edge_dist_{e}" for e in range(m)]
-        + ["max_edge_distance", "drift_v", "in_set"]
-        + [f"realized_freq_{i}" for i in range(n)]
-    )
-
-    def rows():
-        for k in range(0, record.horizon + 1, config.decimation):
-            yield (
-                [record.steps[k]]
-                + list(record.theta[k])
-                + list(record.edge_distances[k])
-                + [
-                    record.max_edge_distance[k],
-                    record.drift_v[k],
-                    record.in_set[k],
-                ]
-                + list(record.realized_frequency[k])
-            )
-
+    kept = slice(None, None, config.decimation)
+    columns = {
+        "step": record.steps[kept],
+        **_numbered("theta", record.theta[kept]),
+        **_numbered("edge_dist", record.edge_distances[kept]),
+        "max_edge_distance": record.max_edge_distance[kept],
+        "drift_v": record.drift_v[kept],
+        "in_set": record.in_set[kept],
+        **_numbered("realized_freq", record.realized_frequency[kept]),
+    }
     escaped_steps = np.flatnonzero(
         record.max_edge_distance >= analysis.ESCAPE_LEVEL
     )
@@ -619,7 +608,7 @@ def _run_simulate(config: ExperimentConfig):
         "gamma": config.gamma,
     }
     provenance = {"trajectory": {"method": "monte-carlo", "samples": 1}}
-    return results, provenance, {"trajectory.csv": (header, rows())}
+    return results, provenance, {"trajectory.csv": columns}
 
 
 def _run_recurrence(config: ExperimentConfig):
@@ -632,28 +621,15 @@ def _run_recurrence(config: ExperimentConfig):
         config.horizon,
         config.stream(),
     )
-    header = [
-        "trial",
-        "started_in_set",
-        "returned",
-        "return_time",
-        "max_excursion",
-        "escaped",
-        "escape_time",
-    ]
-
-    def rows():
-        for t in range(stats.trials):
-            yield [
-                t,
-                stats.started_in_set[t],
-                stats.returned[t],
-                stats.return_time[t],
-                stats.max_excursion[t],
-                stats.escaped[t],
-                stats.escape_time[t],
-            ]
-
+    columns = {
+        "trial": np.arange(stats.trials),
+        "started_in_set": stats.started_in_set,
+        "returned": stats.returned,
+        "return_time": stats.return_time,
+        "max_excursion": stats.max_excursion,
+        "escaped": stats.escaped,
+        "escape_time": stats.escape_time,
+    }
     finite = stats.return_times
     results = {
         "trials": stats.trials,
@@ -679,7 +655,7 @@ def _run_recurrence(config: ExperimentConfig):
             "workers": stats.workers,
         }
     }
-    return results, provenance, {"trials.csv": (header, rows())}
+    return results, provenance, {"trials.csv": columns}
 
 
 def _run_drift(config: ExperimentConfig):
@@ -691,19 +667,19 @@ def _run_drift(config: ExperimentConfig):
         config.drift_noise_samples,
         config.stream(),
     )
-    n = config.graph.n
-    header = ["probe", "estimate", "stderr", "samples"] + [
-        f"theta_{i}" for i in range(n)
-    ]
-
-    def rows():
-        for i, est in enumerate(estimates):
-            yield [i, est.estimate, est.stderr, est.samples] + list(est.theta)
-
+    probes = len(estimates)
     values = np.array([est.estimate for est in estimates])
     errors = np.array([est.stderr for est in estimates])
+    thetas = [est.theta for est in estimates]
+    columns = {
+        "probe": np.arange(probes),
+        "estimate": values,
+        "stderr": errors,
+        "samples": np.array([est.samples for est in estimates], dtype=np.int64),
+        **_numbered("theta", np.reshape(thetas, (probes, config.graph.n))),
+    }
     results = {
-        "probes": len(estimates),
+        "probes": probes,
         "noise_samples": config.drift_noise_samples,
         "gamma": config.gamma,
         "min_estimate": float(values.min()) if values.size else None,
@@ -719,7 +695,7 @@ def _run_drift(config: ExperimentConfig):
             "samples": config.drift_noise_samples,
         }
     }
-    return results, provenance, {"probes.csv": (header, rows())}
+    return results, provenance, {"probes.csv": columns}
 
 
 def _environment() -> dict:
@@ -771,8 +747,8 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
     out_dir = Path(config.output_directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, (header, rows) in files.items():
-        _write_csv(out_dir / name, header, rows)
+    for name, columns in files.items():
+        _write_csv(out_dir / name, columns)
         written.append(name)
 
     report = {

@@ -49,6 +49,14 @@ pre-wrap value stays near ``2 pi`` at most, well inside ``3 pi``. This
 is the paper's small-tau regime; other sub-blocks take the general
 wrap. Every result is bitwise the one that :func:`wrap_angle` after
 each step gives.
+
+A phase of magnitude ``2**52`` or more has no phase left to wrap:
+neighbouring floats there lie a radian or more apart, and from about
+``2**56`` on :func:`wrap_angle` even leaves the value outside
+``(-pi, pi]``. In a sub-block where the bound plus the largest start
+phase (pi, after the first sub-block) is not below ``2**52``, the kernel
+turns such a pre-wrap state into NaN, which every caller reports as a
+non-finite state. Other sub-blocks cannot reach it and skip the check.
 """
 
 from __future__ import annotations
@@ -267,6 +275,10 @@ def _edge_differences(model: NetworkModel, theta, out=None) -> np.ndarray:
 _SUB_STEPS = 64
 _SUB_WORDS = 1 << 16
 
+#: Pre-wrap magnitude from which a phase is unresolved (floats a radian
+#: or more apart); :func:`_integrate` makes such a state NaN.
+_UNRESOLVED = 2.0**52
+
 
 def _integrate(model, theta, drive, out, step_max=None) -> None:
     """The model equation, stepped once per row of ``drive``. This is the
@@ -289,7 +301,8 @@ def _integrate(model, theta, drive, out, step_max=None) -> None:
     wrapped by :func:`_wrap_small`, which gives the same bits as
     :func:`wrap_angle` in half the numpy calls; any other sub-block (and
     the first, if a start state lies outside ``[-pi, pi]`` or is -0.0)
-    is wrapped by :func:`_wrap_inplace`.
+    is wrapped by :func:`_wrap_inplace`. A sub-block that may reach
+    ``_UNRESOLVED`` first turns every state of that magnitude into NaN.
     """
     incidence_t, blocks = model._incidence_blocks
     steps, n, width = out.shape
@@ -338,9 +351,8 @@ def _integrate(model, theta, drive, out, step_max=None) -> None:
     )
     # _wrap_small needs |theta| <= pi, and would keep a -0.0; every
     # wrapped state after the first step has both properties
-    small = bool(np.abs(theta).max() <= np.pi) and not np.any(
-        np.signbit(theta[theta == 0.0])
-    )
+    reach = float(np.abs(theta).max())
+    small = reach <= np.pi and not np.any(np.signbit(theta[theta == 0.0]))
     previous = theta
     last = steps - 1
     for j0 in range(0, steps, sub):
@@ -349,7 +361,9 @@ def _integrate(model, theta, drive, out, step_max=None) -> None:
         # NaN fails the comparison, and so does an overflow to inf
         bound = max(float(block.max()), -float(block.min())) * growth + offset
         fast = small and bound < np.pi
-        small = True
+        # every pre-wrap state lies within reach + bound
+        unresolved = not reach + bound < _UNRESOLVED
+        small, reach = True, np.pi
         for j in range(j0, j0 + count):
             state = out[j]
             if frequency_dependent:
@@ -363,6 +377,8 @@ def _integrate(model, theta, drive, out, step_max=None) -> None:
             if fast:
                 _wrap_small(state, mask)
             else:
+                if unresolved:
+                    state[np.abs(state) >= _UNRESOLVED] = np.nan
                 _wrap_inplace(state, scratch, mask)
             previous = state
             if j == last and step_max is None:

@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import tempfile
+import unittest.mock
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from treekuramoto.cli import (
     BUNDLED_CONFIGS,
@@ -415,13 +417,17 @@ def test_simulate_writes_trajectory_and_summary(tmp_path, capsys):
 
 
 def test_decimation_thins_rows(tmp_path):
-    out = tmp_path / "run"
-    data = tiny_config(out)
-    data["output"]["decimation"] = 10
-    path = write_config(tmp_path, data)
-    assert main(["simulate", "--config", str(path)]) == 0
-    rows = read_csv(out / "trajectory.csv")
-    assert len(rows) == 1 + 6  # header + steps 0,10,20,30,40,50
+    rows = {}
+    for decimation in (1, 10):
+        out = tmp_path / str(decimation)
+        data = tiny_config(out)
+        data["output"]["decimation"] = decimation
+        path = write_config(tmp_path, data)
+        assert main(["simulate", "--config", str(path)]) == 0
+        rows[decimation] = read_csv(out / "trajectory.csv")
+    assert len(rows[10]) == 1 + 6  # header + steps 0,10,20,30,40,50
+    # every 10th row of the full table, header included
+    assert rows[10] == rows[1][:1] + rows[1][1::10]
 
 
 def test_recurrence_and_drift_write_row_files(tmp_path):
@@ -486,6 +492,36 @@ def test_drift_numeric_error_names_probe(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric error: probe 0: ")
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "recurrence", "drift"])
+def test_unresolvable_phase_exits_numeric(tmp_path, capsys, command):
+    # increments near 1e297 rad: no float resolves the phase, and the wrap
+    # used to leave theta_1 at 7.26e+280 in a run that exited 0
+    out = tmp_path / "run"
+    data = tiny_config(
+        out,
+        omega=[1.0e300, 3.0e299, -2.0e300],
+        noise=[{"family": "none"} for _ in range(3)],
+        kappa=30.0,
+        tau=0.002,
+        horizon=5,
+        initial={"mode": "explicit", "phases": [0.1, 0.0, -0.1]},
+    )
+    assert main([command, "--config", str(write_config(tmp_path, data))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "non-finite" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (out / "summary.json").exists()
+
+
+def test_drift_without_probes_writes_header_only(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, tiny_config(out))
+    assert main(["drift", "--config", str(path), "--set", "drift.probes=0"]) == 0
+    assert (out / "probes.csv").read_text(encoding="utf-8") == (
+        "probe,estimate,stderr,samples,theta_0,theta_1,theta_2\n"
+    )
 
 
 def run_recurrence_with_workers(monkeypatch, out, workers):
@@ -746,16 +782,20 @@ def test_failed_write_leaves_previous_file(tmp_path, capsys, monkeypatch, target
     assert main(argv + ["--set", "horizon=200"]) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     if target == "trajectory.csv":
-        # fail after part of the rows has reached the file
-        cells = iter(range(2000))
-        fmt = cli._fmt
+        # chunks of 40 rows of 18 columns; fail in the fourth chunk, after
+        # three have reached the temporary file
+        monkeypatch.setattr(cli, "_CSV_CHUNK_CELLS", 40 * 18)
+        calls = iter(range(10**6))
+        fmt = cli._format
 
-        def failing(value):
-            if next(cells) == 1999:
+        def failing(values):
+            if next(calls) == 3 * 18:
+                (temporary,) = out.glob(".trajectory.csv.*.tmp")
+                assert temporary.stat().st_size > 3 * 40 * 200
                 raise disk_full()
-            return fmt(value)
+            return fmt(values)
 
-        monkeypatch.setattr(cli, "_fmt", failing)
+        monkeypatch.setattr(cli, "_format", failing)
     else:
 
         def failing(report, handle, **kwargs):
@@ -843,6 +883,88 @@ def test_summary_echo_round_trips(tmp_path):
         (out_a / "trajectory.csv").read_bytes()
         == (out_b / "trajectory.csv").read_bytes()
     )
+
+
+# --- CSV formatting -------------------------------------------------------------
+
+
+def reference_cell(x):
+    """The CSV cell of one Python or numpy scalar."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+csv_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=9e15, max_value=1.1e16),
+    st.floats(min_value=-1.1e16, max_value=-9e15),
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+         9007199254740993.0, math.inf, -math.inf, math.nan]
+    ),
+)
+csv_ints = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
+    [-(2**63), 2**63 - 1, -1, 0, 1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    floats=st.lists(csv_floats, max_size=40),
+    ints=st.lists(csv_ints, max_size=40),
+    bools=st.lists(st.booleans(), max_size=40),
+)
+def test_format_matches_reference_cells(floats, ints, bools):
+    for values, dtype in ((floats, float), (ints, np.int64), (bools, bool)):
+        column = np.array(values, dtype=dtype)
+        assert cli._format(column) == [reference_cell(x) for x in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(
+        st.sampled_from([np.float64, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7),
+    )
+)
+def test_format_takes_2d_blocks_and_views_in_c_order(block):
+    # the writer passes strided column views; a block is read row by row
+    for view in (block, block.T, block[::2, ::-1]):
+        assert cli._format(view) == [reference_cell(x) for x in view.ravel()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(0, 30),
+    dtypes=st.lists(
+        st.sampled_from([np.float64, np.int64, np.bool_]), min_size=1, max_size=5
+    ),
+    chunk_cells=st.integers(1, 100),
+    data=st.data(),
+)
+def test_write_csv_matches_csv_module(rows, dtypes, chunk_cells, data):
+    columns = {
+        f"c_{i}": data.draw(hnp.arrays(dtype, rows)) for i, dtype in enumerate(dtypes)
+    }
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(list(columns))
+    for row in zip(*columns.values()):
+        writer.writerow([reference_cell(x) for x in row])
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.csv"
+        with unittest.mock.patch.object(cli, "_CSV_CHUNK_CELLS", chunk_cells):
+            cli._write_csv(path, columns)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_write_csv_zero_rows_is_header_only(tmp_path):
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, {"step": np.arange(0), "theta_0": np.empty(0)})
+    assert path.read_bytes() == b"step,theta_0\n"
 
 
 # --- fuzzing the CLI boundary ---------------------------------------------------

@@ -188,6 +188,27 @@ def test_step_from_unwrapped_phases_is_the_model_equation(variant):
     assert step_theta(model, theta, draw).tobytes() == wrap_angle(raw).tobytes()
 
 
+@pytest.mark.parametrize("variant", ["frequency_dependent", "undirected"])
+@pytest.mark.parametrize("increment", [1e17, 1e18])
+def test_unresolvable_phase_becomes_nan(variant, increment):
+    # no float resolves a phase of 2**52 or more; wrap_angle would turn
+    # 1e17 into 0.0 and leave 1e18 at 121.7, both without any meaning
+    model = make_line5_model(variant=variant)
+    draw = np.array([increment / model.tau, -0.2, 0.9, 0.0, -1.4])
+    b = model.graph.incidence_matrix
+    coupling = b @ np.sin(b.T @ THETA0_5)
+    drive = model.tau * (model.omega + draw)
+    if variant == "frequency_dependent":
+        raw = THETA0_5 + drive * (1.0 - model.kappa * coupling)
+    else:
+        raw = THETA0_5 + drive - (model.kappa * model.tau) * coupling
+    unresolved = np.abs(raw) >= 2.0**52
+    assert list(unresolved) == [True, False, False, False, False]
+    stepped = step_theta(model, THETA0_5, draw)
+    assert np.isnan(stepped[unresolved]).all()
+    assert same_bits(stepped[~unresolved], wrap_angle(raw[~unresolved]))
+
+
 def test_rotation_invariance():
     rng = np.random.default_rng(1)
     model = make_line5_model()
