@@ -14,14 +14,15 @@ Three instruments:
   gives their confidence interval). The trials are stepped as one
   trials-minor batch ``(n, trials)``, one call of the integrator kernel
   ``dynamics._integrate`` per noise chunk, which writes each step's
-  state over that step's drive. Per step only each trial's largest
+  state over that step's frequencies. Per step only each trial's largest
   edge distance is kept (the kernel takes those once per sub-block of
   up to 64 steps), and the set bookkeeping runs once per noise chunk,
   vectorized over its steps.
 * :func:`drift_estimate` / :func:`drift_sweep` probe the one-step
   conditional drift ``E[V(theta(k+1)) | theta(k)] - V(theta(k))`` by
   re-drawing noise for a fixed state, exactly matching the conditional
-  expectation because stepping is pure.
+  expectation because stepping is pure. One kernel call steps the probe
+  as one column under every draw.
 
 Trials, probes and their noise all use distinct stream coordinates, so
 results are independent of evaluation order and of how work is split
@@ -43,13 +44,12 @@ from .dynamics import (
     drift_function_V,
     drift_values,
     edge_geodesics,
-    step_theta,
     validate_gamma,
     wrap_angle,
 )
 from .errors import ConfigError, NumericError
 from .graph import TreeGraph
-from .noise import RandomStream, sample_noise_block
+from .noise import RandomStream, _words_per_step, sample_noise_block
 
 #: States whose largest edge distance reaches ``ESCAPE_LEVEL = pi/2 -
 #: ESCAPE_TOLERANCE`` are flagged as escaped: beyond that the
@@ -237,8 +237,7 @@ def _as_theta(state) -> np.ndarray:
 
 
 def _noise_chunk_steps(n: int) -> int:
-    words = max(4, 4 * -(-n // 4))
-    return max(1, _MAX_BLOCK_WORDS // words)
+    return max(1, _MAX_BLOCK_WORDS // _words_per_step(n))
 
 
 def simulate(
@@ -272,23 +271,23 @@ def simulate(
     realized = np.empty((horizon + 1, n))
 
     chunk = _noise_chunk_steps(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, horizon + 1, chunk):
-            count = min(chunk, horizon + 1 - k0)
-            noise = sample_noise_block(model.noise, noise_stream, k0, count)
-            realized[k0 : k0 + count] = model.omega + noise
-            steps = min(count, horizon - k0)
-            if steps == 0:
-                break
-            # row k + 1 holds the drive of step k until the kernel
-            # overwrites it with the state after that step
-            stepped = theta[k0 + 1 : k0 + steps + 1]
-            np.multiply(model.tau, realized[k0 : k0 + steps], out=stepped)
-            rows = stepped[:, :, None]
-            _integrate(model, theta[k0, :, None], rows, rows)
-            if not np.isfinite(stepped).all():
-                k = k0 + 1 + int(np.argwhere(~np.isfinite(stepped))[0, 0])
-                raise NumericError(f"phases became non-finite at step {k}")
+    for k0 in range(0, horizon + 1, chunk):
+        count = min(chunk, horizon + 1 - k0)
+        noise = sample_noise_block(model.noise, noise_stream, k0, count)
+        realized[k0 : k0 + count] = model.omega + noise
+        steps = min(count, horizon - k0)
+        if steps == 0:
+            break
+        # the state after each step goes straight into its row of theta
+        failure = _integrate(
+            model,
+            theta[k0, :, None],
+            realized[k0 : k0 + steps, :, None],
+            theta[k0 + 1 : k0 + steps + 1, :, None],
+        )
+        if failure is not None:
+            step = k0 + 1 + failure[0]
+            raise NumericError(f"phases became non-finite at step {step}")
 
     distances = edge_geodesics(model.graph, theta)
     max_distance = distances.max(axis=-1)
@@ -434,52 +433,50 @@ def _step_trials(model, theta, noise_streams, gamma, horizon):
     }
 
     # work buffers, reused by every chunk; the kernel writes each step's
-    # state over that step's drive
+    # state over that step's frequencies
     chunk = min(horizon, max(1, _noise_chunk_steps(n) // width))
-    drive_buffer = np.empty((chunk, n, width))
+    frequency_buffer = np.empty((chunk, n, width))
     max_buffer = np.empty((chunk, width))
     omega = model.omega[:, None]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, horizon, chunk):
-            count = min(chunk, horizon - k0)
-            drive = drive_buffer[:count]
-            for t, noise_stream in enumerate(noise_streams):
-                drive[:, :, t] = sample_noise_block(
-                    model.noise, noise_stream, k0, count
-                )
-            drive += omega
-            drive *= model.tau
-            step_max = max_buffer[:count]
-            _integrate(model, theta, drive, drive, step_max)
-            theta[...] = drive[-1]
-
-            if not np.isfinite(step_max).all():
-                j, t = np.argwhere(~np.isfinite(step_max))[0]
-                return fields, (k0 + int(j) + 1, int(t))
-            np.maximum(max_excursion, step_max.max(axis=0), out=max_excursion)
-            inside = step_max <= gamma
-
-            first_escape = _first_true(step_max >= ESCAPE_LEVEL)
-            fresh_escape = ~escaped & (first_escape >= 0)
-            escape_time[fresh_escape] = k0 + 1 + first_escape[fresh_escape]
-            escaped |= fresh_escape
-
-            # a trial that starts inside may count a return only after
-            # its first exit; one that starts outside from its first step
-            first_exit = _first_true(~inside)
-            fresh_exit = started_in_set & ~exited & (first_exit >= 0)
-            eligible_from = np.where(
-                ~started_in_set | exited,
-                0,
-                np.where(fresh_exit, first_exit + 1, count),
+    for k0 in range(0, horizon, chunk):
+        count = min(chunk, horizon - k0)
+        frequency = frequency_buffer[:count]
+        for t, noise_stream in enumerate(noise_streams):
+            frequency[:, :, t] = sample_noise_block(
+                model.noise, noise_stream, k0, count
             )
-            rows = np.arange(count)[:, None]
-            first_return = _first_true(inside & (rows >= eligible_from))
-            fresh_return = ~returned & (first_return >= 0)
-            return_time[fresh_return] = k0 + 1 + first_return[fresh_return]
-            returned |= fresh_return
-            exited |= fresh_exit
+        frequency += omega
+        step_max = max_buffer[:count]
+        failure = _integrate(model, theta, frequency, frequency, step_max)
+        if failure is not None:
+            j, t = failure
+            return fields, (k0 + j + 1, t)
+        theta[...] = frequency[-1]
+
+        np.maximum(max_excursion, step_max.max(axis=0), out=max_excursion)
+        inside = step_max <= gamma
+
+        first_escape = _first_true(step_max >= ESCAPE_LEVEL)
+        fresh_escape = ~escaped & (first_escape >= 0)
+        escape_time[fresh_escape] = k0 + 1 + first_escape[fresh_escape]
+        escaped |= fresh_escape
+
+        # a trial that starts inside may count a return only after
+        # its first exit; one that starts outside from its first step
+        first_exit = _first_true(~inside)
+        fresh_exit = started_in_set & ~exited & (first_exit >= 0)
+        eligible_from = np.where(
+            ~started_in_set | exited,
+            0,
+            np.where(fresh_exit, first_exit + 1, count),
+        )
+        rows = np.arange(count)[:, None]
+        first_return = _first_true(inside & (rows >= eligible_from))
+        fresh_return = ~returned & (first_return >= 0)
+        return_time[fresh_return] = k0 + 1 + first_return[fresh_return]
+        returned |= fresh_return
+        exited |= fresh_exit
 
     never_exited = started_in_set & ~exited
     return_time[never_exited] = 1
@@ -600,33 +597,23 @@ def drift_estimate(
         raise ValueError(f"need at least 2 noise samples, got {noise_samples}")
     gamma = validate_gamma(gamma)
     theta = wrap_angle(_as_theta(state))
+    # without noise one draw (of zeros) is exact; averaging identical
+    # values would only add rounding noise to the zero standard error
     deterministic = model.noise.is_deterministic
-    if deterministic:
-        # one evaluation is exact; averaging identical values would only
-        # add rounding noise to the zero standard error
-        noise = 0.0
-    else:
-        noise = sample_noise_block(
-            model.noise, stream.child(purpose="drift"), 0, noise_samples
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_next = drift_values(model.graph, step_theta(model, theta, noise), gamma)
-    if not np.isfinite(v_next).all():
+    draws = 1 if deterministic else noise_samples
+    noise = sample_noise_block(model.noise, stream.child(purpose="drift"), 0, draws)
+    # omega + noise, then the stepped states, in place: one column per draw
+    frequency = np.add(noise, model.omega, out=noise).T[None]
+    if _integrate(model, theta[:, None], frequency, frequency) is not None:
         raise NumericError("one step from the probed state is non-finite")
+    v_next = drift_values(model.graph, noise, gamma)
     v_now = drift_function_V(model.graph, theta, gamma)
-    if deterministic:
-        return DriftEstimate(
-            theta=theta,
-            gamma=gamma,
-            estimate=float(v_next - v_now),
-            stderr=0.0,
-            samples=noise_samples,
-        )
+    spread = 0.0 if deterministic else np.std(v_next, ddof=1) / math.sqrt(draws)
     return DriftEstimate(
         theta=theta,
         gamma=gamma,
         estimate=float(np.mean(v_next) - v_now),
-        stderr=float(np.std(v_next, ddof=1) / math.sqrt(noise_samples)),
+        stderr=float(spread),
         samples=noise_samples,
     )
 

@@ -31,7 +31,8 @@ numbers must be finite; every violation is reported at once):
     mc_samples: int in [1, 2**53]            # needed by spectral, and by bounds
                                              # for a Monte Carlo estimate
     pair_set:   all | edges                  # default all
-    initial:    {mode: explicit, phases: [float, ...]}      # length n, or
+    initial:    {mode: explicit, phases: [float, ...]}      # length n, each
+                                             # of magnitude below 2**52, or
                 {mode: sample, low: float = 0, high: float = pi/2}
                 # default {mode: sample}; 0 <= low < high <= pi/2
     drift:      {probes: int in [0, 2**53] = 100,
@@ -66,7 +67,7 @@ from . import __version__
 from .errors import ConfigError, NumericError
 from . import analysis, conditions, noise as noise_mod
 from .conditions import DEFAULT_GAMMA
-from .dynamics import NetworkModel, edge_geodesics, wrap_angle
+from .dynamics import _UNRESOLVED, NetworkModel, edge_geodesics, wrap_angle
 from .graph import TreeGraph, build_tree
 from .noise import NodeNoise, NoiseSpec, RandomStream
 
@@ -318,7 +319,11 @@ def _validate(data: dict) -> ExperimentConfig:
         bad.append("initial.phases: must be a list of finite numbers")
     if mode == "sample" and None not in (low, high) and not 0 <= low < high <= _HALF_PI:
         bad.append("initial: need 0 <= low < high <= pi/2")
-    if mode == "explicit" and graph and phases is not None and len(phases) == n:
+    if mode == "explicit" and any(abs(x) >= _UNRESOLVED for x in phases or ()):
+        bad.append(
+            "initial.phases: a phase of magnitude 2**52 or more cannot be wrapped"
+        )
+    elif mode == "explicit" and graph and phases is not None and len(phases) == n:
         distances = edge_geodesics(graph, wrap_angle(np.array(phases, dtype=float)))
         if float(np.max(distances)) > _HALF_PI + 1e-12:
             bad.append("initial.phases: an edge distance exceeds pi/2")
@@ -741,7 +746,12 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
         raise ConfigError(f"unknown command {command!r}")
     _require(config, command)
     started = time.perf_counter()
-    results, provenance, files = _COMMANDS[command](config)
+    # Every command detects its numeric failures itself (the integrator's
+    # report, the eigensolver's check, _check_finite), so numpy's float
+    # warnings would only add lines to the one error message. Forked
+    # recurrence workers inherit this state.
+    with np.errstate(all="ignore"):
+        results, provenance, files = _COMMANDS[command](config)
     _check_finite(results)
 
     out_dir = Path(config.output_directory)

@@ -165,17 +165,17 @@ def _evaluate_bounds(
     if e_max_dw < 0:
         raise ValueError(f"gap expectation must be nonnegative, got {e_max_dw}")
 
-    # numpy scalars, and no warnings: a subnormal gamma whose sin(gamma)**2
-    # underflows gives an infinite kappa_min for the caller to reject
+    # numpy scalars: a subnormal gamma whose sin(gamma)**2 underflows
+    # gives an infinite kappa_min for the caller to reject, not a
+    # ZeroDivisionError
     sin_g = np.float64(math.sin(gamma))
     kappa_min = None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if tau is not None:
-            kappa_min = ((1.0 - sin_g) * math.pi / (2.0 * tau) + e_max_dw) / (
-                sin_g * sin_g * lam_min
-            )
-        kappa_eff = kappa if kappa is not None else kappa_min
-        tau_max = (1.0 + sin_g) * gamma / (kappa_eff * lam_max + e_max_dw)
+    if tau is not None:
+        kappa_min = ((1.0 - sin_g) * math.pi / (2.0 * tau) + e_max_dw) / (
+            sin_g * sin_g * lam_min
+        )
+    kappa_eff = kappa if kappa is not None else kappa_min
+    tau_max = (1.0 + sin_g) * gamma / (kappa_eff * lam_max + e_max_dw)
     return BoundResult(
         kappa_min=kappa_min,
         tau_max=tau_max,

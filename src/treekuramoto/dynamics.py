@@ -25,9 +25,12 @@ caller supplies the disturbance vector, so conditional expectations can
 re-draw noise for a fixed state.
 
 One kernel, :func:`_integrate`, steps every caller: :func:`step_theta`
-(one step, so the drift probes too), ``analysis.simulate`` (one state,
-a whole noise chunk per call) and the batched recurrence loop (one
-column per trial). It runs the steps in sub-blocks of up to 64. Model
+(one step per state), ``analysis.simulate`` (one state, a whole noise
+chunk per call), the batched recurrence loop (one column per trial) and
+``analysis.drift_estimate`` (one probe under every draw). Each caller
+hands it the noisy frequencies ``omega + noise``; the kernel alone
+scales them by ``tau``, and it alone reports the first non-finite
+state. It runs the steps in sub-blocks of up to 64. Model
 constants are looked up once per call, and the per-step edge
 differences ``B^T theta``, which the next step's coupling needs anyway,
 are kept for the sub-block, so that their geodesic distances and
@@ -238,28 +241,24 @@ class PhaseState:
 
 
 def step_theta(model: NetworkModel, theta: np.ndarray, noise_draw) -> np.ndarray:
-    """Advance raw phase arrays one step; broadcasts over leading axes.
+    """Advance raw phase arrays one step, each state under its own draw.
 
-    ``theta`` and ``noise_draw`` have shape ``(..., n)``; the result is
-    wrapped to ``(-pi, pi]``. A single state ``(n,)`` stepped under a
-    batch of draws computes its coupling once.
+    ``theta`` and ``noise_draw`` have the same shape ``(..., n)``; the
+    result, of that shape too, is wrapped to ``(-pi, pi]``, with NaN for
+    a state that became non-finite or unresolvable.
     """
     theta = np.asarray(theta, dtype=float)
-    drive = model.tau * (model.omega + noise_draw)
+    noise_draw = np.asarray(noise_draw, dtype=float)
+    if noise_draw.shape != theta.shape:
+        raise ValueError(
+            f"noise draw shape {noise_draw.shape} != state shape {theta.shape}"
+        )
     n = model.graph.n
-    if drive.shape != theta.shape:
-        shape = np.broadcast_shapes(theta.shape, drive.shape)
-        if theta.size != n:
-            theta = np.broadcast_to(theta, shape)
-        drive = np.broadcast_to(drive, shape)
-    out = np.empty(drive.shape)
+    # the frequency, stepped in place into the state after the step
+    out = np.add(model.omega, noise_draw, out=np.empty(theta.shape))
     # node axis first, leading axes flattened into columns: one step
-    _integrate(
-        model,
-        theta.reshape(-1, n).T,
-        drive.reshape(-1, n).T[None],
-        out.reshape(-1, n).T[None],
-    )
+    columns = out.reshape(-1, n).T[None]
+    _integrate(model, theta.reshape(-1, n).T, columns, columns)
     return out
 
 
@@ -280,19 +279,26 @@ _SUB_WORDS = 1 << 16
 _UNRESOLVED = 2.0**52
 
 
-def _integrate(model, theta, drive, out, step_max=None) -> None:
-    """The model equation, stepped once per row of ``drive``. This is the
-    only integrator in the package: :func:`step_theta`, ``simulate`` and
-    the batched recurrence loop all call it.
+def _integrate(model, theta, frequency, out, step_max=None):
+    """The model equation, stepped once per row of ``frequency``. This is
+    the only integrator in the package: :func:`step_theta`, ``simulate``,
+    the batched recurrence loop and the drift probes all call it.
 
-    ``theta`` ``(n, c)`` holds one start state per column, ``drive``
-    ``(steps, n, w)`` holds ``tau * (omega + noise)`` of each step, and
-    ``out`` of the same shape receives the state after each step.
-    ``out`` may be ``drive`` itself: row ``j`` of ``drive`` is read only
-    before row ``j`` of ``out`` is written. ``c`` is ``w``, or 1 for one
-    state under ``w`` draws, whose first coupling is then computed once.
-    ``step_max`` ``(steps, w)``, if given, receives the largest edge
-    geodesic distance of every state in ``out``.
+    ``theta`` ``(n, c)`` holds one start state per column, ``frequency``
+    ``(steps, n, w)`` holds ``omega + noise`` of each step, and ``out``
+    of the same shape receives the state after each step. The kernel
+    writes ``tau * frequency`` into ``out`` one sub-block at a time and
+    steps it there, so ``out`` may be ``frequency`` itself. ``c`` is
+    ``w``, or 1 for one state under ``w`` draws, whose first coupling is
+    then computed once. ``step_max`` ``(steps, w)``, if given, receives
+    the largest edge geodesic distance of every state in ``out``.
+
+    Returns ``None``, or ``(j, column)`` of the earliest non-finite state
+    (the lowest column at that step): row ``j`` of ``out``, the state
+    after ``j + 1`` steps. It checks once per sub-block, on ``step_max``
+    when that is given and on the states otherwise, and stops stepping
+    at the end of the sub-block that failed; later rows of ``out`` are
+    then left as they were.
 
     The steps run in sub-blocks of at most ``_SUB_STEPS``. Per step,
     ``B^T theta`` goes to one row of a sub-block buffer, and the geodesic
@@ -312,8 +318,9 @@ def _integrate(model, theta, drive, out, step_max=None) -> None:
     folded = np.empty_like(rel) if step_max is not None else None
     sines = np.empty((m, width))
     coupling = np.empty((n, width))
-    # in the states' memory order, which step_theta's transposed view
-    # makes Fortran order: mixed orders would slow every wrap down
+    # in the states' memory order, which the transposed views of
+    # step_theta and the drift probes make Fortran order: mixed orders
+    # would slow every wrap down
     scratch = np.empty_like(out[0])
     mask = np.empty_like(out[0], dtype=bool)
     (first, first_edges), *rest = blocks
@@ -355,9 +362,11 @@ def _integrate(model, theta, drive, out, step_max=None) -> None:
     small = reach <= np.pi and not np.any(np.signbit(theta[theta == 0.0]))
     previous = theta
     last = steps - 1
+    tau = float(model.tau)
     for j0 in range(0, steps, sub):
         count = min(sub, steps - j0)
-        block = drive[j0 : j0 + count]
+        # tau * (omega + noise); each row becomes its state in place
+        block = multiply(frequency[j0 : j0 + count], tau, out=out[j0 : j0 + count])
         # NaN fails the comparison, and so does an overflow to inf
         bound = max(float(block.max()), -float(block.min())) * growth + offset
         fast = small and bound < np.pi
@@ -367,12 +376,12 @@ def _integrate(model, theta, drive, out, step_max=None) -> None:
         for j in range(j0, j0 + count):
             state = out[j]
             if frequency_dependent:
-                # theta + tau * realized * (1 - kappa * S)
-                multiply(drive[j], current, out=state)
+                # theta + tau * frequency * (1 - kappa * S)
+                multiply(state, current, out=state)
                 add(previous, state, out=state)
             else:
-                # theta + tau * realized - kappa * tau * S
-                add(previous, drive[j], out=state)
+                # theta + tau * frequency - kappa * tau * S
+                add(previous, state, out=state)
                 subtract(state, current, out=state)
             if fast:
                 _wrap_small(state, mask)
@@ -392,15 +401,16 @@ def _integrate(model, theta, drive, out, step_max=None) -> None:
             np.subtract(TWO_PI, distance, out=folded[:count])
             np.minimum(distance, folded[:count], out=folded[:count])
             np.maximum.reduce(folded[:count], axis=1, out=step_max[j0 : j0 + count])
+        checked = block if step_max is None else step_max[j0 : j0 + count, None]
+        finite = np.isfinite(checked).all(axis=1)
+        if not finite.all():
+            j, column = np.argwhere(~finite)[0]
+            return j0 + int(j), int(column)
+    return None
 
 
 def step(model: NetworkModel, state: PhaseState, noise_draw) -> PhaseState:
     """One update of the network; pure in all of its inputs."""
-    noise_draw = np.asarray(noise_draw, dtype=float)
-    if noise_draw.shape != state.theta.shape:
-        raise ValueError(
-            f"noise draw shape {noise_draw.shape} != state shape {state.theta.shape}"
-        )
     return PhaseState(step_theta(model, state.theta, noise_draw), state.k + 1)
 
 

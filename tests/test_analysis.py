@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from treekuramoto.analysis import (
 )
 from treekuramoto.errors import NumericError
 from treekuramoto.dynamics import edge_geodesics
-from treekuramoto.noise import sample_noise
+from treekuramoto.noise import sample_noise, sample_noise_block
 
 from conftest import THETA0_5, make_line5_model, no_children_left, random_tree
 
@@ -589,6 +590,42 @@ def test_drift_estimate_deterministic_when_silent():
     )
     assert est.stderr == 0.0
     assert est.estimate == pytest.approx(v1 - v0, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_models(),
+    st.booleans(),
+    st.integers(2, 50),
+    st.floats(0.3, 1.4),
+    st.integers(0, 1000),
+)
+def test_drift_step_equals_step_theta_per_draw(model, silent, samples, gamma, seed):
+    # one kernel call steps the probe as one column under every draw; a
+    # silent model takes one zero draw
+    if silent:
+        model = dataclasses.replace(model, noise=NoiseSpec.none(model.graph.n))
+    stream = RandomStream(seed=seed)
+    probe = edge_box_sampler(gamma, 0.5 * PI)
+    theta = probe(model.graph, stream.child(purpose="probe"))
+    stepped = []
+
+    def record(graph, states, gamma):
+        stepped.append(states.copy())
+        return dynamics.drift_values(graph, states, gamma)
+
+    with unittest.mock.patch.object(analysis, "drift_values", record):
+        estimate = drift_estimate(model, theta, gamma, samples, stream)
+    draws = sample_noise_block(
+        model.noise, stream.child(purpose="drift"), 0, 1 if silent else samples
+    )
+    expected = np.array([dynamics.step_theta(model, theta, draw) for draw in draws])
+    assert len(stepped) == 1 and stepped[0].tobytes() == expected.tobytes()
+    v_next = dynamics.drift_values(model.graph, expected, gamma)
+    v_now = drift_function_V(model.graph, theta, gamma)
+    assert estimate.estimate == float(np.mean(v_next) - v_now)
+    assert (estimate.stderr == 0.0) == silent
+    assert estimate.samples == samples
 
 
 def test_drift_negative_on_annulus_for_reference_model():

@@ -219,6 +219,10 @@ COUNT_MESSAGES = [
             ["graph: edge (2, 0) closes a cycle"],
         ),
         (
+            _put(initial={"mode": "explicit", "phases": [-(2.0**52), 0.0, 2**60]}),
+            ["initial.phases: a phase of magnitude 2**52 or more cannot be wrapped"],
+        ),
+        (
             _put(omega=[1.0, 2.0], initial={"mode": "sample", "low": 1.0, "high": 0.5}),
             ["omega: length 2 != graph.n 3", "initial: need 0 <= low < high <= pi/2"],
         ),
@@ -257,6 +261,7 @@ COUNT_MESSAGES = [
         "initial_low_not_a_number",
         "initial_explicit_without_phases",
         "cycle",
+        "initial_phase_unwrappable",
         "lengths_and_range",
         "several_at_once",
     ],
@@ -513,6 +518,39 @@ def test_unresolvable_phase_exits_numeric(tmp_path, capsys, command):
     assert err.startswith("numeric error: ") and "non-finite" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["bounds", "spectral", "simulate", "recurrence", "drift"]
+)
+def test_overflowing_frequency_gives_one_line(tmp_path, capsys, command):
+    # omega + noise overflows to inf on node 0; every command must report
+    # that as its one error line, with no numpy warning before it
+    out = tmp_path / "run"
+    data = tiny_config(out, omega=[1.7e308, 2.0, 0.5])
+    data["noise"][0]["mean"] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(write_config(tmp_path, data))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and len(err.splitlines()) == 1, err
+    assert not (out / "summary.json").exists()
+
+
+def test_unwrappable_initial_phase_is_config_error(tmp_path, capsys):
+    # no float resolves 1e18 on the circle: simulate used to start every
+    # node at 2.336 and exit 0
+    data = tiny_config(
+        tmp_path / "o", initial={"mode": "explicit", "phases": [1.0e18] * 3}
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid configuration: "
+        "initial.phases: a phase of magnitude 2**52 or more cannot be wrapped\n"
+    )
+    # just below 2**52 the phase is still resolved and wraps
+    data["initial"]["phases"] = [2.0**52 - 1.0] * 3
+    assert load_config(write_config(tmp_path, data)).initial_phases[0] < 2.0**52
 
 
 def test_drift_without_probes_writes_header_only(tmp_path):
@@ -1127,9 +1165,12 @@ def test_fuzzed_configs_exit_cleanly(command, name, changes, top_level, override
         try:
             Path("exp.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
             stderr = io.StringIO()
+            # pytest records numpy's warnings instead of printing them, so
+            # a warning on the way to the one error line must fail here
             with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(
                 io.StringIO()
-            ):
+            ), warnings.catch_warnings():
+                warnings.simplefilter("error")
                 code = main(argv)
             summaries = list(Path(work).rglob("summary.json"))
             results = [json.loads(p.read_text())["results"] for p in summaries]

@@ -19,7 +19,7 @@ from treekuramoto import (
     wrap_angle,
 )
 from treekuramoto.analysis import edge_box_sampler
-from treekuramoto.dynamics import _wrap_small, step_theta
+from treekuramoto.dynamics import _integrate, _wrap_small, step_theta
 
 from conftest import LINE5_EDGES, THETA0_5, make_line5_model, random_tree
 
@@ -207,6 +207,44 @@ def test_unresolvable_phase_becomes_nan(variant, increment):
     stepped = step_theta(model, THETA0_5, draw)
     assert np.isnan(stepped[unresolved]).all()
     assert same_bits(stepped[~unresolved], wrap_angle(raw[~unresolved]))
+
+
+@pytest.mark.parametrize("with_step_max", [False, True])
+def test_kernel_reports_first_non_finite_state_and_stops(with_step_max):
+    # 150 steps at 3 columns are sub-blocks of 64, 64 and 22 steps
+    model = make_line5_model()
+    rng = np.random.default_rng(6)
+    theta = np.repeat(THETA0_5[:, None], 3, axis=1)
+    frequency = model.omega[:, None] + rng.normal(size=(150, 5, 3))
+    clean = np.full_like(frequency, -7.0)
+    assert _integrate(model, theta, frequency, clean) is None
+    frequency[70, 0, 1] = np.nan
+    frequency[70, 2, 2] = np.inf
+    frequency[90, :, 0] = np.inf
+    out = np.full_like(frequency, -7.0)
+    step_max = np.full((150, 3), -7.0) if with_step_max else None
+    with np.errstate(all="ignore"):
+        failure = _integrate(model, theta, frequency, out, step_max)
+    # earliest step, then the lowest column at that step
+    assert failure == (70, 1)
+    assert same_bits(out[:70], clean[:70])
+    assert np.isnan(out[70, 0, 1]) and np.isnan(out[70, 2, 2])
+    assert same_bits(out[70, :, 0], clean[70, :, 0])
+    # the failing sub-block is finished, the next one never started
+    assert (out[128:] == -7.0).all()
+    if with_step_max:
+        assert (step_max[128:] == -7.0).all()
+
+
+def test_step_theta_takes_one_draw_per_state():
+    model = make_line5_model()
+    with pytest.raises(ValueError, match="noise draw shape"):
+        step_theta(model, THETA0_5, np.zeros((4, 5)))
+    thetas = np.stack([THETA0_5, -THETA0_5])
+    draws = np.array([[0.3, -0.2, 0.9, 0.0, -1.4], [1.0, 0.5, -0.5, 2.0, 0.0]])
+    stepped = step_theta(model, thetas, draws)
+    for theta, draw, row in zip(thetas, draws, stepped):
+        assert same_bits(row, step_theta(model, theta, draw))
 
 
 def test_rotation_invariance():
