@@ -194,7 +194,9 @@ def fixed_initial(theta0):
 def edge_box_sampler(low: float = 0.0, high: float = 0.5 * math.pi):
     """Sampler drawing each edge difference uniformly from the annulus
     ``low <= |difference| < high`` with a random sign, then integrating
-    the differences along the tree with node 0 pinned at phase zero.
+    the differences along the tree in one breadth-first pass from node 0,
+    pinned at phase zero. The sampler raises :class:`InvalidInitSampler`
+    for a graph that is not connected (a ``TreeGraph`` built directly).
 
     On a tree the edge differences are free coordinates, so ``low = 0``
     covers the admissible set (every edge distance at most pi/2)
@@ -211,22 +213,26 @@ def edge_box_sampler(low: float = 0.0, high: float = 0.5 * math.pi):
         diffs = np.where(signed >= 0.0, 1.0, -1.0) * (
             low + np.abs(signed) * (high - low)
         )
-        theta = np.full(graph.n, np.nan)
-        theta[0] = 0.0
-        known = 1
-        while known < graph.n:
-            progressed = False
-            for e, (tail, head) in enumerate(graph.edges):
-                if np.isnan(theta[head]) and not np.isnan(theta[tail]):
-                    theta[head] = theta[tail] - diffs[e]
-                    known += 1
-                    progressed = True
-                elif np.isnan(theta[tail]) and not np.isnan(theta[head]):
-                    theta[tail] = theta[head] + diffs[e]
-                    known += 1
-                    progressed = True
-            if not progressed:
-                raise InvalidInitSampler("graph is not connected")
+        # Python floats: the same double arithmetic, without numpy's
+        # per-element overhead
+        diffs = diffs.tolist()
+        theta = [0.0] + [None] * (graph.n - 1)
+        incident = [[] for _ in range(graph.n)]
+        for e, (tail, head) in enumerate(graph.edges):
+            incident[tail].append((e, tail, head))
+            incident[head].append((e, tail, head))
+        # breadth first from node 0: an edge is queued when one of its ends
+        # is placed, so an unplaced end is placed from the other, its parent
+        queue = list(incident[0])
+        for e, tail, head in queue:
+            if theta[head] is None:
+                theta[head] = theta[tail] - diffs[e]
+                queue += incident[head]
+            elif theta[tail] is None:
+                theta[tail] = theta[head] + diffs[e]
+                queue += incident[tail]
+        if None in theta:
+            raise InvalidInitSampler("graph is not connected")
         return wrap_angle(theta)
 
     return sample
@@ -296,7 +302,8 @@ def simulate(
         theta=theta,
         edge_distances=distances,
         max_edge_distance=max_distance,
-        drift_v=drift_values(model.graph, theta, gamma),
+        # drift_values(graph, theta, gamma), without measuring the distances again
+        drift_v=math.sin(gamma) * distances.sum(axis=-1),
         in_set=max_distance <= gamma,
         realized_frequency=realized,
         model=model,

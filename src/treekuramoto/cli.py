@@ -98,47 +98,37 @@ class ValidationError(ConfigError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description plus the built domain objects."""
+    """Validated experiment description.
+
+    ``raw`` is the config mapping as read, after overrides. ``model``,
+    ``sampler`` (``(graph, stream) -> phases``, the fixed or sampled start
+    state of ``initial``) and ``stream`` (keyed by ``seed``) are the run's
+    domain objects, built once by validation; the other fields are the
+    remaining run settings, ``None`` where an optional count is absent.
+    """
 
     raw: dict
-    graph: TreeGraph
-    omega: tuple
-    noise: NoiseSpec
-    variant: str
-    kappa: float
-    tau: float
+    model: NetworkModel
+    sampler: Callable[[TreeGraph, RandomStream], np.ndarray]
+    stream: RandomStream
     gamma: float
-    seed: int
     horizon: int | None
     trials: int | None
     mc_samples: int | None
     pair_set: str
-    initial_mode: str
-    initial_phases: tuple | None
-    initial_low: float
-    initial_high: float
     drift_probes: int
     drift_noise_samples: int
     output_directory: str
     decimation: int
 
-    def model(self) -> NetworkModel:
-        return NetworkModel(
-            graph=self.graph,
-            omega=np.array(self.omega),
-            noise=self.noise,
-            kappa=self.kappa,
-            tau=self.tau,
-            variant=self.variant,
-        )
+    # the benchmark harness's tests read these two
+    @property
+    def graph(self) -> TreeGraph:
+        return self.model.graph
 
-    def stream(self) -> RandomStream:
-        return RandomStream(seed=self.seed)
-
-    def initial_sampler(self):
-        if self.initial_mode == "explicit":
-            return analysis.fixed_initial(np.array(self.initial_phases))
-        return analysis.edge_box_sampler(self.initial_low, self.initial_high)
+    @property
+    def omega(self) -> np.ndarray:
+        return self.model.omega
 
 
 def bundled_config_path(name: str) -> Path:
@@ -331,24 +321,27 @@ def _validate(data: dict) -> ExperimentConfig:
     if bad:
         raise ValidationError(bad)
 
+    if mode == "explicit":
+        sampler = analysis.fixed_initial(phases)
+    else:
+        sampler = analysis.edge_box_sampler(float(low), float(high))
     return ExperimentConfig(
         raw=data,
-        graph=graph,
-        omega=tuple(float(x) for x in values["omega"]),
-        noise=NoiseSpec(tuple(nodes)),
-        variant=values["variant"],
-        kappa=float(values["kappa"]),
-        tau=float(values["tau"]),
+        model=NetworkModel(
+            graph=graph,
+            omega=values["omega"],
+            noise=NoiseSpec(tuple(nodes)),
+            kappa=float(values["kappa"]),
+            tau=float(values["tau"]),
+            variant=values["variant"],
+        ),
+        sampler=sampler,
+        stream=RandomStream(seed=values["seed"]),
         gamma=float(values["gamma"]),
-        seed=values["seed"],
         horizon=values["horizon"],
         trials=values["trials"],
         mc_samples=values["mc_samples"],
         pair_set=values["pair_set"],
-        initial_mode=mode,
-        initial_phases=tuple(float(x) for x in phases) if mode == "explicit" else None,
-        initial_low=float(low),
-        initial_high=float(high),
         drift_probes=values["drift.probes"],
         drift_noise_samples=values["drift.noise_samples"],
         output_directory=values["output.directory"],
@@ -486,33 +479,25 @@ def _check_finite(results: dict, prefix: str = "") -> None:
 
 
 def _gap_estimate(config: ExperimentConfig):
-    method = "auto"
-    kwargs = {}
-    if not config.noise.analytic_gaussian:
-        if config.mc_samples is None:
-            raise ValidationError(
-                ["bounds: mc_samples is required for non-gaussian noise"]
-            )
-        kwargs = {"mc_samples": config.mc_samples, "stream": config.stream()}
+    model = config.model
+    if not model.noise.analytic_gaussian and config.mc_samples is None:
+        raise ValidationError(["bounds: mc_samples is required for non-gaussian noise"])
     return noise_mod.e_max_delta_omega(
-        np.array(config.omega),
-        config.noise,
+        model.omega,
+        model.noise,
         pairs=config.pair_set,
-        graph=config.graph,
-        method=method,
-        **kwargs,
+        graph=model.graph,
+        mc_samples=config.mc_samples,
+        stream=config.stream,
     )
 
 
 def _spectral(config: ExperimentConfig, n_samples: int):
     """Monte Carlo edge-Laplacian spectra: the statistics, their results
     block and their provenance."""
+    model = config.model
     stats = conditions.mc_spectral_stats(
-        config.graph,
-        np.array(config.omega),
-        config.noise,
-        n_samples=n_samples,
-        stream=config.stream(),
+        model.graph, model.omega, model.noise, n_samples=n_samples, stream=config.stream
     )
     results = {
         "e_lambda_min": stats.e_lambda_min,
@@ -522,13 +507,14 @@ def _spectral(config: ExperimentConfig, n_samples: int):
         "samples": stats.samples,
     }
     provenance = {
-        "method": "deterministic" if config.noise.is_deterministic else "monte-carlo",
+        "method": "deterministic" if model.noise.is_deterministic else "monte-carlo",
         "samples": stats.samples,
     }
     return stats, results, provenance
 
 
 def _run_bounds(config: ExperimentConfig):
+    model = config.model
     gap = _gap_estimate(config)
     provenance = {
         "e_max_delta_omega": {"method": gap.method, "samples": gap.samples}
@@ -538,10 +524,10 @@ def _run_bounds(config: ExperimentConfig):
         "e_max_delta_omega_stderr": gap.stderr,
         "e_max_delta_omega_pair": list(gap.pair),
         "gamma": config.gamma,
-        "variant": config.variant,
+        "variant": model.variant,
     }
-    if config.variant == "frequency_dependent":
-        if not config.noise.is_deterministic and config.mc_samples is None:
+    if model.variant == "frequency_dependent":
+        if not model.noise.is_deterministic and config.mc_samples is None:
             raise ValidationError(
                 ["bounds: mc_samples is required for stochastic spectral statistics"]
             )
@@ -549,21 +535,20 @@ def _run_bounds(config: ExperimentConfig):
             config, config.mc_samples or 1
         )
         bound = conditions.bounds_frequency_dependent(
-            stats, gap.value, config.gamma, tau=config.tau, kappa=config.kappa
+            stats, gap.value, config.gamma, tau=model.tau, kappa=model.kappa
         )
     else:
         bound = conditions.bounds_undirected(
-            config.graph, gap.value, config.gamma, tau=config.tau, kappa=config.kappa
+            model.graph, gap.value, config.gamma, tau=model.tau, kappa=model.kappa
         )
     results["kappa_min"] = bound.kappa_min
     results["tau_max"] = bound.tau_max
-    results["tau"] = config.tau
-    results["kappa"] = config.kappa
+    results["tau"] = model.tau
+    results["kappa"] = model.kappa
     provenance["bounds"] = {"method": "analytic", "samples": 0}
-    omega = np.array(config.omega)
-    if np.all(omega > 0):
+    if np.all(model.omega > 0):
         results["continuous_reference_kappa"] = conditions.continuous_reference_kappa(
-            omega, config.graph, config.gamma
+            model.omega, model.graph, config.gamma
         )
         provenance["continuous_reference_kappa"] = {
             "method": "analytic",
@@ -583,12 +568,10 @@ def _numbered(prefix: str, block: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _run_simulate(config: ExperimentConfig):
-    model = config.model()
-    sampler = config.initial_sampler()
-    stream = config.stream()
-    theta0 = sampler(config.graph, stream.child(trial=0, purpose="init"))
+    stream = config.stream
+    theta0 = config.sampler(config.model.graph, stream.child(trial=0, purpose="init"))
     record = analysis.simulate(
-        model, theta0, config.horizon, config.gamma, stream.child(trial=0)
+        config.model, theta0, config.horizon, config.gamma, stream.child(trial=0)
     )
     kept = slice(None, None, config.decimation)
     columns = {
@@ -617,14 +600,13 @@ def _run_simulate(config: ExperimentConfig):
 
 
 def _run_recurrence(config: ExperimentConfig):
-    model = config.model()
     stats = analysis.recurrence_experiment(
-        model,
-        config.initial_sampler(),
+        config.model,
+        config.sampler,
         config.gamma,
         config.trials,
         config.horizon,
-        config.stream(),
+        config.stream,
     )
     columns = {
         "trial": np.arange(stats.trials),
@@ -664,13 +646,12 @@ def _run_recurrence(config: ExperimentConfig):
 
 
 def _run_drift(config: ExperimentConfig):
-    model = config.model()
     estimates = analysis.drift_sweep(
-        model,
+        config.model,
         config.gamma,
         config.drift_probes,
         config.drift_noise_samples,
-        config.stream(),
+        config.stream,
     )
     probes = len(estimates)
     values = np.array([est.estimate for est in estimates])
@@ -681,7 +662,7 @@ def _run_drift(config: ExperimentConfig):
         "estimate": values,
         "stderr": errors,
         "samples": np.array([est.samples for est in estimates], dtype=np.int64),
-        **_numbered("theta", np.reshape(thetas, (probes, config.graph.n))),
+        **_numbered("theta", np.reshape(thetas, (probes, config.model.graph.n))),
     }
     results = {
         "probes": probes,

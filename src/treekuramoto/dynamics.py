@@ -70,6 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError, NumericError
 from .graph import TreeGraph
 from .noise import NoiseSpec
 
@@ -144,9 +145,19 @@ def validate_gamma(gamma: float) -> float:
     return gamma
 
 
+class InvalidModel(ConfigError, ValueError):
+    """Model inputs that do not fit together or lie out of range."""
+
+
 @dataclass(frozen=True)
 class NetworkModel:
-    """Tree network with frequencies, noise, coupling and sampling period."""
+    """Tree network with frequencies, noise, coupling and sampling period.
+
+    Raises:
+        InvalidModel: ``omega`` or ``noise`` does not cover the graph's
+            nodes, ``kappa`` or ``tau`` is not positive, or ``variant``
+            is unknown.
+    """
 
     graph: TreeGraph
     omega: np.ndarray
@@ -158,21 +169,21 @@ class NetworkModel:
     def __post_init__(self):
         omega = np.array(self.omega, dtype=float)
         if omega.shape != (self.graph.n,):
-            raise ValueError(
+            raise InvalidModel(
                 f"omega shape {omega.shape} != node count {self.graph.n}"
             )
         omega.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         if self.noise.n != self.graph.n:
-            raise ValueError(
+            raise InvalidModel(
                 f"noise spec covers {self.noise.n} nodes, graph has {self.graph.n}"
             )
         if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+            raise InvalidModel(f"kappa must be positive, got {self.kappa}")
         if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise InvalidModel(f"tau must be positive, got {self.tau}")
         if self.variant not in VARIANTS:
-            raise ValueError(
+            raise InvalidModel(
                 f"unknown variant {self.variant!r}, expected one of {VARIANTS}"
             )
 
@@ -229,7 +240,8 @@ class PhaseState:
         theta = np.array(self.theta, dtype=float)
         if theta.ndim != 1:
             raise ValueError(f"theta must be 1-d, got shape {theta.shape}")
-        if np.any(theta <= -np.pi) or np.any(theta > np.pi):
+        # NaN fails both comparisons
+        if not np.all((theta > -np.pi) & (theta <= np.pi)):
             raise ValueError("phases must already be wrapped to (-pi, pi]")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
@@ -260,13 +272,6 @@ def step_theta(model: NetworkModel, theta: np.ndarray, noise_draw) -> np.ndarray
     columns = out.reshape(-1, n).T[None]
     _integrate(model, theta.reshape(-1, n).T, columns, columns)
     return out
-
-
-def _edge_differences(model: NetworkModel, theta, out=None) -> np.ndarray:
-    """``B^T theta`` for node-first ``theta``, edges in the order of
-    ``model._incidence_blocks``. Exact: each edge row holds one +1 and
-    one -1, so the difference is rounded once."""
-    return np.matmul(model._incidence_blocks[0], theta, out=out)
 
 
 #: Most steps, and most words of edge differences, in one sub-block of
@@ -353,9 +358,7 @@ def _integrate(model, theta, frequency, out, step_max=None):
 
     # the start states' coupling, at their own width
     c = theta.shape[1]
-    current = factor(
-        _edge_differences(model, theta), np.empty((m, c)), np.empty((n, c))
-    )
+    current = factor(incidence_t @ theta, np.empty((m, c)), np.empty((n, c)))
     # _wrap_small needs |theta| <= pi, and would keep a -0.0; every
     # wrapped state after the first step has both properties
     reach = float(np.abs(theta).max())
@@ -410,8 +413,15 @@ def _integrate(model, theta, frequency, out, step_max=None):
 
 
 def step(model: NetworkModel, state: PhaseState, noise_draw) -> PhaseState:
-    """One update of the network; pure in all of its inputs."""
-    return PhaseState(step_theta(model, state.theta, noise_draw), state.k + 1)
+    """One update of the network; pure in all of its inputs.
+
+    Raises:
+        NumericError: the stepped phases are non-finite.
+    """
+    theta = step_theta(model, state.theta, noise_draw)
+    if not np.all(np.isfinite(theta)):
+        raise NumericError(f"phases became non-finite at step {state.k + 1}")
+    return PhaseState(theta, state.k + 1)
 
 
 def relative_phases(graph: TreeGraph, state: PhaseState | np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ from treekuramoto.analysis import (
     wilson_interval,
 )
 from treekuramoto.errors import NumericError
-from treekuramoto.dynamics import edge_geodesics
+from treekuramoto.dynamics import edge_geodesics, wrap_angle
+from treekuramoto.graph import TreeGraph
 from treekuramoto.noise import sample_noise, sample_noise_block
 
 from conftest import THETA0_5, make_line5_model, no_children_left, random_tree
@@ -127,6 +128,64 @@ def test_edge_box_sampler_band_and_determinism():
         dist = edge_geodesics(g, theta)
         assert np.all(dist >= 0.7) and np.all(dist < 1.1)
         assert theta[0] == 0.0
+
+
+def scanned_edge_box_sample(low, high, graph, stream):
+    """Reference: the sampler's former placement, which rescans the edge
+    list until every node is placed (quadratic for leaf-first lists)."""
+    u = stream.uniforms(0, graph.m)
+    signed = 2.0 * u - 1.0
+    diffs = np.where(signed >= 0.0, 1.0, -1.0) * (low + np.abs(signed) * (high - low))
+    theta = np.full(graph.n, np.nan)
+    theta[0] = 0.0
+    known = 1
+    while known < graph.n:
+        progressed = False
+        for e, (tail, head) in enumerate(graph.edges):
+            if np.isnan(theta[head]) and not np.isnan(theta[tail]):
+                theta[head] = theta[tail] - diffs[e]
+                known += 1
+                progressed = True
+            elif np.isnan(theta[tail]) and not np.isnan(theta[head]):
+                theta[tail] = theta[head] + diffs[e]
+                known += 1
+                progressed = True
+        if not progressed:
+            raise InvalidInitSampler("graph is not connected")
+    return wrap_angle(theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    band=st.sampled_from([(0.0, PI / 2), (0.7, 1.1), (GAMMA, PI / 2)]),
+    reversed_path=st.booleans(),
+)
+@example(n=300, seed=3, band=(0.0, PI / 2), reversed_path=True)
+def test_edge_box_sampler_matches_edge_scan(n, seed, band, reversed_path):
+    rng = np.random.default_rng(seed)
+    if reversed_path:
+        # leaf first: the scan places one node per pass over the edges
+        edges = [(i, i + 1) for i in reversed(range(n - 1))]
+    else:
+        # a random recursive tree, relabelled, reoriented and reordered
+        label = rng.permutation(n)
+        edges = [(label[int(rng.integers(0, i))], label[i]) for i in range(1, n)]
+        edges = [e[::-1] if rng.integers(0, 2) else e for e in edges]
+        edges = [edges[i] for i in rng.permutation(n - 1)]
+    graph = build_tree(n, edges)
+    for trial in range(3):
+        stream = RandomStream(seed=seed, trial=trial, purpose="init")
+        expected = scanned_edge_box_sample(*band, graph, stream)
+        assert edge_box_sampler(*band)(graph, stream).tobytes() == expected.tobytes()
+
+
+def test_edge_box_sampler_rejects_disconnected_graph():
+    # build_tree refuses these edges; a TreeGraph built directly does not
+    graph = TreeGraph(n=5, edges=((3, 4), (0, 1), (2, 3)))
+    with pytest.raises(InvalidInitSampler, match="graph is not connected"):
+        edge_box_sampler()(graph, RandomStream(seed=0))
 
 
 def test_edge_box_sampler_validation():

@@ -26,6 +26,7 @@ from treekuramoto.cli import (
     run_subcommand,
 )
 from treekuramoto.conditions import DEFAULT_GAMMA
+from treekuramoto.dynamics import wrap_angle
 from treekuramoto import analysis, cli
 from treekuramoto.analysis import wilson_interval
 
@@ -69,12 +70,18 @@ def write_config(tmp_path, data, name="exp.yaml"):
 def test_bundled_configs_load():
     for name in BUNDLED_CONFIGS:
         config = load_config(bundled_config_path(name))
-        assert config.graph.n >= 2
-    reference = load_config(bundled_config_path("line5_zero_mean"))
-    assert reference.kappa == 30.0
-    assert reference.tau == 0.002
-    assert reference.variant == "frequency_dependent"
-    assert reference.initial_mode == "explicit"
+        assert config.model.graph.n >= 2
+    path = bundled_config_path("line5_zero_mean")
+    reference = load_config(path)
+    assert reference.model.kappa == 30.0
+    assert reference.model.tau == 0.002
+    assert reference.model.variant == "frequency_dependent"
+    phases = yaml.safe_load(path.read_text(encoding="utf-8"))["initial"]["phases"]
+    for trial in (0, 7):
+        start = reference.sampler(
+            reference.model.graph, reference.stream.child(trial=trial, purpose="init")
+        )
+        assert np.array_equal(start, wrap_angle(phases))
 
 
 def test_gamma_out_of_range_rejected(tmp_path):
@@ -550,7 +557,9 @@ def test_unwrappable_initial_phase_is_config_error(tmp_path, capsys):
     )
     # just below 2**52 the phase is still resolved and wraps
     data["initial"]["phases"] = [2.0**52 - 1.0] * 3
-    assert load_config(write_config(tmp_path, data)).initial_phases[0] < 2.0**52
+    config = load_config(write_config(tmp_path, data))
+    start = config.sampler(config.model.graph, config.stream)
+    assert np.all(np.isfinite(start)) and np.all(np.abs(start) <= PI)
 
 
 def test_drift_without_probes_writes_header_only(tmp_path):

@@ -19,7 +19,8 @@ from treekuramoto import (
     wrap_angle,
 )
 from treekuramoto.analysis import edge_box_sampler
-from treekuramoto.dynamics import _integrate, _wrap_small, step_theta
+from treekuramoto.dynamics import InvalidModel, _integrate, _wrap_small, step_theta
+from treekuramoto.errors import ConfigError, NumericError
 
 from conftest import LINE5_EDGES, THETA0_5, make_line5_model, random_tree
 
@@ -391,6 +392,21 @@ def test_phase_state_validation():
         PhaseState(np.zeros((2, 2)))
 
 
+def test_phase_state_rejects_nan():
+    # NaN compares False both ways, so a bounds check written as two
+    # rejections let it through
+    with pytest.raises(ValueError, match="already be wrapped"):
+        PhaseState(np.full(5, np.nan))
+    with pytest.raises(ValueError, match="already be wrapped"):
+        PhaseState(np.array([0.0, np.nan, 1.0]))
+
+
+def test_step_raises_on_non_finite_phases():
+    model = make_line5_model(kappa=1e308)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="step 4"):
+        step(model, PhaseState(np.array([0.0, 1.5, 0.0, 1.5, 0.0]), k=3), np.zeros(5))
+
+
 def test_model_validation(line5):
     spec = NoiseSpec.none(5)
     with pytest.raises(ValueError):
@@ -403,3 +419,18 @@ def test_model_validation(line5):
         NetworkModel(line5, np.zeros(5), spec, 1.0, 0.1, "directed")
     with pytest.raises(ValueError):
         NetworkModel(line5, np.zeros(5), NoiseSpec.none(4), 1.0, 0.1)
+
+
+def test_model_checks_are_config_errors(line5):
+    spec = NoiseSpec.none(5)
+    cases = [
+        ((np.zeros(4), spec, 1.0, 0.1), r"omega shape \(4,\) != node count 5"),
+        ((np.zeros(5), NoiseSpec.none(4), 1.0, 0.1), "noise spec covers 4 nodes"),
+        ((np.zeros(5), spec, -1.0, 0.1), "kappa must be positive"),
+        ((np.zeros(5), spec, 1.0, 0.0), "tau must be positive"),
+        ((np.zeros(5), spec, 1.0, 0.1, "directed"), "unknown variant 'directed'"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidModel, match=message) as err:
+            NetworkModel(line5, *args)
+        assert isinstance(err.value, ConfigError) and isinstance(err.value, ValueError)
