@@ -14,10 +14,12 @@ Three instruments:
   gives their confidence interval). The trials are stepped as one
   trials-minor batch ``(n, trials)``, one call of the integrator kernel
   ``dynamics._integrate`` per noise chunk, which writes each step's
-  state over that step's frequencies. Per step only each trial's largest
-  edge distance is kept (the kernel takes those once per sub-block of
-  up to 64 steps), and the set bookkeeping runs once per noise chunk,
-  vectorized over its steps.
+  state over that step's frequencies. A chunk spans ``_MAX_BLOCK_WORDS``
+  noise words, but never fewer steps than one kernel sub-block (64);
+  ``noise._NoiseReader`` fills it from one generator per trial, made
+  once per slice of trials. Per step only each trial's largest edge
+  distance is kept (the kernel takes those once per sub-block), and the
+  set bookkeeping runs once per noise chunk, vectorized over its steps.
 * :func:`drift_estimate` / :func:`drift_sweep` probe the one-step
   conditional drift ``E[V(theta(k+1)) | theta(k)] - V(theta(k))`` by
   re-drawing noise for a fixed state, exactly matching the conditional
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _SUB_STEPS,
     NetworkModel,
     PhaseState,
     _integrate,
@@ -49,7 +52,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, NumericError
 from .graph import TreeGraph
-from .noise import RandomStream, _words_per_step, sample_noise_block
+from .noise import RandomStream, _NoiseReader, _words_per_step, sample_noise_block
 
 #: States whose largest edge distance reaches ``ESCAPE_LEVEL = pi/2 -
 #: ESCAPE_TOLERANCE`` are flagged as escaped: beyond that the
@@ -59,8 +62,9 @@ ESCAPE_LEVEL = 0.5 * math.pi - ESCAPE_TOLERANCE
 
 #: Fewest trial*steps for which :func:`recurrence_experiment` splits its
 #: trials across forked workers. Starting a worker and returning its
-#: results costs about 7 to 10 ms, against about 0.4 us per trial*step
-#: (line5, 200 trials in one process).
+#: results costs about 7 to 10 ms, against about 0.6 us per trial*step
+#: (line5, 200 trials in one process on a 2-vCPU host: medians of 0.54
+#: to 0.65 us in four runs of six).
 _MIN_FORK_WORK = 200_000
 
 #: Fewest trials per worker. A step's numpy dispatch costs about as much
@@ -70,7 +74,15 @@ _MIN_FORK_WORK = 200_000
 #: the time of one at 2 x 5 trials, 0.91x at 2 x 8 and 0.80x at 2 x 16.
 _MIN_SLICE_TRIALS = 16
 
-_MAX_BLOCK_WORDS = 1 << 21
+#: Noise words one chunk of ``simulate`` or of a recurrence slice spans,
+#: so its frequencies take at most 1 MiB (the floor below aside).
+_MAX_BLOCK_WORDS = 1 << 17
+
+#: Fewest steps in a recurrence chunk, whatever the slice's width: each
+#: chunk pays a kernel call and the set bookkeeping. Without it a
+#: 200-node tree at 100 trials gets 6-step chunks, and a trial*step took
+#: 1.13 times as long (median of 8 alternating runs, 2 vCPUs).
+_MIN_CHUNK_STEPS = _SUB_STEPS
 
 
 class InvalidInitSampler(ConfigError):
@@ -242,10 +254,6 @@ def _as_theta(state) -> np.ndarray:
     return state.theta if isinstance(state, PhaseState) else np.asarray(state, float)
 
 
-def _noise_chunk_steps(n: int) -> int:
-    return max(1, _MAX_BLOCK_WORDS // _words_per_step(n))
-
-
 def simulate(
     model: NetworkModel,
     theta0,
@@ -276,7 +284,7 @@ def simulate(
     theta[0] = wrap_angle(theta0)
     realized = np.empty((horizon + 1, n))
 
-    chunk = _noise_chunk_steps(n)
+    chunk = max(1, _MAX_BLOCK_WORDS // _words_per_step(n))
     for k0 in range(0, horizon + 1, chunk):
         count = min(chunk, horizon + 1 - k0)
         noise = sample_noise_block(model.noise, noise_stream, k0, count)
@@ -441,18 +449,19 @@ def _step_trials(model, theta, noise_streams, gamma, horizon):
 
     # work buffers, reused by every chunk; the kernel writes each step's
     # state over that step's frequencies
-    chunk = min(horizon, max(1, _noise_chunk_steps(n) // width))
+    chunk = min(
+        horizon,
+        max(_MIN_CHUNK_STEPS, _MAX_BLOCK_WORDS // (_words_per_step(n) * width)),
+    )
     frequency_buffer = np.empty((chunk, n, width))
     max_buffer = np.empty((chunk, width))
     omega = model.omega[:, None]
+    noise = _NoiseReader(model.noise, noise_streams)
 
     for k0 in range(0, horizon, chunk):
         count = min(chunk, horizon - k0)
         frequency = frequency_buffer[:count]
-        for t, noise_stream in enumerate(noise_streams):
-            frequency[:, :, t] = sample_noise_block(
-                model.noise, noise_stream, k0, count
-            )
+        noise.read(frequency)
         frequency += omega
         step_max = max_buffer[:count]
         failure = _integrate(model, theta, frequency, frequency, step_max)

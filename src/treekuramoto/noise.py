@@ -10,6 +10,14 @@ call that matches step-by-step sampling bit for bit.
 Gaussian draws use inverse-CDF sampling (exactly one counter word per
 value) rather than rejection methods, which would consume a variable
 number of words and break counter addressing.
+
+Words become disturbances in one place, :func:`_disturbances`: one
+vectorized pass per family over that family's node columns. Two readers
+feed it. :func:`sample_noise_block` addresses one stream's block by
+counter. :class:`_NoiseReader` reads many streams in step order, with
+one generator per stream that is placed once and then read onward, and
+fills trials-minor ``(steps, n, trials)`` blocks a group of streams at a
+time; every column equals the first reader's block bit for bit.
 """
 
 from __future__ import annotations
@@ -151,12 +159,16 @@ class RandomStream:
         digest = hashlib.blake2b(tag, digest_size=16).digest()
         return np.frombuffer(digest, dtype=np.uint64)
 
+    def _generator(self, index: int) -> tuple[Philox, int]:
+        """Philox whose next words start at the counter block holding word
+        ``index``, and the offset of ``index`` in that block."""
+        counter, offset = divmod(index, _WORDS_PER_COUNTER)
+        return Philox(counter=counter, key=self._key()), offset
+
     def raw_words(self, index: int, count: int) -> np.ndarray:
         """``count`` raw 64-bit words starting at word ``index``."""
-        counter, offset = divmod(index, _WORDS_PER_COUNTER)
-        bitgen = Philox(counter=counter, key=self._key())
-        words = bitgen.random_raw(offset + count)
-        return words[offset:]
+        bitgen, offset = self._generator(index)
+        return bitgen.random_raw(offset + count)[offset:]
 
     def uniforms(self, index: int, count: int) -> np.ndarray:
         """``count`` doubles in the open interval (0, 1)."""
@@ -185,6 +197,46 @@ def _words_per_step(n: int) -> int:
     return blocks * _WORDS_PER_COUNTER
 
 
+def _family_rows(spec: NoiseSpec) -> list:
+    """``(family, columns, scale, mean)`` for each random family in
+    ``spec``: its node columns (``slice(None)`` when it has every node)
+    and per-node rows of its scale (gaussian: the standard deviation,
+    uniform: the half width ``sqrt(3 variance)``) and of its mean."""
+    rows = []
+    for family, spread in (("gaussian", 1.0), ("uniform", 3.0)):
+        nodes = [i for i, node in enumerate(spec.nodes) if node.family == family]
+        if nodes:
+            rows.append(
+                (
+                    family,
+                    slice(None) if len(nodes) == spec.n else np.array(nodes),
+                    np.sqrt(spread * spec.variances()[nodes]),
+                    spec.means()[nodes],
+                )
+            )
+    return rows
+
+
+def _disturbances(rows: list, u: np.ndarray) -> np.ndarray:
+    """Disturbances from open-interval uniforms ``u`` of shape ``(..., n)``,
+    node ``i`` in column ``i``: ``ndtri(u) * sd + mean`` for gaussian
+    nodes, ``mean + (2u - 1) * half_width`` for uniform nodes and +0.0 for
+    ``none`` nodes, one pass per family over its columns. ``rows`` is
+    :func:`_family_rows` of the spec."""
+    out = None
+    for family, columns, scale, mean in rows:
+        picked = u[..., columns]
+        x = ndtri(picked) if family == "gaussian" else 2.0 * picked - 1.0
+        x *= scale
+        x += mean
+        if isinstance(columns, slice):
+            return x
+        if out is None:
+            out = np.zeros(u.shape)
+        out[..., columns] = x
+    return np.zeros(u.shape) if out is None else out
+
+
 def sample_noise_block(
     spec: NoiseSpec, stream: RandomStream, k0: int, steps: int
 ) -> np.ndarray:
@@ -196,14 +248,47 @@ def sample_noise_block(
     n = spec.n
     stride = _words_per_step(n)
     u = stream.uniforms(k0 * stride, steps * stride).reshape(steps, stride)[:, :n]
-    out = np.zeros((steps, n))
-    for i, node in enumerate(spec.nodes):
-        if node.family == "gaussian":
-            out[:, i] = node.mean + math.sqrt(node.variance) * ndtri(u[:, i])
-        elif node.family == "uniform":
-            half_width = math.sqrt(3.0 * node.variance)
-            out[:, i] = node.mean + (2.0 * u[:, i] - 1.0) * half_width
-    return out
+    return _disturbances(_family_rows(spec), u)
+
+
+#: Streams a :class:`_NoiseReader` draws as one group: ``random_raw``
+#: from each, then one conversion, one transform and one store for all.
+_READ_GROUP = 16
+
+
+class _NoiseReader:
+    """The noise of many streams, read in step order into trials-minor
+    blocks.
+
+    Holds one Philox per stream, placed once at step ``k0`` through
+    :meth:`RandomStream._generator`; each :meth:`read` continues where the
+    last one stopped. A step's words are whole counter blocks, so a
+    generator that has emitted them stands where a new one for the next
+    step would start, and column ``t`` of every block equals
+    ``sample_noise_block(spec, streams[t], k, count)`` bit for bit.
+    """
+
+    def __init__(self, spec: NoiseSpec, streams, k0: int = 0):
+        self._rows = _family_rows(spec)
+        self._stride = _words_per_step(spec.n)
+        self._generators = [
+            stream._generator(k0 * self._stride)[0] for stream in streams
+        ]
+
+    def read(self, out: np.ndarray) -> None:
+        """Fill ``out`` ``(count, n, width)``, one column per stream, with
+        the next ``count`` steps of every stream."""
+        count, n, width = out.shape
+        words = count * self._stride
+        for lo in range(0, width, _READ_GROUP):
+            group = self._generators[lo : lo + _READ_GROUP]
+            raw = np.empty((len(group), words), dtype=np.uint64)
+            for row, bitgen in zip(raw, group):
+                row[:] = bitgen.random_raw(words)
+            u = _open_unit(raw).reshape(len(group), count, self._stride)[..., :n]
+            out[:, :, lo : lo + len(group)] = _disturbances(self._rows, u).transpose(
+                1, 2, 0
+            )
 
 
 def sample_noise(spec: NoiseSpec, stream: RandomStream, k: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from treekuramoto.analysis import (
 from treekuramoto.errors import NumericError
 from treekuramoto.dynamics import edge_geodesics, wrap_angle
 from treekuramoto.graph import TreeGraph
-from treekuramoto.noise import sample_noise, sample_noise_block
+from treekuramoto.noise import _words_per_step, sample_noise, sample_noise_block
 
 from conftest import THETA0_5, make_line5_model, no_children_left, random_tree
 
@@ -410,6 +410,58 @@ def test_recurrence_independent_of_chunk_size(regime, monkeypatch):
             assert np.array_equal(
                 getattr(chunked, field.name), getattr(reference, field.name)
             ), (steps_per_chunk, field.name)
+
+
+@pytest.mark.parametrize("regime", sorted(CHUNK_REGIMES))
+def test_recurrence_independent_of_chunks_below_the_floor(regime, monkeypatch):
+    # the same comparison at chunks of 1, 3 and 7 steps, which the floor
+    # of one kernel sub-block per chunk otherwise rounds up
+    monkeypatch.setattr(analysis, "_MIN_CHUNK_STEPS", 1)
+    test_recurrence_independent_of_chunk_size(regime, monkeypatch)
+
+
+def test_batch_equals_sequential_below_the_chunk_floor(monkeypatch):
+    # batch chunks of a few steps, so their seams fall inside the short
+    # horizons of the property test
+    monkeypatch.setattr(analysis, "_MIN_CHUNK_STEPS", 1)
+    test_batch_trials_equal_sequential_simulation()
+
+
+@pytest.mark.parametrize("n", [5, 50, 200])
+@pytest.mark.parametrize("width", [1, 17, 200])
+def test_recurrence_frequency_blocks_stay_bounded(n, width, monkeypatch):
+    # a path: two coupling blocks at any n, so the kernel stays cheap
+    rng = np.random.default_rng(n)
+    model = NetworkModel(
+        graph=build_tree(n, [(i, i + 1) for i in range(n - 1)]),
+        omega=rng.uniform(1.0, 10.0, n),
+        noise=NoiseSpec.gaussian(rng.uniform(0.5, 5.0, n), np.zeros(n)),
+        kappa=5.0,
+        tau=0.002,
+        variant="frequency_dependent",
+    )
+    words = _words_per_step(n)
+    # past both the word budget and the floor: at least two chunks
+    horizon = analysis._MAX_BLOCK_WORDS // (words * width) + dynamics._SUB_STEPS + 1
+    blocks = []
+    kernel = analysis._integrate
+
+    def spy(model, theta, frequency, out, step_max=None):
+        blocks.append(frequency.shape)
+        return kernel(model, theta, frequency, out, step_max)
+
+    monkeypatch.setattr(analysis, "_integrate", spy)
+    force_workers(monkeypatch, 1)
+    recurrence_experiment(
+        model, edge_box_sampler(), 1.0, width, horizon, RandomStream(seed=n)
+    )
+    assert len(blocks) >= 2 and sum(steps for steps, _, _ in blocks) == horizon
+    for steps, nodes, columns in blocks:
+        assert (nodes, columns) == (n, width)
+        assert (
+            steps * words * width <= analysis._MAX_BLOCK_WORDS
+            or steps <= dynamics._SUB_STEPS
+        )
 
 
 def force_workers(monkeypatch, workers):

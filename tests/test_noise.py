@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 
@@ -15,9 +16,11 @@ from treekuramoto import (
     sample_noise,
 )
 from treekuramoto.noise import (
+    FAMILIES,
     InvalidNoiseSpec,
     NegativeVariance,
     UnsupportedFamily,
+    _NoiseReader,
     _open_unit,
     sample_noise_block,
 )
@@ -71,18 +74,85 @@ def test_identical_coordinates_reproduce():
     assert np.array_equal(a, b)
 
 
-def test_block_sampling_matches_per_step():
-    spec = NoiseSpec(
+def loop_noise_block(spec, stream, k0, steps):
+    """Reference: the family arithmetic one node column at a time."""
+    stride = -(-spec.n // 4) * 4
+    u = stream.uniforms(k0 * stride, steps * stride).reshape(steps, stride)
+    out = np.zeros((steps, spec.n))
+    for i, node in enumerate(spec.nodes):
+        if node.family == "gaussian":
+            out[:, i] = node.mean + math.sqrt(node.variance) * ndtri(u[:, i])
+        elif node.family == "uniform":
+            half_width = math.sqrt(3.0 * node.variance)
+            out[:, i] = node.mean + (2.0 * u[:, i] - 1.0) * half_width
+    return out
+
+
+BLOCK_SPECS = [
+    # several nodes of each family, interleaved
+    NoiseSpec(
         (
             NodeNoise("gaussian", mean=0.3, variance=2.0),
             NodeNoise("uniform", mean=-1.0, variance=0.5),
             NodeNoise("none"),
+            NodeNoise("gaussian", mean=-2.5, variance=0.7),
+            NodeNoise("uniform", mean=0.0, variance=4.0),
+            NodeNoise("gaussian", mean=0.0, variance=1.5),
+            NodeNoise("none"),
         )
-    )
+    ),
+    NoiseSpec.gaussian(VARIANCES5, [0.5, -1.0, 0.0, 2.0, -0.25]),
+    NoiseSpec(tuple(NodeNoise("uniform", mean=1.0, variance=v) for v in (1, 2, 3))),
+    NoiseSpec.none(3),
+]
+
+
+def test_block_sampling_matches_per_step():
     stream = RandomStream(seed=4, trial=1, purpose="noise")
-    block = sample_noise_block(spec, stream, 5, 20)
-    for j in range(20):
-        assert np.array_equal(block[j], sample_noise(spec, stream, 5 + j))
+    for spec in BLOCK_SPECS:
+        block = sample_noise_block(spec, stream, 5, 20)
+        assert block.tobytes() == loop_noise_block(spec, stream, 5, 20).tobytes()
+        for j in range(20):
+            assert np.array_equal(block[j], sample_noise(spec, stream, 5 + j))
+
+
+@st.composite
+def noise_specs(draw):
+    """1-9 nodes, each gaussian, uniform or none with random parameters."""
+    nodes = []
+    for family in draw(st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=9)):
+        if family == "none":
+            nodes.append(NodeNoise("none"))
+        else:
+            mean = draw(st.floats(-5.0, 5.0))
+            nodes.append(NodeNoise(family, mean, draw(st.floats(0.01, 10.0))))
+    return NoiseSpec(tuple(nodes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    noise_specs(),
+    st.integers(1, 40),
+    st.lists(st.integers(1, 70), min_size=1, max_size=4),
+    st.integers(0, 1000),
+    st.integers(0, 2**32),
+)
+def test_reader_blocks_equal_per_stream_blocks(spec, width, counts, k0, seed):
+    # widths that are not multiples of the reader's group end in a
+    # partial group; consecutive reads continue each stream's counter
+    streams = [RandomStream(seed, trial=t, purpose="noise") for t in range(width)]
+    reader = _NoiseReader(spec, streams, k0)
+    none = [i for i, node in enumerate(spec.nodes) if node.family == "none"]
+    for count in counts:
+        block = np.empty((count, spec.n, width))
+        reader.read(block)
+        for t, stream in enumerate(streams):
+            expected = sample_noise_block(spec, stream, k0, count)
+            assert block[:, :, t].tobytes() == expected.tobytes()
+        # +0.0, not -0.0
+        assert not np.signbit(block[:, none]).any()
+        assert not block[:, none].any()
+        k0 += count
 
 
 def test_steps_are_order_independent():
