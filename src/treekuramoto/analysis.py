@@ -15,11 +15,12 @@ Three instruments:
   trials-minor batch ``(n, trials)``, one call of the integrator kernel
   ``dynamics._integrate`` per noise chunk, which writes each step's
   state over that step's frequencies. A chunk spans ``_MAX_BLOCK_WORDS``
-  noise words, but never fewer steps than one kernel sub-block (64);
-  ``noise._NoiseReader`` fills it from one generator per trial, made
-  once per slice of trials. Per step only each trial's largest edge
-  distance is kept (the kernel takes those once per sub-block), and the
-  set bookkeeping runs once per noise chunk, vectorized over its steps.
+  noise words, raised toward one kernel sub-block (64 steps) as far as
+  ``_MAX_FLOOR_WORDS`` words allow; ``noise._NoiseReader`` fills it
+  from one generator per trial, made once per slice of trials. Per step
+  only each trial's largest edge distance is kept (the kernel takes
+  those once per sub-block), and the set bookkeeping runs once per
+  noise chunk, vectorized over its steps.
 * :func:`drift_estimate` / :func:`drift_sweep` probe the one-step
   conditional drift ``E[V(theta(k+1)) | theta(k)] - V(theta(k))`` by
   re-drawing noise for a fixed state, exactly matching the conditional
@@ -78,11 +79,14 @@ _MIN_SLICE_TRIALS = 16
 #: so its frequencies take at most 1 MiB (the floor below aside).
 _MAX_BLOCK_WORDS = 1 << 17
 
-#: Fewest steps in a recurrence chunk, whatever the slice's width: each
-#: chunk pays a kernel call and the set bookkeeping. Without it a
-#: 200-node tree at 100 trials gets 6-step chunks, and a trial*step took
-#: 1.13 times as long (median of 8 alternating runs, 2 vCPUs).
+#: Fewest steps in a recurrence chunk, as far as ``_MAX_FLOOR_WORDS``
+#: noise words allow: each chunk pays a kernel call and the set
+#: bookkeeping. Without it a 200-node tree at 100 trials gets
+#: 6-step chunks, and a trial*step took 1.13 times as long (median of 8
+#: alternating runs, 2 vCPUs). The cap keeps 64 steps of a wide slice
+#: from taking 512 MB (200 nodes, 5 000 trials).
 _MIN_CHUNK_STEPS = _SUB_STEPS
+_MAX_FLOOR_WORDS = 1 << 21
 
 
 class InvalidInitSampler(ConfigError):
@@ -418,6 +422,15 @@ def recurrence_experiment(
     )
 
 
+def _recurrence_chunk_steps(n: int, width: int) -> int:
+    """Steps per noise chunk of a recurrence slice of ``width`` trials
+    on ``n`` nodes: ``_MAX_BLOCK_WORDS`` noise words, raised toward
+    ``_MIN_CHUNK_STEPS`` as far as ``_MAX_FLOOR_WORDS`` words allow."""
+    words = _words_per_step(n) * width
+    floor = min(_MIN_CHUNK_STEPS, _MAX_FLOOR_WORDS // words)
+    return max(1, floor, _MAX_BLOCK_WORDS // words)
+
+
 def _step_trials(model, theta, noise_streams, gamma, horizon):
     """Step the trials-minor batch ``theta`` ``(n, width)`` in place for
     ``horizon`` steps, column ``t`` driven by ``noise_streams[t]``.
@@ -449,10 +462,7 @@ def _step_trials(model, theta, noise_streams, gamma, horizon):
 
     # work buffers, reused by every chunk; the kernel writes each step's
     # state over that step's frequencies
-    chunk = min(
-        horizon,
-        max(_MIN_CHUNK_STEPS, _MAX_BLOCK_WORDS // (_words_per_step(n) * width)),
-    )
+    chunk = min(horizon, _recurrence_chunk_steps(n, width))
     frequency_buffer = np.empty((chunk, n, width))
     max_buffer = np.empty((chunk, width))
     omega = model.omega[:, None]

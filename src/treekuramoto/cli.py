@@ -72,6 +72,11 @@ from .graph import TreeGraph, build_tree
 from .noise import NodeNoise, NoiseSpec, RandomStream
 
 SEED_ENV_VAR = "TREEKURAMOTO_SEED"
+
+#: libyaml's parser where PyYAML was built with it (several times faster
+#: on a large config); the pure-Python one otherwise. Both build the
+#: same mapping and report errors at the same marks.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _HALF_PI = 0.5 * math.pi
 
 BUNDLED_CONFIGS = (
@@ -356,7 +361,7 @@ def _read_raw(path) -> dict:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         location = ""
         mark = getattr(exc, "problem_mark", None)

@@ -107,10 +107,9 @@ def mc_spectral_stats(
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     omega = np.asarray(omega, dtype=float)
-    b = graph.incidence_matrix
 
     if noise.is_deterministic:
-        ev = batch_eigenvalues(weighted_edge_laplacian(b, omega))
+        ev = batch_eigenvalues(weighted_edge_laplacian(graph, omega))
         return SpectralStats(float(ev[0]), float(ev[-1]), 0.0, 0.0, n_samples)
 
     if stream is None:
@@ -123,7 +122,7 @@ def mc_spectral_stats(
         count = min(chunk, n_samples - start)
         draws = sample_noise_block(noise, spectral_stream, start, count)
         try:
-            ev = batch_eigenvalues(weighted_edge_laplacian(b, omega + draws))
+            ev = batch_eigenvalues(weighted_edge_laplacian(graph, omega + draws))
         except NoConvergence as exc:
             raise NoConvergence(
                 f"eigensolver failed at sample {start + exc.batch_index}: {exc}",
@@ -256,7 +255,7 @@ def continuous_reference_kappa(
         raise NonPositiveEigenvalue(
             "reference bound assumes strictly positive frequencies"
         )
-    ev = batch_eigenvalues(weighted_edge_laplacian(graph.incidence_matrix, omega))
+    ev = batch_eigenvalues(weighted_edge_laplacian(graph, omega))
     lam_min = float(ev[0])
     if lam_min <= 0:
         raise NonPositiveEigenvalue(f"lambda_min = {lam_min} is not positive")

@@ -10,7 +10,10 @@ trajectories (the orientation-carrying matrix always appears in
 quadratic or sign-cancelling combinations).
 
 Matrices are dense: the target scale is tens to a few hundred nodes,
-where sparse machinery buys nothing.
+where sparse machinery buys nothing. Each graph caches where the
+nonzeros of its weighted edge Laplacians sit, so
+:func:`~treekuramoto.linalg.weighted_edge_laplacian` writes them
+directly instead of multiplying by the incidence matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
+from .linalg import weighted_edge_laplacian
 
 
 class GraphError(ConfigError):
@@ -82,6 +86,36 @@ class TreeGraph:
         b = incidence(self)
         b.setflags(write=False)
         return b
+
+    @cached_property
+    def laplacian_pattern(self) -> tuple[np.ndarray, ...]:
+        """Off-diagonal nonzeros of every weighted edge Laplacian
+        ``B^T diag(w) B``, as ``(rows, cols, nodes, signs)``: entry
+        ``(rows[k], cols[k])`` is ``signs[k] * w[nodes[k]]``.
+
+        There is one entry for each node ``v`` and each ordered pair
+        ``(e, f)`` of distinct edges at ``v``, with sign
+        ``B[v, e] * B[v, f]``. Two edges of a tree share at most one
+        node, so no position appears twice. The diagonal entry of edge
+        ``e`` is ``w[tails[e]] + w[heads[e]]``.
+        """
+        at_node = [[] for _ in range(self.n)]
+        for e, (tail, head) in enumerate(self.edges):
+            at_node[tail].append((e, 1.0))
+            at_node[head].append((e, -1.0))
+        entries = [
+            (e, f, v, sign_e * sign_f)
+            for v, incident in enumerate(at_node)
+            for e, sign_e in incident
+            for f, sign_f in incident
+            if e != f
+        ]
+        table = np.array(entries, dtype=float).reshape(-1, 4)
+        rows, cols, nodes = table[:, :3].T.astype(np.intp)
+        pattern = (rows, cols, nodes, table[:, 3].copy())
+        for arr in pattern:
+            arr.setflags(write=False)
+        return pattern
 
 
 def build_tree(n: int, edges) -> TreeGraph:
@@ -153,11 +187,10 @@ def incidence(g: TreeGraph) -> np.ndarray:
 
 
 def edge_laplacian(g: TreeGraph) -> np.ndarray:
-    """Edge Laplacian ``B^T B`` of shape ``(m, m)``.
+    """Edge Laplacian ``B^T B`` of shape ``(m, m)``: the unit-weight
+    case of :func:`~treekuramoto.linalg.weighted_edge_laplacian`.
 
     Symmetric and positive definite on trees, so its spectrum equals
     the nonzero spectrum of the node Laplacian ``B B^T``.
     """
-    b = g.incidence_matrix
-    lap = b.T @ b
-    return 0.5 * (lap + lap.T)
+    return weighted_edge_laplacian(g, np.ones(g.n))

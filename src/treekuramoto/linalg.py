@@ -1,5 +1,16 @@
 """Weighted edge Laplacians and the eigenvalues of symmetric matrices.
 
+On a tree, ``B^T diag(w) B`` has ``m + sum_v deg(v) (deg(v) - 1)``
+nonzeros: edge ``e``'s diagonal entry is ``w[tail] + w[head]``, and
+entry ``(e, f)`` of two distinct edges that meet at node ``v`` is
+``B[v, e] B[v, f] w[v]``, one weight with a sign. The graph caches where
+they sit, and :func:`weighted_edge_laplacian` writes them into a zeroed
+array, which is symmetric as built. For finite weights this gives the
+doubles of the dense product ``B^T (w B)`` in any summation order: every
+product with a +-1 entry of ``B`` is exact, all other terms are zeros,
+and no entry has more than two nonzero terms. Only the sign of a zero
+entry can differ, where a weight or a diagonal sum is itself zero.
+
 Eigenvalues come from LAPACK through one batched ``np.linalg.eigvalsh``
 call. It makes no definiteness assumption: node weights in this package
 can go negative, which makes ``B^T diag(w) B`` indefinite. Every function
@@ -10,9 +21,14 @@ solved one at a time.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import NumericError
+
+if TYPE_CHECKING:
+    from .graph import TreeGraph
 
 
 class DimensionMismatch(NumericError):
@@ -48,25 +64,23 @@ def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     return m
 
 
-def weighted_edge_laplacian(b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Form ``B^T diag(w) B``, symmetrized, of shape ``(..., m, m)`` from
-    an ``(n, m)`` incidence matrix and node weights of shape ``(..., n)``.
+def weighted_edge_laplacian(graph: TreeGraph, w) -> np.ndarray:
+    """Form ``B^T diag(w) B`` of shape ``(..., m, m)`` for a tree and
+    node weights of shape ``(..., n)``, by writing each nonzero of
+    ``graph.laplacian_pattern`` into a zeroed array.
 
     Raises:
         DimensionMismatch: weight length does not match the node count.
     """
-    b = np.asarray(b, dtype=float)
     w = np.asarray(w, dtype=float)
-    if b.ndim != 2:
-        raise DimensionMismatch(f"incidence matrix must be 2-d, got {b.shape}")
-    if w.shape[-1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"weight length {w.shape[-1]} != node count {b.shape[0]}"
-        )
-    # (..., n, 1) * (n, m) broadcasts diag(w) @ B without forming diag(w).
-    wb = w[..., :, None] * b
-    lap = np.swapaxes(wb, -1, -2) @ b if wb.ndim > 2 else b.T @ wb
-    return 0.5 * (lap + np.swapaxes(lap, -1, -2))
+    if w.shape[-1:] != (graph.n,):
+        raise DimensionMismatch(f"weights of shape {w.shape} for {graph.n} nodes")
+    rows, cols, nodes, signs = graph.laplacian_pattern
+    diagonal = np.arange(graph.m)
+    lap = np.zeros(w.shape[:-1] + (graph.m, graph.m))
+    lap[..., diagonal, diagonal] = w[..., graph.tails] + w[..., graph.heads]
+    lap[..., rows, cols] = w[..., nodes] * signs
+    return lap
 
 
 def batch_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ def test_a01_noise_free_extreme_eigenvalues():
 
     def compute():
         return extreme_eigenvalues(
-            weighted_edge_laplacian(g.incidence_matrix, OMEGA5)
+            weighted_edge_laplacian(g, OMEGA5)
         )
 
     lo, hi = compute()

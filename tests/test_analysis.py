@@ -458,10 +458,23 @@ def test_recurrence_frequency_blocks_stay_bounded(n, width, monkeypatch):
     assert len(blocks) >= 2 and sum(steps for steps, _, _ in blocks) == horizon
     for steps, nodes, columns in blocks:
         assert (nodes, columns) == (n, width)
-        assert (
-            steps * words * width <= analysis._MAX_BLOCK_WORDS
-            or steps <= dynamics._SUB_STEPS
+        assert steps * words * width <= analysis._MAX_BLOCK_WORDS or (
+            steps <= dynamics._SUB_STEPS
+            and steps * words * width <= analysis._MAX_FLOOR_WORDS
         )
+
+
+@pytest.mark.parametrize(
+    "n, width, steps",
+    [
+        (5, 100, 163),  # line5's 200 trials on two workers: the word budget
+        (200, 100, 64),  # the floor, 64 x 200 x 100 doubles = 10.2 MB
+        (200, 5000, 2),  # the floor would take 512 MB; the budget rules
+        (200, 300, 34),  # the floor, capped at its word limit
+    ],
+)
+def test_recurrence_chunk_steps(n, width, steps):
+    assert analysis._recurrence_chunk_steps(n, width) == steps
 
 
 def force_workers(monkeypatch, workers):

@@ -390,6 +390,25 @@ def test_parse_error_reports_location(tmp_path):
         load_config(path)
 
 
+@pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
+)
+def test_libyaml_and_python_loaders_agree():
+    assert cli._YAML_LOADER is yaml.CSafeLoader
+    for name in BUNDLED_CONFIGS:
+        text = bundled_config_path(name).read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(
+            text, Loader=yaml.SafeLoader
+        )
+    marks = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        with pytest.raises(yaml.YAMLError) as err:
+            yaml.load("graph: {n: 3\nomega: [1, 2]\n", Loader=loader)
+        mark = err.value.problem_mark
+        marks.append((type(err.value), mark.line, mark.column))
+    assert marks[0] == marks[1]
+
+
 def test_initial_phases_outside_admissible_set_rejected(tmp_path):
     data = tiny_config(tmp_path / "o")
     data["initial"] = {"mode": "explicit", "phases": [0.0, 3.0, 0.0]}

@@ -48,7 +48,7 @@ def test_deterministic_spec_is_exact(line5):
 
     stats = mc_spectral_stats(line5, OMEGA5, NoiseSpec.none(5), n_samples=1000)
     lo, hi = extreme_eigenvalues(
-        weighted_edge_laplacian(line5.incidence_matrix, OMEGA5)
+        weighted_edge_laplacian(line5, OMEGA5)
     )
     assert stats.e_lambda_min == lo
     assert stats.e_lambda_max == hi
@@ -106,7 +106,7 @@ def test_chunking_does_not_change_results(line5, monkeypatch):
     assert rechunked == reference
 
 
-def test_no_convergence_carries_sample_index(line5, monkeypatch):
+def test_no_convergence_carries_sample_index(monkeypatch):
     import treekuramoto.conditions as cond
     from treekuramoto.linalg import NoConvergence
 
@@ -120,12 +120,18 @@ def test_no_convergence_carries_sample_index(line5, monkeypatch):
 
     monkeypatch.setattr(cond, "_CHUNK", 100)
     monkeypatch.setattr(cond, "sample_noise_block", poisoned)
-    with pytest.raises(NoConvergence) as err:
-        mc_spectral_stats(
-            line5, OMEGA5, line5_spec(), n_samples=300, stream=RandomStream(seed=1)
-        )
-    assert err.value.batch_index == 103
-    assert "sample 103" in str(err.value)
+    # the line, and a tree whose poisoned node 2 joins three edges
+    for edges in (LINE5_EDGES, [(0, 1), (1, 2), (2, 3), (4, 2)]):
+        with pytest.raises(NoConvergence) as err:
+            mc_spectral_stats(
+                build_tree(5, edges),
+                OMEGA5,
+                line5_spec(),
+                n_samples=300,
+                stream=RandomStream(seed=1),
+            )
+        assert err.value.batch_index == 103
+        assert "sample 103" in str(err.value)
 
 
 def test_large_tree_chunks_bounded_and_match_oracle(monkeypatch):
@@ -142,9 +148,9 @@ def test_large_tree_chunks_bounded_and_match_oracle(monkeypatch):
     batches = []
     real_laplacian = cond.weighted_edge_laplacian
 
-    def spy(b, w):
+    def spy(graph, w):
         batches.append(w.shape[0])
-        return real_laplacian(b, w)
+        return real_laplacian(graph, w)
 
     monkeypatch.setattr(cond, "weighted_edge_laplacian", spy)
     n_samples = 240

@@ -148,3 +148,6 @@ def test_graph_is_immutable():
     g = build_tree(2, [(0, 1)])
     with pytest.raises(Exception):
         g.incidence_matrix[0, 0] = 5.0
+    for arr in build_tree(3, [(0, 1), (1, 2)]).laplacian_pattern:
+        with pytest.raises(ValueError):
+            arr[0] = 0

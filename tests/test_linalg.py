@@ -27,13 +27,13 @@ def random_symmetric(rng, d, scale=1.0):
 
 def test_weighted_edge_laplacian_single_edge():
     g = build_tree(2, [(0, 1)])
-    m = weighted_edge_laplacian(g.incidence_matrix, np.array([3.0, 4.0]))
+    m = weighted_edge_laplacian(g, np.array([3.0, 4.0]))
     assert np.array_equal(m, np.array([[7.0]]))
 
 
 def test_weighted_edge_laplacian_reference_extremes():
     g = build_tree(5, LINE5_EDGES)
-    m = weighted_edge_laplacian(g.incidence_matrix, OMEGA5)
+    m = weighted_edge_laplacian(g, OMEGA5)
     lo, hi = extreme_eigenvalues(m)
     assert lo == pytest.approx(1.31, abs=0.01)
     assert hi == pytest.approx(24.46, abs=0.01)
@@ -45,23 +45,23 @@ def test_weighted_edge_laplacian_unit_weights_is_edge_laplacian():
 
     for _ in range(10):
         g = random_tree(rng, int(rng.integers(2, 9)))
-        m = weighted_edge_laplacian(g.incidence_matrix, np.ones(g.n))
-        assert np.allclose(m, edge_laplacian(g), atol=1e-14)
+        m = weighted_edge_laplacian(g, np.ones(g.n))
+        assert np.array_equal(m, edge_laplacian(g))
 
 
 def test_weighted_edge_laplacian_dimension_mismatch():
     g = build_tree(3, [(0, 1), (1, 2)])
     with pytest.raises(DimensionMismatch):
-        weighted_edge_laplacian(g.incidence_matrix, np.ones(4))
+        weighted_edge_laplacian(g, np.ones(4))
 
 
 def test_weighted_edge_laplacian_batch_matches_loop():
     g = build_tree(4, [(0, 1), (1, 2), (1, 3)])
     rng = np.random.default_rng(1)
     w = rng.normal(size=(6, 4))
-    batch = weighted_edge_laplacian(g.incidence_matrix, w)
+    batch = weighted_edge_laplacian(g, w)
     for i in range(6):
-        single = weighted_edge_laplacian(g.incidence_matrix, w[i])
+        single = weighted_edge_laplacian(g, w[i])
         assert np.array_equal(batch[i], single)
 
 
@@ -142,7 +142,7 @@ def test_indefinite_weighted_laplacian_regression():
     # zero; the solver must not assume definiteness.
     g = build_tree(5, LINE5_EDGES)
     w = np.array([7.0, 10.0, -2.0, 6.0, 2.0])
-    m = weighted_edge_laplacian(g.incidence_matrix, w)
+    m = weighted_edge_laplacian(g, w)
     lo, hi = extreme_eigenvalues(m)
     ref = np.linalg.eigvalsh(m)
     assert lo < 0.0
@@ -217,16 +217,46 @@ WEIGHTS = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
 
 
 @st.composite
-def weighted_trees(draw, batch=1):
-    """A random tree on 2-60 nodes and a ``(batch, n)`` array of node
-    weights, which may be negative (indefinite Laplacians)."""
+def weighted_trees(draw, batch=1, elements=WEIGHTS):
+    """A random tree on 2-60 nodes, its edges oriented at random, and a
+    ``(batch, n)`` array of node weights, which may be negative
+    (indefinite Laplacians)."""
     n = draw(st.integers(2, 60))
     edges = []
     for node in range(1, n):
         parent = draw(st.integers(0, node - 1))
         edges.append((parent, node) if draw(st.booleans()) else (node, parent))
-    w = draw(arrays(float, (batch, n), elements=WEIGHTS))
+    w = draw(arrays(float, (batch, n), elements=elements))
     return build_tree(n, edges), w
+
+
+def dense_weighted_edge_laplacian(g, w):
+    """Reference ``B^T diag(w) B`` as a dense product, batched over ``w``."""
+    b = g.incidence_matrix
+    return np.einsum("ve,...v,vf->...ef", b, w, b)
+
+
+@PROPERTY_SETTINGS
+@given(
+    weighted_trees(
+        batch=3,
+        elements=st.one_of(
+            st.just(0.0), st.floats(-1e300, 1e300, allow_subnormal=False)
+        ),
+    )
+)
+def test_property_scatter_equals_dense_product(tree):
+    # Every entry of the dense product is exact (products with +-1 and
+    # sums of at most two nonzero terms), so the values agree exactly;
+    # array_equal equates only -0.0 with +0.0, and any other pair of
+    # equal doubles has equal bits.
+    g, w = tree
+    for weights in (w, w[0]):
+        lap = weighted_edge_laplacian(g, weights)
+        reference = dense_weighted_edge_laplacian(g, weights)
+        assert lap.shape == reference.shape
+        assert np.array_equal(lap, reference)
+        assert np.array_equal(lap, np.swapaxes(lap, -1, -2))
 
 
 def spectra_close(a, b):
@@ -238,7 +268,7 @@ def spectra_close(a, b):
 @given(weighted_trees(batch=5))
 def test_property_batch_equals_per_matrix(tree):
     g, w = tree
-    laplacians = weighted_edge_laplacian(g.incidence_matrix, w)
+    laplacians = weighted_edge_laplacian(g, w)
     stacked = batch_eigenvalues(laplacians)
     singles = np.stack([batch_eigenvalues(lap) for lap in laplacians])
     assert np.array_equal(stacked, singles)
@@ -249,7 +279,7 @@ def test_property_batch_equals_per_matrix(tree):
 def test_property_orientation_and_labels_leave_spectrum(tree, data):
     g, w = tree
     w = w[0]
-    ev = batch_eigenvalues(weighted_edge_laplacian(g.incidence_matrix, w))
+    ev = batch_eigenvalues(weighted_edge_laplacian(g, w))
 
     flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
     flipped = build_tree(
@@ -258,7 +288,7 @@ def test_property_orientation_and_labels_leave_spectrum(tree, data):
     signs = np.where(flips, -1.0, 1.0)
     assert np.array_equal(flipped.incidence_matrix, g.incidence_matrix * signs)
     ev_flipped = batch_eigenvalues(
-        weighted_edge_laplacian(flipped.incidence_matrix, w)
+        weighted_edge_laplacian(flipped, w)
     )
     assert spectra_close(ev, ev_flipped)
 
@@ -271,7 +301,7 @@ def test_property_orientation_and_labels_leave_spectrum(tree, data):
     w_relabelled = np.empty_like(w)
     w_relabelled[perm] = w
     ev_relabelled = batch_eigenvalues(
-        weighted_edge_laplacian(relabelled.incidence_matrix, w_relabelled)
+        weighted_edge_laplacian(relabelled, w_relabelled)
     )
     assert spectra_close(ev, ev_relabelled)
 
@@ -280,6 +310,6 @@ def test_property_orientation_and_labels_leave_spectrum(tree, data):
 @given(weighted_trees())
 def test_property_eigenvalue_sum_equals_trace(tree):
     g, w = tree
-    lap = weighted_edge_laplacian(g.incidence_matrix, w[0])
+    lap = weighted_edge_laplacian(g, w[0])
     tol = 1e-10 * g.m * np.max(np.abs(lap))
     assert abs(batch_eigenvalues(lap).sum() - np.trace(lap)) <= tol
