@@ -9,11 +9,7 @@ reproducible counter-based random streams.
 __version__ = "0.1.0"
 
 from .graph import TreeGraph, build_tree, edge_laplacian, incidence
-from .linalg import (
-    eigenvalues_symmetric,
-    extreme_eigenvalues,
-    weighted_edge_laplacian,
-)
+from .linalg import weighted_edge_laplacian
 from .noise import (
     DeltaOmegaEstimate,
     NodeNoise,
@@ -21,16 +17,11 @@ from .noise import (
     RandomStream,
     e_max_delta_omega,
     folded_normal_mean,
-    sample_noise,
 )
 from .dynamics import (
     NetworkModel,
     PhaseState,
-    drift_function_V,
     geodesic_distance,
-    in_cohesion_set,
-    max_relative_geodesic,
-    relative_phases,
     step,
     wrap_angle,
 )
@@ -60,14 +51,11 @@ __all__ = [
     "build_tree",
     "incidence",
     "edge_laplacian",
-    "eigenvalues_symmetric",
-    "extreme_eigenvalues",
     "weighted_edge_laplacian",
     "NodeNoise",
     "NoiseSpec",
     "RandomStream",
     "DeltaOmegaEstimate",
-    "sample_noise",
     "folded_normal_mean",
     "e_max_delta_omega",
     "NetworkModel",
@@ -75,10 +63,6 @@ __all__ = [
     "wrap_angle",
     "geodesic_distance",
     "step",
-    "relative_phases",
-    "in_cohesion_set",
-    "max_relative_geodesic",
-    "drift_function_V",
     "SpectralStats",
     "BoundResult",
     "mc_spectral_stats",

@@ -42,10 +42,10 @@ import numpy as np
 
 from .dynamics import (
     _SUB_STEPS,
+    _UNRESOLVED,
     NetworkModel,
     PhaseState,
     _integrate,
-    drift_function_V,
     drift_values,
     edge_geodesics,
     validate_gamma,
@@ -195,7 +195,7 @@ class DriftEstimate:
 
 def fixed_initial(theta0):
     """Initial-state sampler that always returns ``theta0`` (wrapped)."""
-    frozen = wrap_angle(np.asarray(theta0, dtype=float))
+    frozen = _start_state(theta0)
 
     def sample(graph: TreeGraph, stream: RandomStream) -> np.ndarray:
         if frozen.shape != (graph.n,):
@@ -254,8 +254,12 @@ def edge_box_sampler(low: float = 0.0, high: float = 0.5 * math.pi):
     return sample
 
 
-def _as_theta(state) -> np.ndarray:
-    return state.theta if isinstance(state, PhaseState) else np.asarray(state, float)
+def _start_state(state) -> np.ndarray:
+    """The phases of ``state``, a ``PhaseState`` or an array, wrapped; a
+    phase that is non-finite or of magnitude 2**52 or more (no phase is
+    left to wrap there) becomes NaN, which no step or check accepts."""
+    theta = state.theta if isinstance(state, PhaseState) else np.asarray(state, float)
+    return wrap_angle(np.where(np.abs(theta) < _UNRESOLVED, theta, np.nan))
 
 
 def simulate(
@@ -273,19 +277,20 @@ def simulate(
 
     Raises:
         NumericError: the phases become non-finite (the message names
-            the first such step).
+            the first such step), as a start phase of magnitude 2**52 or
+            more does at step 1.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     gamma = validate_gamma(gamma)
     n = model.graph.n
-    theta0 = _as_theta(theta0)
+    theta0 = _start_state(theta0)
     if theta0.shape != (n,):
         raise ValueError(f"theta0 shape {theta0.shape} != ({n},)")
 
     noise_stream = stream.child(purpose="noise")
     theta = np.empty((horizon + 1, n))
-    theta[0] = wrap_angle(theta0)
+    theta[0] = theta0
     realized = np.empty((horizon + 1, n))
 
     chunk = max(1, _MAX_BLOCK_WORDS // _words_per_step(n))
@@ -335,10 +340,10 @@ def recurrence_experiment(
     """First-return statistics for ``trials`` independent trajectories.
 
     Each trial draws its initial state from ``init_sampler`` (a callable
-    ``(graph, stream) -> phases`` whose output must lie in the
-    admissible set: every edge distance at most pi/2) and its own noise
-    stream, then runs for ``horizon`` steps. Trials are stepped together
-    as a trials-minor batch: the state is held as ``(n, trials)`` and
+    ``(graph, stream) -> phases``, whose output, wrapped once, must lie
+    in the admissible set: every edge distance at most pi/2) and its own
+    noise stream, then runs for ``horizon`` steps. Trials are stepped
+    together as a trials-minor batch: the state is held as ``(n, trials)`` and
     advanced in place by the same kernel as :func:`step_theta`, so each
     column follows exactly the trajectory :func:`simulate` records for
     that trial. Per step only the largest edge distance of every trial
@@ -353,8 +358,9 @@ def recurrence_experiment(
     worker count; ``RecurrenceStats.workers`` records the count.
 
     Raises:
-        InvalidInitSampler: a sampled state is non-finite or has an edge
-            distance beyond pi/2.
+        InvalidInitSampler: a sampled state is non-finite, has a phase of
+            magnitude 2**52 or more (no phase is left to wrap there) or
+            has an edge distance beyond pi/2.
         NumericError: a trial's phases become non-finite (the message
             names the first such step and, at that step, the first
             trial), or a worker process ended without a result.
@@ -370,19 +376,19 @@ def recurrence_experiment(
     # trials-minor: one column per trial
     theta = np.empty((n, trials))
     for t in range(trials):
-        candidate = np.asarray(
-            init_sampler(graph, stream.child(trial=t, purpose="init")), float
+        candidate = _start_state(
+            init_sampler(graph, stream.child(trial=t, purpose="init"))
         )
         if candidate.shape != (n,):
             raise InvalidInitSampler(
                 f"sampler returned shape {candidate.shape}, expected ({n},)"
             )
-        # NaN compares False, so non-finite phases are rejected too
+        # NaN compares False, so unresolvable phases are rejected too
         if not np.all(edge_geodesics(graph, candidate) <= 0.5 * math.pi + 1e-12):
             raise InvalidInitSampler(
                 f"trial {t} starts outside the admissible set"
             )
-        theta[:, t] = wrap_angle(candidate)
+        theta[:, t] = candidate
     noise_streams = [stream.child(trial=t, purpose="noise") for t in range(trials)]
 
     def run(lo: int, hi: int):
@@ -617,12 +623,13 @@ def drift_estimate(
     conditioned on the fixed state, with the standard error of the mean.
 
     Raises:
-        NumericError: a stepped state is non-finite.
+        NumericError: a stepped state is non-finite, as it is from a
+            phase of magnitude 2**52 or more.
     """
     if noise_samples < 2:
         raise ValueError(f"need at least 2 noise samples, got {noise_samples}")
     gamma = validate_gamma(gamma)
-    theta = wrap_angle(_as_theta(state))
+    theta = _start_state(state)
     # without noise one draw (of zeros) is exact; averaging identical
     # values would only add rounding noise to the zero standard error
     deterministic = model.noise.is_deterministic
@@ -633,7 +640,7 @@ def drift_estimate(
     if _integrate(model, theta[:, None], frequency, frequency) is not None:
         raise NumericError("one step from the probed state is non-finite")
     v_next = drift_values(model.graph, noise, gamma)
-    v_now = drift_function_V(model.graph, theta, gamma)
+    v_now = drift_values(model.graph, theta, gamma)
     spread = 0.0 if deterministic else np.std(v_next, ddof=1) / math.sqrt(draws)
     return DriftEstimate(
         theta=theta,

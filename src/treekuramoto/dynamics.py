@@ -15,10 +15,15 @@ In the first variant every link is effectively weighted by the noisy
 frequency of its head node; in the second all links share the constant
 weight ``kappa``.
 
-Phases live on the circle and are stored wrapped to ``(-pi, pi]``;
-relative phases are wrapped signed differences and set membership uses
-geodesic distance throughout. The neighbor sum is computed as
-``B sin(B^T theta)``, which makes it independent of edge orientation.
+Phases live on the circle and are stored wrapped to ``(-pi, pi]``. Set
+membership and the drift function use the geodesic distance across
+each edge, and one fold, :func:`_fold`, takes it for every caller:
+:func:`edge_geodesics` (and so :func:`drift_values`) and the kernel's
+per-state maxima. It requires wrapped phases: their differences are at
+most ``2 pi`` in magnitude, so the shorter arc needs no modulo.
+:func:`geodesic_distance` is the general form, for arbitrary angles.
+The neighbor sum is computed as ``B sin(B^T theta)``, which makes it
+independent of edge orientation.
 
 Stepping is a pure function of ``(model, state, noise draw)``: the
 caller supplies the disturbance vector, so conditional expectations can
@@ -399,11 +404,8 @@ def _integrate(model, theta, frequency, out, step_max=None):
             if j != last:
                 current = factor(rel_now, sines, coupling)
         if step_max is not None:
-            # geodesic edge distances; |rel| < 2 pi for wrapped phases
-            distance = np.absolute(rel[:count], out=rel[:count])
-            np.subtract(TWO_PI, distance, out=folded[:count])
-            np.minimum(distance, folded[:count], out=folded[:count])
-            np.maximum.reduce(folded[:count], axis=1, out=step_max[j0 : j0 + count])
+            distance = _fold(rel[:count], folded[:count])
+            np.maximum.reduce(distance, axis=1, out=step_max[j0 : j0 + count])
         checked = block if step_max is None else step_max[j0 : j0 + count, None]
         finite = np.isfinite(checked).all(axis=1)
         if not finite.all():
@@ -424,43 +426,30 @@ def step(model: NetworkModel, state: PhaseState, noise_draw) -> PhaseState:
     return PhaseState(theta, state.k + 1)
 
 
-def relative_phases(graph: TreeGraph, state: PhaseState | np.ndarray) -> np.ndarray:
-    """Signed wrapped phase difference ``theta_tail - theta_head`` per edge."""
-    theta = state.theta if isinstance(state, PhaseState) else np.asarray(state)
-    return wrap_angle(theta[..., graph.tails] - theta[..., graph.heads])
+def _fold(delta, out=None):
+    """Geodesic distances of the edge differences ``delta`` of wrapped
+    phases, ``min(|delta|, 2 pi - |delta|)``, into ``out``; ``delta`` is
+    left holding ``|delta|``.
+
+    For phases in ``(-pi, pi]``, ``|delta|`` is below ``2 pi`` or rounds
+    to exactly ``2 pi``, where the modulo in :func:`geodesic_distance`
+    returns its input or zero; either way the results are the same bits.
+    """
+    np.absolute(delta, out=delta)
+    out = np.subtract(TWO_PI, delta, out=out)
+    return np.minimum(delta, out, out=out)
 
 
 def edge_geodesics(graph: TreeGraph, theta: np.ndarray) -> np.ndarray:
-    """Geodesic distance across every edge; shape ``(..., m)``."""
+    """Geodesic distance across every edge of wrapped phases ``theta``;
+    shape ``(..., m)``. Angles outside ``(-pi, pi]`` need
+    :func:`geodesic_distance`."""
     theta = np.asarray(theta, dtype=float)
-    return geodesic_distance(theta[..., graph.tails], theta[..., graph.heads])
-
-
-def max_relative_geodesic(graph: TreeGraph, state: PhaseState | np.ndarray) -> float:
-    """Largest edge-wise geodesic distance of the state."""
-    theta = state.theta if isinstance(state, PhaseState) else np.asarray(state)
-    return float(np.max(edge_geodesics(graph, theta)))
-
-
-def in_cohesion_set(
-    graph: TreeGraph, state: PhaseState | np.ndarray, gamma: float
-) -> bool:
-    """Whether every edge-wise geodesic distance is at most ``gamma``."""
-    gamma = validate_gamma(gamma)
-    return bool(max_relative_geodesic(graph, state) <= gamma)
+    return _fold(theta[..., graph.tails] - theta[..., graph.heads])
 
 
 def drift_values(graph: TreeGraph, theta: np.ndarray, gamma: float) -> np.ndarray:
-    """Drift function on raw phase arrays; broadcasts over leading axes."""
+    """Drift function ``V = sin(gamma) * sum of edge geodesic distances``
+    of wrapped phases; broadcasts over leading axes. It is zero exactly on
+    phase-locked states and invariant under global phase shifts."""
     return math.sin(gamma) * np.sum(edge_geodesics(graph, theta), axis=-1)
-
-
-def drift_function_V(
-    graph: TreeGraph, state: PhaseState | np.ndarray, gamma: float
-) -> float:
-    """Radially unbounded drift function ``sin(gamma) * sum of edge
-    geodesic distances``; zero exactly on phase-locked states and
-    invariant under global phase shifts."""
-    gamma = validate_gamma(gamma)
-    theta = state.theta if isinstance(state, PhaseState) else np.asarray(state)
-    return float(drift_values(graph, theta, gamma))

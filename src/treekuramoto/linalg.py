@@ -12,11 +12,13 @@ and no entry has more than two nonzero terms. Only the sign of a zero
 entry can differ, where a weight or a diagonal sum is itself zero.
 
 Eigenvalues come from LAPACK through one batched ``np.linalg.eigvalsh``
-call. It makes no definiteness assumption: node weights in this package
-can go negative, which makes ``B^T diag(w) B`` indefinite. Every function
-accepts a leading batch dimension, so Monte Carlo loops decompose many
-small matrices at once; a batch gives the same bits as its matrices
-solved one at a time.
+call. Its input must be symmetric: only the lower triangle is read, and
+nothing checks the upper one. Every matrix this package solves is an
+edge Laplacian, symmetric as built. The solve makes no definiteness
+assumption: node weights in this package can go negative, which makes
+``B^T diag(w) B`` indefinite. Every function accepts a leading batch
+dimension, so Monte Carlo loops decompose many small matrices at once;
+a batch gives the same bits as its matrices solved one at a time.
 """
 
 from __future__ import annotations
@@ -48,19 +50,6 @@ def _square(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {m.shape}")
-    return m
-
-
-def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Validate that ``m`` is square and symmetric within ``rtol``.
-
-    Entries must satisfy ``|a_ij - a_ji| <= rtol * max(1, |a_ij|)``;
-    returns the array unchanged.
-    """
-    m = _square(m)
-    bound = rtol * np.maximum(1.0, np.abs(m))
-    if np.any(np.abs(m - np.swapaxes(m, -1, -2)) > bound):
-        raise DimensionMismatch("matrix is not symmetric within tolerance")
     return m
 
 
@@ -115,14 +104,3 @@ def _eigvalsh_or_nan(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError:
         return np.full(len(a), np.nan)
-
-
-def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending; validates symmetry."""
-    return batch_eigenvalues(check_symmetric(m))
-
-
-def extreme_eigenvalues(m: np.ndarray) -> tuple[float, float]:
-    """``(lambda_min, lambda_max)`` of a symmetric matrix."""
-    ev = eigenvalues_symmetric(m)
-    return float(ev[..., 0]), float(ev[..., -1])

@@ -242,8 +242,10 @@ def sample_noise_block(
 ) -> np.ndarray:
     """Disturbance realizations for steps ``k0 .. k0 + steps - 1``.
 
-    Returns an array of shape ``(steps, n)``; row ``j`` equals
-    ``sample_noise(spec, stream, k0 + j)`` exactly.
+    Returns an array of shape ``(steps, n)``, one independent draw per
+    node and step. Each step's draws occupy their own counter range, so
+    row ``j`` is the same for every ``k0`` and ``steps`` that cover step
+    ``k0 + j``, independent of evaluation order.
     """
     n = spec.n
     stride = _words_per_step(n)
@@ -289,15 +291,6 @@ class _NoiseReader:
             out[:, :, lo : lo + len(group)] = _disturbances(self._rows, u).transpose(
                 1, 2, 0
             )
-
-
-def sample_noise(spec: NoiseSpec, stream: RandomStream, k: int) -> np.ndarray:
-    """Disturbance vector ``n_i(k)``: one independent draw per node.
-
-    Draws at different steps occupy disjoint counter ranges, so they are
-    independent of each other and of evaluation order.
-    """
-    return sample_noise_block(spec, stream, k, 1)[0]
 
 
 def _normal_cdf(x: float) -> float:

@@ -15,7 +15,6 @@ from treekuramoto import (
     RandomStream,
     build_tree,
     drift_estimate,
-    drift_function_V,
     drift_sweep,
     edge_box_sampler,
     fixed_initial,
@@ -30,7 +29,7 @@ from treekuramoto.analysis import (
 from treekuramoto.errors import NumericError
 from treekuramoto.dynamics import edge_geodesics, wrap_angle
 from treekuramoto.graph import TreeGraph
-from treekuramoto.noise import _words_per_step, sample_noise, sample_noise_block
+from treekuramoto.noise import _words_per_step, sample_noise_block
 
 from conftest import THETA0_5, make_line5_model, no_children_left, random_tree
 
@@ -69,7 +68,7 @@ def test_record_internal_consistency():
     assert rec.steps[0] == 0 and rec.steps[-1] == 400
     assert rec.theta.shape == (401, 5)
     recomputed_v = np.array(
-        [drift_function_V(model.graph, rec.theta[k], GAMMA) for k in range(401)]
+        [dynamics.drift_values(model.graph, rec.theta[k], GAMMA) for k in range(401)]
     )
     assert np.allclose(rec.drift_v, recomputed_v, atol=1e-12)
     assert np.array_equal(rec.in_set, rec.max_edge_distance <= GAMMA)
@@ -92,7 +91,7 @@ def test_realized_frequency_column_matches_stream():
     rec = simulate(model, THETA0_5, 20, GAMMA, stream)
     noise_stream = stream.child(purpose="noise")
     for k in (0, 7, 20):
-        expected = model.omega + sample_noise(model.noise, noise_stream, k)
+        expected = model.omega + sample_noise_block(model.noise, noise_stream, k, 1)[0]
         assert np.array_equal(rec.realized_frequency[k], expected)
 
 
@@ -584,6 +583,62 @@ def test_non_finite_initial_state_rejected():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**52])
+def test_unresolvable_sampled_phase_rejected(bad):
+    # the sampler's raw output, not wrapped by fixed_initial
+    def sampler(graph, stream):
+        return np.array([0.0, bad, 0.0, 0.0, 0.0])
+
+    with pytest.raises(InvalidInitSampler, match="trial 0 starts outside"):
+        recurrence_experiment(
+            make_line5_model(), sampler, GAMMA, 2, 5, RandomStream(seed=1)
+        )
+
+
+def test_unresolvable_start_phase_is_non_finite():
+    # wrap_angle leaves 1e18 at 121.7, outside (-pi, pi]: no phase is left
+    # to wrap at that magnitude, and edge geodesics need wrapped phases
+    assert wrap_angle(1e18) > PI
+    model = make_line5_model()
+    theta0 = np.array([1e18, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NumericError, match="non-finite at step 1$"):
+        simulate(model, theta0, 5, GAMMA, RandomStream(seed=1))
+    with pytest.raises(NumericError, match="non-finite"):
+        drift_estimate(model, theta0, GAMMA, 10, RandomStream(seed=1))
+    with pytest.raises(InvalidInitSampler, match="trial 0 starts outside"):
+        recurrence_experiment(
+            model, fixed_initial(theta0), GAMMA, 2, 5, RandomStream(seed=1)
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    small_models(),
+    st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+    st.integers(0, 1000),
+)
+def test_sampler_output_shifted_by_whole_turns_is_accepted(model, turns, seed):
+    # start states are wrapped before the admissibility check, so whole
+    # turns added to each phase change nothing
+    turns = 2.0 * PI * np.array(turns[: model.graph.n], dtype=float)
+    sampler = edge_box_sampler()
+
+    def shifted(graph, stream):
+        return sampler(graph, stream) + turns
+
+    def wrapped(graph, stream):
+        return wrap_angle(shifted(graph, stream))
+
+    runs = [
+        recurrence_experiment(model, start, GAMMA, 3, 40, RandomStream(seed=seed))
+        for start in (shifted, wrapped)
+    ]
+    for field in dataclasses.fields(runs[0]):
+        assert np.array_equal(
+            getattr(runs[0], field.name), getattr(runs[1], field.name)
+        ), field.name
+
+
 def test_non_finite_state_is_numeric_error():
     model = make_line5_model(kappa=1e308)
     with pytest.raises(NumericError, match=r"trial \d+ has non-finite .* step \d+"):
@@ -708,8 +763,8 @@ def test_drift_estimate_deterministic_when_silent():
     est = drift_estimate(model, state, GAMMA, 100, RandomStream(seed=8))
     from treekuramoto.dynamics import step_theta
 
-    v0 = drift_function_V(model.graph, state, GAMMA)
-    v1 = drift_function_V(
+    v0 = dynamics.drift_values(model.graph, state, GAMMA)
+    v1 = dynamics.drift_values(
         model.graph, step_theta(model, state, np.zeros(2)), GAMMA
     )
     assert est.stderr == 0.0
@@ -744,9 +799,13 @@ def test_drift_step_equals_step_theta_per_draw(model, silent, samples, gamma, se
         model.noise, stream.child(purpose="drift"), 0, 1 if silent else samples
     )
     expected = np.array([dynamics.step_theta(model, theta, draw) for draw in draws])
-    assert len(stepped) == 1 and stepped[0].tobytes() == expected.tobytes()
+    # the stepped states, then the probe itself
+    assert [states.tobytes() for states in stepped] == [
+        expected.tobytes(),
+        wrap_angle(theta).tobytes(),
+    ]
     v_next = dynamics.drift_values(model.graph, expected, gamma)
-    v_now = drift_function_V(model.graph, theta, gamma)
+    v_now = dynamics.drift_values(model.graph, theta, gamma)
     assert estimate.estimate == float(np.mean(v_next) - v_now)
     assert (estimate.stderr == 0.0) == silent
     assert estimate.samples == samples

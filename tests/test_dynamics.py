@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treekuramoto import (
     NetworkModel,
@@ -10,21 +10,30 @@ from treekuramoto import (
     PhaseState,
     RandomStream,
     build_tree,
-    drift_function_V,
     geodesic_distance,
-    in_cohesion_set,
-    max_relative_geodesic,
-    relative_phases,
     step,
     wrap_angle,
 )
 from treekuramoto.analysis import edge_box_sampler
-from treekuramoto.dynamics import InvalidModel, _integrate, _wrap_small, step_theta
+from treekuramoto.dynamics import (
+    InvalidModel,
+    _integrate,
+    _wrap_small,
+    drift_values,
+    edge_geodesics,
+    step_theta,
+    validate_gamma,
+)
 from treekuramoto.errors import ConfigError, NumericError
 
 from conftest import LINE5_EDGES, THETA0_5, make_line5_model, random_tree
 
 PI = math.pi
+
+
+def edge_differences(graph, theta):
+    """Signed wrapped phase difference ``theta_tail - theta_head`` per edge."""
+    return wrap_angle(theta[..., graph.tails] - theta[..., graph.heads])
 
 
 def noise_free_model(graph, variant="undirected", kappa=1.0, tau=0.1, omega=None):
@@ -131,6 +140,84 @@ def test_geodesic_distance_examples():
     d = geodesic_distance(a, b)
     assert np.all((0.0 <= d) & (d <= PI))
     assert np.allclose(d, geodesic_distance(b, a), atol=0.0)
+
+
+#: Wrapped phases where a fold without ``np.mod`` could part from
+#: :func:`geodesic_distance`: +-pi and their inner neighbours, whose
+#: differences round to exactly 2 pi, +-0.0, and subnormals.
+FOLD_POINTS = [
+    PI,
+    -PI,
+    float(np.nextafter(PI, 0.0)),
+    float(np.nextafter(-PI, 0.0)),
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,
+    -2.225073858507201e-308,
+]
+FOLD_PAIRS = np.array([(a, b) for a in FOLD_POINTS for b in FOLD_POINTS])
+
+
+def test_fold_pairs_reach_two_pi():
+    differences = np.abs(FOLD_PAIRS[:, 0] - FOLD_PAIRS[:, 1])
+    assert np.count_nonzero(differences == 2 * PI) >= 2
+
+
+@st.composite
+def wrapped_phase_rows(draw):
+    """A random tree on 2-8 nodes and 1-4 rows of wrapped phases on it."""
+    n = draw(st.integers(2, 8))
+    graph = random_tree(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    rows = draw(st.integers(1, 4))
+    phase = st.one_of(st.floats(-PI, PI), st.sampled_from(FOLD_POINTS))
+    phases = draw(st.lists(phase, min_size=rows * n, max_size=rows * n))
+    return graph, np.array(phases).reshape(rows, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrapped_phase_rows())
+@example((build_tree(2, [(0, 1)]), FOLD_PAIRS))
+def test_edge_geodesics_equal_geodesic_distance(case):
+    graph, theta = case
+    expected = geodesic_distance(theta[..., graph.tails], theta[..., graph.heads])
+    assert edge_geodesics(graph, theta).view(np.uint64).tobytes() == (
+        expected.view(np.uint64).tobytes()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["frequency_dependent", "undirected"]),
+    st.integers(1, 150),
+    st.integers(1, 4),
+    st.booleans(),
+    st.floats(0.002, 0.3),
+)
+def test_kernel_step_max_is_the_edge_geodesic_maximum(
+    seed, variant, steps, width, one_start, tau
+):
+    # large tau takes the general wrap in some sub-blocks; one start
+    # state may step under every column's draws
+    rng = np.random.default_rng(seed)
+    graph = random_tree(rng, int(rng.integers(2, 9)))
+    model = NetworkModel(
+        graph,
+        rng.uniform(0.0, 10.0, graph.n),
+        NoiseSpec.none(graph.n),
+        kappa=float(rng.uniform(0.5, 10.0)),
+        tau=tau,
+        variant=variant,
+    )
+    theta = rng.uniform(-PI, PI, (graph.n, 1 if one_start else width))
+    frequency = model.omega[:, None] + rng.normal(0.0, 3.0, (steps, graph.n, width))
+    out = np.empty_like(frequency)
+    step_max = np.empty((steps, width))
+    assert _integrate(model, theta, frequency, out, step_max) is None
+    expected = edge_geodesics(graph, out.transpose(0, 2, 1)).max(axis=-1)
+    assert step_max.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
 
 
 # --- stepping ----------------------------------------------------------------
@@ -257,12 +344,12 @@ def test_rotation_invariance():
         base = step_theta(model, theta, draw)
         shifted = step_theta(model, wrap_angle(theta + shift), draw)
         assert np.allclose(
-            relative_phases(model.graph, shifted),
-            relative_phases(model.graph, base),
+            edge_differences(model.graph, shifted),
+            edge_differences(model.graph, base),
             atol=1e-12,
         )
-        assert drift_function_V(model.graph, shifted, 1.0) == pytest.approx(
-            drift_function_V(model.graph, base, 1.0), abs=1e-12
+        assert drift_values(model.graph, shifted, 1.0) == pytest.approx(
+            drift_values(model.graph, base, 1.0), abs=1e-12
         )
 
 
@@ -315,7 +402,7 @@ def test_node_stepping_reproduces_compact_relative_form():
                     + model.tau * b.T @ w
                     - model.kappa * model.tau * (b.T @ b) @ np.sin(rel)
                 )
-            via_nodes = relative_phases(g, step_theta(model, theta, draw))
+            via_nodes = edge_differences(g, step_theta(model, theta, draw))
             assert np.allclose(via_nodes, wrap_angle(compact), atol=1e-12)
 
 
@@ -324,47 +411,47 @@ def test_node_stepping_reproduces_compact_relative_form():
 
 def test_relative_phases_equal_phases():
     g = build_tree(3, [(0, 1), (1, 2)])
-    assert np.array_equal(relative_phases(g, np.full(3, 1.2)), np.zeros(2))
+    assert np.array_equal(edge_differences(g, np.full(3, 1.2)), np.zeros(2))
 
 
 def test_relative_phases_reference_initial_condition(line5):
-    rel = relative_phases(line5, THETA0_5)
+    rel = edge_differences(line5, THETA0_5)
     expected = [PI / 8, PI / 4, 3 * PI / 40, -2 * PI / 5]
     assert np.allclose(rel, expected, atol=1e-15)
 
 
 def test_relative_phases_wrap_around():
     g = build_tree(2, [(0, 1)])
-    rel = relative_phases(g, np.array([PI - 0.1, -PI + 0.1]))
+    rel = edge_differences(g, np.array([PI - 0.1, -PI + 0.1]))
     assert rel[0] == pytest.approx(-0.2, abs=1e-12)
 
 
 def test_cohesion_set_membership(line5):
-    assert in_cohesion_set(line5, np.zeros(5), 0.3)
-    assert max_relative_geodesic(line5, np.zeros(5)) == 0.0
+    assert edge_geodesics(line5, np.zeros(5)).max() <= 0.3
+    assert edge_geodesics(line5, np.zeros(5)).max() == 0.0
     # reference initial condition: largest edge distance is 2*pi/5
-    assert max_relative_geodesic(line5, THETA0_5) == pytest.approx(
+    assert edge_geodesics(line5, THETA0_5).max() == pytest.approx(
         2 * PI / 5, abs=1e-15
     )
-    assert in_cohesion_set(line5, THETA0_5, PI / 2 - 0.05)
+    assert edge_geodesics(line5, THETA0_5).max() <= PI / 2 - 0.05
     g2 = build_tree(2, [(0, 1)])
-    assert not in_cohesion_set(g2, np.array([0.0, PI / 2]), PI / 4)
+    assert edge_geodesics(g2, np.array([0.0, PI / 2])).max() > PI / 4
 
 
-def test_gamma_validation(line5):
+def test_gamma_validation():
     for bad in (0.0, -0.1, PI / 2, 2.0):
         with pytest.raises(ValueError):
-            in_cohesion_set(line5, np.zeros(5), bad)
+            validate_gamma(bad)
 
 
 def test_drift_function_values():
     g = build_tree(2, [(0, 1)])
-    assert drift_function_V(g, np.zeros(2), 0.3) == 0.0
-    v = drift_function_V(g, np.array([PI / 4, -PI / 4]), PI / 3)
+    assert drift_values(g, np.zeros(2), 0.3) == 0.0
+    v = drift_values(g, np.array([PI / 4, -PI / 4]), PI / 3)
     assert v == pytest.approx(math.sin(PI / 3) * PI / 2, abs=1e-12)
     # invariant under a common phase shift
     shifted = wrap_angle(np.array([PI / 4, -PI / 4]) + 1.9)
-    assert drift_function_V(g, shifted, PI / 3) == pytest.approx(v, abs=1e-12)
+    assert drift_values(g, shifted, PI / 3) == pytest.approx(v, abs=1e-12)
 
 
 def test_drift_decreases_one_step_on_the_annulus():
@@ -378,8 +465,8 @@ def test_drift_decreases_one_step_on_the_annulus():
         g = random_tree(rng, int(rng.integers(2, 9)))
         model = noise_free_model(g, tau=0.05)
         theta = sampler(g, RandomStream(seed=trial, purpose="probe"))
-        v0 = drift_function_V(g, theta, gamma)
-        v1 = drift_function_V(g, step_theta(model, theta, np.zeros(g.n)), gamma)
+        v0 = drift_values(g, theta, gamma)
+        v1 = drift_values(g, step_theta(model, theta, np.zeros(g.n)), gamma)
         assert v1 < v0
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from treekuramoto import build_tree, edge_laplacian, eigenvalues_symmetric, incidence
+from treekuramoto import build_tree, edge_laplacian, incidence
 from treekuramoto.graph import (
     BadIndex,
     CycleDetected,
@@ -11,6 +11,7 @@ from treekuramoto.graph import (
     DuplicateEdge,
     SelfLoop,
 )
+from treekuramoto.linalg import batch_eigenvalues
 
 from conftest import LINE5_EDGES, random_tree
 
@@ -87,14 +88,14 @@ def test_edge_laplacian_single_edge():
 def test_edge_laplacian_line5_spectrum():
     g = build_tree(5, LINE5_EDGES)
     expected = sorted(2.0 - 2.0 * math.cos(k * math.pi / 5) for k in range(1, 5))
-    ev = eigenvalues_symmetric(edge_laplacian(g))
+    ev = batch_eigenvalues(edge_laplacian(g))
     assert np.allclose(ev, expected, atol=1e-9)
 
 
 def test_edge_laplacian_star_spectrum():
     # 4-node star: char. polynomial of the node Laplacian gives {0,1,1,4}.
     g = build_tree(4, [(0, 1), (0, 2), (0, 3)])
-    ev = eigenvalues_symmetric(edge_laplacian(g))
+    ev = batch_eigenvalues(edge_laplacian(g))
     assert np.allclose(ev, [1.0, 1.0, 4.0], atol=1e-9)
     node_lap = incidence(g) @ incidence(g).T
     nonzero = np.sort(np.linalg.eigvalsh(node_lap))[1:]
@@ -107,7 +108,7 @@ def test_edge_laplacian_spd_and_matches_node_laplacian_on_random_trees():
         g = random_tree(rng, int(rng.integers(2, 11)))
         lap = edge_laplacian(g)
         assert np.array_equal(lap, lap.T)
-        ev = eigenvalues_symmetric(lap)
+        ev = batch_eigenvalues(lap)
         assert np.all(ev > 0)
         node_ev = np.sort(np.linalg.eigvalsh(incidence(g) @ incidence(g).T))
         assert np.allclose(ev, node_ev[1:], atol=1e-9)
@@ -122,8 +123,8 @@ def test_edge_permutation_permutes_columns_and_keeps_spectrum():
         g2 = build_tree(n, [g.edges[e] for e in perm])
         b, b2 = incidence(g), incidence(g2)
         assert np.array_equal(b[:, perm], b2)
-        ev = eigenvalues_symmetric(edge_laplacian(g))
-        ev2 = eigenvalues_symmetric(edge_laplacian(g2))
+        ev = batch_eigenvalues(edge_laplacian(g))
+        ev2 = batch_eigenvalues(edge_laplacian(g2))
         assert np.allclose(ev, ev2, atol=1e-9)
 
 
@@ -138,8 +139,8 @@ def test_orientation_flip_flips_column_sign_and_keeps_spectrum():
     b, b2 = incidence(g), incidence(g2)
     assert np.array_equal(b[:, flip], -b2[:, flip])
     assert np.allclose(
-        eigenvalues_symmetric(edge_laplacian(g)),
-        eigenvalues_symmetric(edge_laplacian(g2)),
+        batch_eigenvalues(edge_laplacian(g)),
+        batch_eigenvalues(edge_laplacian(g2)),
         atol=1e-9,
     )
 

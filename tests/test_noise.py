@@ -13,7 +13,6 @@ from treekuramoto import (
     build_tree,
     e_max_delta_omega,
     folded_normal_mean,
-    sample_noise,
 )
 from treekuramoto.noise import (
     FAMILIES,
@@ -63,14 +62,14 @@ def test_spec_validation():
 
 def test_none_family_yields_zeros():
     spec = NoiseSpec.none(4)
-    draw = sample_noise(spec, RandomStream(seed=1), 0)
+    draw = sample_noise_block(spec, RandomStream(seed=1), 0, 1)[0]
     assert np.array_equal(draw, np.zeros(4))
 
 
 def test_identical_coordinates_reproduce():
     spec = NoiseSpec.gaussian(VARIANCES5)
-    a = sample_noise(spec, RandomStream(seed=9, trial=2, purpose="noise"), 17)
-    b = sample_noise(spec, RandomStream(seed=9, trial=2, purpose="noise"), 17)
+    a = sample_noise_block(spec, RandomStream(seed=9, trial=2, purpose="noise"), 17, 1)
+    b = sample_noise_block(spec, RandomStream(seed=9, trial=2, purpose="noise"), 17, 1)
     assert np.array_equal(a, b)
 
 
@@ -113,7 +112,8 @@ def test_block_sampling_matches_per_step():
         block = sample_noise_block(spec, stream, 5, 20)
         assert block.tobytes() == loop_noise_block(spec, stream, 5, 20).tobytes()
         for j in range(20):
-            assert np.array_equal(block[j], sample_noise(spec, stream, 5 + j))
+            single = sample_noise_block(spec, stream, 5 + j, 1)[0]
+            assert np.array_equal(block[j], single)
 
 
 @st.composite
@@ -158,10 +158,10 @@ def test_reader_blocks_equal_per_stream_blocks(spec, width, counts, k0, seed):
 def test_steps_are_order_independent():
     spec = NoiseSpec.gaussian([1.0] * 3)
     stream = RandomStream(seed=11)
-    later = sample_noise(spec, stream, 1000)
-    earlier = sample_noise(spec, stream, 0)
-    assert np.array_equal(later, sample_noise(spec, stream, 1000))
-    assert np.array_equal(earlier, sample_noise(spec, stream, 0))
+    later = sample_noise_block(spec, stream, 1000, 1)[0]
+    earlier = sample_noise_block(spec, stream, 0, 1)[0]
+    assert np.array_equal(later, sample_noise_block(spec, stream, 1000, 1)[0])
+    assert np.array_equal(earlier, sample_noise_block(spec, stream, 0, 1)[0])
 
 
 def test_gaussian_moments():
