@@ -2,10 +2,13 @@
 
 Three instruments:
 
-* :func:`simulate` records a full trajectory together with the per-edge
-  geodesic distances, drift-function values and set membership used in
-  the recurrence arguments. It steps each noise chunk with one call of
-  the same kernel, straight into the rows of the record.
+* :func:`simulate` records a full trajectory: every state, the
+  realized frequencies and each state's largest edge geodesic distance.
+  It steps each noise chunk with one call of the same kernel, which
+  writes the states and their maxima straight into the rows of the
+  record. The per-edge distances, drift-function values and set
+  membership of any rows are ``dynamics.edge_geodesics`` and
+  ``dynamics.drift_values`` of the kept states.
 * :func:`recurrence_experiment` runs many trials from sampled initial
   states and collects first-return times to the cohesive set, maximal
   excursions and escape counts. Finite-horizon return fractions are the
@@ -95,28 +98,25 @@ class InvalidInitSampler(ConfigError):
 
 @dataclass
 class TrajectoryRecord:
-    """Complete record of one simulated trajectory.
+    """What stepping produces for one simulated trajectory.
 
-    Row ``k`` holds the state at step ``k``; ``realized_frequency[k]``
-    is ``omega + n(k)``, the disturbed frequency vector that drives the
-    transition from step ``k`` to ``k + 1`` (the final row carries the
-    next, unused draw so the table stays rectangular).
+    Row ``k`` holds the state at step ``k`` and its largest edge
+    geodesic distance; ``realized_frequency[k]`` is ``omega + n(k)``,
+    the disturbed frequency vector that drives the transition from step
+    ``k`` to ``k + 1`` (the final row carries the next, unused draw so
+    the table stays rectangular). The per-edge distances, the drift
+    function and set membership of any rows are
+    ``dynamics.edge_geodesics`` and ``dynamics.drift_values`` of
+    ``theta``, and ``max_edge_distance <= gamma``.
     """
 
-    steps: np.ndarray
     theta: np.ndarray
-    edge_distances: np.ndarray
-    max_edge_distance: np.ndarray
-    drift_v: np.ndarray
-    in_set: np.ndarray
     realized_frequency: np.ndarray
-    model: NetworkModel
-    gamma: float
-    stream: RandomStream
+    max_edge_distance: np.ndarray
 
     @property
     def horizon(self) -> int:
-        return len(self.steps) - 1
+        return len(self.theta) - 1
 
 
 @dataclass
@@ -266,10 +266,10 @@ def simulate(
     model: NetworkModel,
     theta0,
     horizon: int,
-    gamma: float,
     stream: RandomStream,
 ) -> TrajectoryRecord:
-    """Iterate the dynamics for ``horizon`` steps, recording everything.
+    """Iterate the dynamics for ``horizon`` steps, recording every state,
+    its largest edge distance and every realized frequency.
 
     Noise for step ``k`` is drawn at stream index ``k`` under purpose
     ``"noise"``; two calls with equal inputs produce bit-identical
@@ -282,7 +282,6 @@ def simulate(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    gamma = validate_gamma(gamma)
     n = model.graph.n
     theta0 = _start_state(theta0)
     if theta0.shape != (n,):
@@ -292,6 +291,8 @@ def simulate(
     theta = np.empty((horizon + 1, n))
     theta[0] = theta0
     realized = np.empty((horizon + 1, n))
+    max_distance = np.empty(horizon + 1)
+    max_distance[0] = edge_geodesics(model.graph, theta0).max()
 
     chunk = max(1, _MAX_BLOCK_WORDS // _words_per_step(n))
     for k0 in range(0, horizon + 1, chunk):
@@ -301,31 +302,21 @@ def simulate(
         steps = min(count, horizon - k0)
         if steps == 0:
             break
-        # the state after each step goes straight into its row of theta
+        # the state after each step goes straight into its row of theta,
+        # and its largest edge distance into its row of max_distance
         failure = _integrate(
             model,
             theta[k0, :, None],
             realized[k0 : k0 + steps, :, None],
             theta[k0 + 1 : k0 + steps + 1, :, None],
+            max_distance[k0 + 1 : k0 + steps + 1, None],
         )
         if failure is not None:
             step = k0 + 1 + failure[0]
             raise NumericError(f"phases became non-finite at step {step}")
 
-    distances = edge_geodesics(model.graph, theta)
-    max_distance = distances.max(axis=-1)
     return TrajectoryRecord(
-        steps=np.arange(horizon + 1),
-        theta=theta,
-        edge_distances=distances,
-        max_edge_distance=max_distance,
-        # drift_values(graph, theta, gamma), without measuring the distances again
-        drift_v=math.sin(gamma) * distances.sum(axis=-1),
-        in_set=max_distance <= gamma,
-        realized_frequency=realized,
-        model=model,
-        gamma=gamma,
-        stream=stream,
+        theta=theta, realized_frequency=realized, max_edge_distance=max_distance
     )
 
 

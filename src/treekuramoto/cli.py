@@ -67,7 +67,13 @@ from . import __version__
 from .errors import ConfigError, NumericError
 from . import analysis, conditions, noise as noise_mod
 from .conditions import DEFAULT_GAMMA
-from .dynamics import _UNRESOLVED, NetworkModel, edge_geodesics, wrap_angle
+from .dynamics import (
+    _UNRESOLVED,
+    NetworkModel,
+    drift_values,
+    edge_geodesics,
+    wrap_angle,
+)
 from .graph import TreeGraph, build_tree
 from .noise import NodeNoise, NoiseSpec, RandomStream
 
@@ -573,32 +579,33 @@ def _numbered(prefix: str, block: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _run_simulate(config: ExperimentConfig):
-    stream = config.stream
-    theta0 = config.sampler(config.model.graph, stream.child(trial=0, purpose="init"))
+    graph, gamma, stream = config.model.graph, config.gamma, config.stream
+    theta0 = config.sampler(graph, stream.child(trial=0, purpose="init"))
     record = analysis.simulate(
-        config.model, theta0, config.horizon, config.gamma, stream.child(trial=0)
+        config.model, theta0, config.horizon, stream.child(trial=0)
     )
     kept = slice(None, None, config.decimation)
+    theta = record.theta[kept]
+    max_distance = record.max_edge_distance
+    in_set = max_distance <= gamma
     columns = {
-        "step": record.steps[kept],
-        **_numbered("theta", record.theta[kept]),
-        **_numbered("edge_dist", record.edge_distances[kept]),
-        "max_edge_distance": record.max_edge_distance[kept],
-        "drift_v": record.drift_v[kept],
-        "in_set": record.in_set[kept],
+        "step": np.arange(record.horizon + 1)[kept],
+        **_numbered("theta", theta),
+        **_numbered("edge_dist", edge_geodesics(graph, theta)),
+        "max_edge_distance": max_distance[kept],
+        "drift_v": drift_values(graph, theta, gamma),
+        "in_set": in_set[kept],
         **_numbered("realized_freq", record.realized_frequency[kept]),
     }
-    escaped_steps = np.flatnonzero(
-        record.max_edge_distance >= analysis.ESCAPE_LEVEL
-    )
+    escaped_steps = np.flatnonzero(max_distance >= analysis.ESCAPE_LEVEL)
     results = {
         "horizon": record.horizon,
-        "in_set_fraction": float(np.mean(record.in_set)),
-        "max_edge_distance_overall": float(np.max(record.max_edge_distance)),
+        "in_set_fraction": float(np.mean(in_set)),
+        "max_edge_distance_overall": float(np.max(max_distance)),
         "escaped": bool(escaped_steps.size),
         "first_escape_step": int(escaped_steps[0]) if escaped_steps.size else None,
-        "final_drift_v": float(record.drift_v[-1]),
-        "gamma": config.gamma,
+        "final_drift_v": float(drift_values(graph, record.theta[-1], gamma)),
+        "gamma": gamma,
     }
     provenance = {"trajectory": {"method": "monte-carlo", "samples": 1}}
     return results, provenance, {"trajectory.csv": columns}

@@ -131,18 +131,27 @@ def mc_spectral_stats(
         lam_min[start : start + count] = ev[:, 0]
         lam_max[start : start + count] = ev[:, -1]
 
-    def stderr(x: np.ndarray) -> float:
-        if n_samples < 2:
-            return 0.0
-        return float(np.std(x, ddof=1) / math.sqrt(n_samples))
+    e_lambda_min, stderr_min = _mean_and_stderr(lam_min)
+    e_lambda_max, stderr_max = _mean_and_stderr(lam_max)
+    return SpectralStats(e_lambda_min, e_lambda_max, stderr_min, stderr_max, n_samples)
 
-    return SpectralStats(
-        e_lambda_min=float(np.mean(lam_min)),
-        e_lambda_max=float(np.mean(lam_max)),
-        stderr_min=stderr(lam_min),
-        stderr_max=stderr(lam_max),
-        samples=n_samples,
-    )
+
+def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
+    """Mean of the samples ``x`` and its standard error (0 for one sample).
+
+    Both are taken on ``x`` scaled by the power of two of its largest
+    magnitude, and scaled back. A power of two scales exactly as long as
+    no scaled value is subnormal, so the results have the bits of
+    ``np.mean`` and ``np.std`` of ``x``, except that their running sums
+    no longer overflow for samples near the largest double.
+    """
+    _, exponent = np.frexp(np.max(np.abs(x)))
+    scaled = np.ldexp(x, -exponent)
+    mean = np.ldexp(np.mean(scaled), exponent)
+    if len(x) < 2:
+        return float(mean), 0.0
+    spread = np.ldexp(np.std(scaled, ddof=1), exponent) / math.sqrt(len(x))
+    return float(mean), float(spread)
 
 
 def _evaluate_bounds(
@@ -174,7 +183,14 @@ def _evaluate_bounds(
             sin_g * sin_g * lam_min
         )
     kappa_eff = kappa if kappa is not None else kappa_min
-    tau_max = (1.0 + sin_g) * gamma / (kappa_eff * lam_max + e_max_dw)
+    denominator = kappa_eff * lam_max + e_max_dw
+    # an overflow would report tau_max as 0.0, a bound no tau meets
+    if not math.isfinite(denominator):
+        raise NumericError(
+            "tau_max's denominator kappa * lambda_max + gap is not finite "
+            f"({denominator})"
+        )
+    tau_max = (1.0 + sin_g) * gamma / denominator
     return BoundResult(
         kappa_min=kappa_min,
         tau_max=tau_max,

@@ -442,10 +442,14 @@ def _fold(delta, out=None):
 
 def edge_geodesics(graph: TreeGraph, theta: np.ndarray) -> np.ndarray:
     """Geodesic distance across every edge of wrapped phases ``theta``;
-    shape ``(..., m)``. Angles outside ``(-pi, pi]`` need
+    shape ``(..., m)``, in C order whatever the order of ``theta``, so
+    that a sum over the edges of a batch row has the same bits as the
+    sum for that state alone. Angles outside ``(-pi, pi]`` need
     :func:`geodesic_distance`."""
     theta = np.asarray(theta, dtype=float)
-    return _fold(theta[..., graph.tails] - theta[..., graph.heads])
+    delta = np.take(theta, graph.tails, axis=-1)
+    delta -= np.take(theta, graph.heads, axis=-1)
+    return _fold(delta)
 
 
 def drift_values(graph: TreeGraph, theta: np.ndarray, gamma: float) -> np.ndarray:

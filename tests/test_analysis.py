@@ -55,40 +55,42 @@ def two_node_model(kappa=1.0, tau=0.3, omega=(0.0, 0.0)):
 def test_constant_trajectory_for_locked_silent_network():
     g = build_tree(3, [(0, 1), (1, 2)])
     model = NetworkModel(g, np.zeros(3), NoiseSpec.none(3), 1.0, 0.1, "undirected")
-    rec = simulate(model, np.full(3, 0.4), 50, GAMMA, RandomStream(seed=1))
+    rec = simulate(model, np.full(3, 0.4), 50, RandomStream(seed=1))
     assert np.all(rec.theta == 0.4)
-    assert np.all(rec.drift_v == 0.0)
-    assert np.all(rec.in_set)
+    assert np.all(dynamics.drift_values(g, rec.theta, GAMMA) == 0.0)
+    assert np.all(rec.max_edge_distance <= GAMMA)
     assert np.all(rec.max_edge_distance == 0.0)
 
 
 def test_record_internal_consistency():
     model = make_line5_model()
-    rec = simulate(model, THETA0_5, 400, GAMMA, RandomStream(seed=2))
-    assert rec.steps[0] == 0 and rec.steps[-1] == 400
+    rec = simulate(model, THETA0_5, 400, RandomStream(seed=2))
+    assert rec.horizon == 400
     assert rec.theta.shape == (401, 5)
+    assert rec.realized_frequency.shape == (401, 5)
     recomputed_v = np.array(
         [dynamics.drift_values(model.graph, rec.theta[k], GAMMA) for k in range(401)]
     )
-    assert np.allclose(rec.drift_v, recomputed_v, atol=1e-12)
-    assert np.array_equal(rec.in_set, rec.max_edge_distance <= GAMMA)
-    assert np.array_equal(
-        rec.edge_distances, edge_geodesics(model.graph, rec.theta)
+    assert np.allclose(
+        dynamics.drift_values(model.graph, rec.theta, GAMMA), recomputed_v, atol=1e-12
     )
-    assert np.array_equal(rec.max_edge_distance, rec.edge_distances.max(axis=1))
+    # the kernel's per-step maxima are the maxima of the edge geodesics
+    assert np.array_equal(
+        rec.max_edge_distance, edge_geodesics(model.graph, rec.theta).max(axis=1)
+    )
 
 
 def test_reference_zero_mean_run_stays_cohesive():
     model = make_line5_model()
-    rec = simulate(model, THETA0_5, 5000, GAMMA, RandomStream(seed=10))
-    assert bool(rec.in_set.all())
+    rec = simulate(model, THETA0_5, 5000, RandomStream(seed=10))
+    assert bool(np.all(rec.max_edge_distance <= GAMMA))
     assert rec.max_edge_distance.max() < GAMMA
 
 
 def test_realized_frequency_column_matches_stream():
     model = make_line5_model()
     stream = RandomStream(seed=3)
-    rec = simulate(model, THETA0_5, 20, GAMMA, stream)
+    rec = simulate(model, THETA0_5, 20, stream)
     noise_stream = stream.child(purpose="noise")
     for k in (0, 7, 20):
         expected = model.omega + sample_noise_block(model.noise, noise_stream, k, 1)[0]
@@ -97,19 +99,23 @@ def test_realized_frequency_column_matches_stream():
 
 def test_simulation_reproducible_bitwise():
     model = make_line5_model()
-    a = simulate(model, THETA0_5, 300, GAMMA, RandomStream(seed=4))
-    b = simulate(model, THETA0_5, 300, GAMMA, RandomStream(seed=4))
+    a = simulate(model, THETA0_5, 300, RandomStream(seed=4))
+    b = simulate(model, THETA0_5, 300, RandomStream(seed=4))
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.realized_frequency, b.realized_frequency)
-    assert np.array_equal(a.drift_v, b.drift_v)
+    assert np.array_equal(a.max_edge_distance, b.max_edge_distance)
+    assert np.array_equal(
+        dynamics.drift_values(model.graph, a.theta, GAMMA),
+        dynamics.drift_values(model.graph, b.theta, GAMMA),
+    )
 
 
 def test_simulate_validations():
     model = make_line5_model()
     with pytest.raises(ValueError):
-        simulate(model, THETA0_5, 0, GAMMA, RandomStream(seed=1))
+        simulate(model, THETA0_5, 0, RandomStream(seed=1))
     with pytest.raises(ValueError):
-        simulate(model, np.zeros(3), 10, GAMMA, RandomStream(seed=1))
+        simulate(model, np.zeros(3), 10, RandomStream(seed=1))
 
 
 # --- initial-state samplers -------------------------------------------------------
@@ -280,7 +286,7 @@ def test_batch_trials_equal_sequential_simulation(
         stats = recurrence_experiment(model, sampler, gamma, trials, horizon, base)
         for t in range(trials):
             theta0 = sampler(model.graph, base.child(trial=t, purpose="init"))
-            rec = simulate(model, theta0, horizon, gamma, base.child(trial=t))
+            rec = simulate(model, theta0, horizon, base.child(trial=t))
             rt, et, mx = oracle_trial_stats(rec.max_edge_distance, gamma)
             assert stats.return_time[t] == rt
             assert stats.escape_time[t] == et
@@ -320,7 +326,7 @@ def test_large_tau_cases_take_both_wraps(case, monkeypatch):
     counts.update(small=0, general=0)
     for t in range(trials):
         theta0 = sampler(model.graph, base.child(trial=t, purpose="init"))
-        simulate(model, theta0, horizon, gamma, base.child(trial=t))
+        simulate(model, theta0, horizon, base.child(trial=t))
     assert counts["small"] + counts["general"] == trials * horizon
     assert counts["small"] > 0 and counts["general"] > 0, counts
 
@@ -341,7 +347,7 @@ def test_guarded_wrap_leaves_results_unchanged(model, tau, horizon, seed):
         base = RandomStream(seed=seed)
         stats = recurrence_experiment(model, sampler, 1.0, 3, horizon, base)
         theta0 = sampler(model.graph, base.child(trial=0, purpose="init"))
-        return stats, simulate(model, theta0, horizon, 1.0, base.child(trial=0))
+        return stats, simulate(model, theta0, horizon, base.child(trial=0))
 
     guarded = run()
     with pytest.MonkeyPatch.context() as mp:
@@ -602,7 +608,7 @@ def test_unresolvable_start_phase_is_non_finite():
     model = make_line5_model()
     theta0 = np.array([1e18, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(NumericError, match="non-finite at step 1$"):
-        simulate(model, theta0, 5, GAMMA, RandomStream(seed=1))
+        simulate(model, theta0, 5, RandomStream(seed=1))
     with pytest.raises(NumericError, match="non-finite"):
         drift_estimate(model, theta0, GAMMA, 10, RandomStream(seed=1))
     with pytest.raises(InvalidInitSampler, match="trial 0 starts outside"):
@@ -646,7 +652,7 @@ def test_non_finite_state_is_numeric_error():
             model, fixed_initial(THETA0_5), GAMMA, 3, 50, RandomStream(seed=1)
         )
     with pytest.raises(NumericError, match=r"at step \d+"):
-        simulate(model, THETA0_5, 50, GAMMA, RandomStream(seed=1))
+        simulate(model, THETA0_5, 50, RandomStream(seed=1))
     # node 1's coupling sum is 2 sin(1.5), so kappa times it overflows
     with pytest.raises(NumericError):
         drift_estimate(
@@ -711,11 +717,7 @@ def test_two_node_contraction_regime():
         model = two_node_model(kappa=kt, tau=1.0)
         for d0 in (0.3, 1.0, 1.5, PI / 2):
             rec = simulate(
-                model,
-                np.array([d0 / 2, -d0 / 2]),
-                200,
-                GAMMA,
-                RandomStream(seed=5),
+                model, np.array([d0 / 2, -d0 / 2]), 200, RandomStream(seed=5)
             )
             diffs = np.diff(rec.max_edge_distance)
             assert np.all(diffs <= 1e-12)

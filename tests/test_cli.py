@@ -383,6 +383,21 @@ def test_non_finite_result_is_numeric_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["line5_zero_mean", "line5_undirected"])
+def test_overflowing_tau_max_is_numeric_error(tmp_path, capsys, name):
+    # kappa * lambda_max overflows, which would report tau_max as 0.0
+    out = tmp_path / "o"
+    argv = ["bounds", "--bundled", name, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--set", "kappa=1e308", "--set", "mc_samples=1000"]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: tau_max's denominator kappa * lambda_max + gap is not "
+        "finite (inf)\n"
+    )
+    assert not out.exists()
+
+
 def test_parse_error_reports_location(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("graph: {n: 3\nomega: [1, 2]\n", encoding="utf-8")

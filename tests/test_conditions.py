@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from treekuramoto import (
     NoiseSpec,
@@ -14,7 +16,12 @@ from treekuramoto import (
     continuous_reference_kappa,
     mc_spectral_stats,
 )
-from treekuramoto.conditions import HypothesisViolated, NonPositiveEigenvalue
+from treekuramoto.conditions import (
+    HypothesisViolated,
+    NonPositiveEigenvalue,
+    _mean_and_stderr,
+)
+from treekuramoto.errors import NumericError
 
 from conftest import LINE5_EDGES, OMEGA5, VARIANCES5
 
@@ -104,6 +111,36 @@ def test_chunking_does_not_change_results(line5, monkeypatch):
         line5, OMEGA5, line5_spec(), n_samples=3000, stream=RandomStream(seed=9)
     )
     assert rechunked == reference
+
+
+def test_spectral_means_near_the_largest_double_stay_finite(line5):
+    # lambda_max of each sample is about 1.7e308: a running sum of the
+    # samples overflows, their mean does not
+    omega = np.array([1.7e308, 10.0, 1.0, 6.0, 1.7e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = mc_spectral_stats(
+            line5, omega, line5_spec(), n_samples=2000, stream=RandomStream(seed=1)
+        )
+    assert stats.e_lambda_max == pytest.approx(1.7e308, rel=1e-12)
+    assert math.isfinite(stats.stderr_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 300),
+        elements=st.one_of(
+            st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6)
+        ),
+    )
+)
+def test_scaled_mean_and_stderr_keep_the_bits_of_numpy(x):
+    # samples whose squared deviations cannot underflow or overflow
+    mean, stderr = _mean_and_stderr(x)
+    assert mean == float(np.mean(x))
+    if len(x) > 1:
+        assert stderr == float(np.std(x, ddof=1) / math.sqrt(len(x)))
 
 
 def test_no_convergence_carries_sample_index(monkeypatch):
@@ -292,6 +329,16 @@ def test_two_node_bound_product_approaches_half_pi():
     bound = bounds_undirected(g, 0.0, gamma, tau=0.01)
     product = bound.kappa_min * bound.tau_max
     assert abs(product - PI / 2) <= 1e-6 * (PI / 2)
+
+
+def test_overflowing_tau_max_denominator_is_numeric_error(line5):
+    # kappa * lambda_max overflows; tau_max would read 0.0, though the
+    # true bound, about 1e-309, is a double
+    stats = SpectralStats(1.2, 24.6, 0.0, 0.0, 1)
+    with pytest.raises(NumericError, match="not finite"):
+        bounds_frequency_dependent(stats, 9.0, tau=0.002, kappa=1e308)
+    with pytest.raises(NumericError, match="not finite"):
+        bounds_undirected(line5, 9.0, tau=0.002, kappa=1e308)
 
 
 # --- continuous-time reference ---------------------------------------------------

@@ -454,6 +454,27 @@ def test_drift_function_values():
     assert drift_values(g, shifted, PI / 3) == pytest.approx(v, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(9, 60),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_drift_values_of_a_batch_row_equal_the_state_alone(seed, n, rows, fortran):
+    # from 8 edges on numpy sums in pairs, so a batch whose rows were
+    # summed in another order would differ from the state in the last bits
+    rng = np.random.default_rng(seed)
+    graph = random_tree(rng, n)
+    batch = rng.uniform(-PI, PI, (rows, n))
+    if fortran:
+        batch = np.asfortranarray(batch)
+    alone = np.array([drift_values(graph, state, 1.0) for state in batch])
+    assert np.array_equal(
+        drift_values(graph, batch, 1.0).view(np.uint64), alone.view(np.uint64)
+    )
+
+
 def test_drift_decreases_one_step_on_the_annulus():
     # Deterministic form of the negative-drift region: with zero
     # frequencies and no noise, one undirected step strictly reduces V
