@@ -1,29 +1,30 @@
 """Empirical verification of stochastic phase-cohesiveness.
 
-Three instruments:
+Three instruments, of which the first two share one stepping loop,
+:func:`_chunks`. It reads the noise of one generator per trial through
+``noise._NoiseReader`` a chunk at a time, steps the chunk with one call
+of the integrator kernel ``dynamics._integrate`` and yields the chunk's
+states, frequencies and per-state largest edge distances (the kernel
+takes those once per sub-block). A chunk spans ``_MAX_BLOCK_WORDS``
+noise words, raised toward one kernel sub-block (64 steps) as far as
+``_MAX_FLOOR_WORDS`` words allow, so its buffers stay bounded however
+long the horizon.
 
-* :func:`simulate` records a full trajectory: every state, the
-  realized frequencies and each state's largest edge geodesic distance.
-  It steps each noise chunk with one call of the same kernel, which
-  writes the states and their maxima straight into the rows of the
-  record. The per-edge distances, drift-function values and set
-  membership of any rows are ``dynamics.edge_geodesics`` and
-  ``dynamics.drift_values`` of the kept states.
+* :func:`simulate` collects one trajectory's chunks into a record:
+  every state, the realized frequencies and each state's largest edge
+  geodesic distance. The per-edge distances, drift-function values and
+  set membership of any rows are ``dynamics.edge_geodesics`` and
+  ``dynamics.drift_values`` of the kept states. The CLI consumes the
+  chunks of :func:`_trajectory` itself and keeps only the rows it
+  writes, so its memory does not grow with the horizon.
 * :func:`recurrence_experiment` runs many trials from sampled initial
   states and collects first-return times to the cohesive set, maximal
   excursions and escape counts. Finite-horizon return fractions are the
   checkable surrogate for almost-sure recurrence and are always reported
   as fractions, never asserted as probability one (:func:`wilson_interval`
   gives their confidence interval). The trials are stepped as one
-  trials-minor batch ``(n, trials)``, one call of the integrator kernel
-  ``dynamics._integrate`` per noise chunk, which writes each step's
-  state over that step's frequencies. A chunk spans ``_MAX_BLOCK_WORDS``
-  noise words, raised toward one kernel sub-block (64 steps) as far as
-  ``_MAX_FLOOR_WORDS`` words allow; ``noise._NoiseReader`` fills it
-  from one generator per trial, made once per slice of trials. Per step
-  only each trial's largest edge distance is kept (the kernel takes
-  those once per sub-block), and the set bookkeeping runs once per
-  noise chunk, vectorized over its steps.
+  trials-minor batch ``(n, trials)``, and the set bookkeeping runs once
+  per noise chunk, vectorized over its steps.
 * :func:`drift_estimate` / :func:`drift_sweep` probe the one-step
   conditional drift ``E[V(theta(k+1)) | theta(k)] - V(theta(k))`` by
   re-drawing noise for a fixed state, exactly matching the conditional
@@ -78,22 +79,32 @@ _MIN_FORK_WORK = 200_000
 #: the time of one at 2 x 5 trials, 0.91x at 2 x 8 and 0.80x at 2 x 16.
 _MIN_SLICE_TRIALS = 16
 
-#: Noise words one chunk of ``simulate`` or of a recurrence slice spans,
-#: so its frequencies take at most 1 MiB (the floor below aside).
-_MAX_BLOCK_WORDS = 1 << 17
+#: Noise words one chunk of a trajectory or of a recurrence slice spans,
+#: so that its frequencies and its states take at most 512 KiB each (the
+#: floor below aside).
+_MAX_BLOCK_WORDS = 1 << 16
 
-#: Fewest steps in a recurrence chunk, as far as ``_MAX_FLOOR_WORDS``
-#: noise words allow: each chunk pays a kernel call and the set
-#: bookkeeping. Without it a 200-node tree at 100 trials gets
-#: 6-step chunks, and a trial*step took 1.13 times as long (median of 8
-#: alternating runs, 2 vCPUs). The cap keeps 64 steps of a wide slice
-#: from taking 512 MB (200 nodes, 5 000 trials).
+#: Fewest steps in a chunk, as far as ``_MAX_FLOOR_WORDS`` noise words
+#: allow: each chunk pays a kernel call and the set bookkeeping. Without
+#: it a 200-node tree at 100 trials gets 3-step chunks; at 6 steps a
+#: trial*step took 1.13 times as long as at 64 (median of 8 alternating
+#: runs, 2 vCPUs). The cap keeps 64 steps of a wide slice from taking
+#: 1 GB (200 nodes, 5 000 trials).
 _MIN_CHUNK_STEPS = _SUB_STEPS
-_MAX_FLOOR_WORDS = 1 << 21
+_MAX_FLOOR_WORDS = 1 << 20
 
 
 class InvalidInitSampler(ConfigError):
     """Initial-state sampler produced a state outside the admissible set."""
+
+
+class _NonFinite(NumericError):
+    """A stepped state became non-finite: the first one is at ``step``,
+    in ``column`` (the lowest column at that step)."""
+
+    def __init__(self, step: int, column: int):
+        super().__init__(f"phases became non-finite at step {step}")
+        self.step, self.column = step, column
 
 
 @dataclass
@@ -273,7 +284,8 @@ def simulate(
 
     Noise for step ``k`` is drawn at stream index ``k`` under purpose
     ``"noise"``; two calls with equal inputs produce bit-identical
-    records.
+    records. The record holds the whole horizon; :func:`_trajectory`
+    yields the same rows a chunk at a time.
 
     Raises:
         NumericError: the phases become non-finite (the message names
@@ -286,38 +298,34 @@ def simulate(
     theta0 = _start_state(theta0)
     if theta0.shape != (n,):
         raise ValueError(f"theta0 shape {theta0.shape} != ({n},)")
-
-    noise_stream = stream.child(purpose="noise")
     theta = np.empty((horizon + 1, n))
-    theta[0] = theta0
     realized = np.empty((horizon + 1, n))
     max_distance = np.empty(horizon + 1)
-    max_distance[0] = edge_geodesics(model.graph, theta0).max()
-
-    chunk = max(1, _MAX_BLOCK_WORDS // _words_per_step(n))
-    for k0 in range(0, horizon + 1, chunk):
-        count = min(chunk, horizon + 1 - k0)
-        noise = sample_noise_block(model.noise, noise_stream, k0, count)
-        realized[k0 : k0 + count] = model.omega + noise
-        steps = min(count, horizon - k0)
-        if steps == 0:
-            break
-        # the state after each step goes straight into its row of theta,
-        # and its largest edge distance into its row of max_distance
-        failure = _integrate(
-            model,
-            theta[k0, :, None],
-            realized[k0 : k0 + steps, :, None],
-            theta[k0 + 1 : k0 + steps + 1, :, None],
-            max_distance[k0 + 1 : k0 + steps + 1, None],
-        )
-        if failure is not None:
-            step = k0 + 1 + failure[0]
-            raise NumericError(f"phases became non-finite at step {step}")
-
+    for k0, *rows in _trajectory(model, theta0, horizon, stream):
+        for record, row in zip((theta, realized, max_distance), rows):
+            record[k0 : k0 + len(row)] = row
     return TrajectoryRecord(
         theta=theta, realized_frequency=realized, max_edge_distance=max_distance
     )
+
+
+def _trajectory(model, theta0, horizon, stream):
+    """The rows of :func:`simulate`'s record for the wrapped start state
+    ``theta0``, one noise chunk at a time: yields ``(k0, theta,
+    realized_frequency, max_edge_distance)`` holding rows ``k0`` on, in
+    buffers that the next chunk overwrites. The last chunk is the final
+    state alone, with its unused draw.
+
+    Raises:
+        NumericError: as :func:`simulate` does.
+    """
+    noise_stream = stream.child(purpose="noise")
+    for k0, states, frequency, maxima in _chunks(
+        model, theta0[:, None], [noise_stream], horizon
+    ):
+        yield k0, states[:-1, :, 0], frequency[..., 0], maxima[:-1, 0]
+    final = sample_noise_block(model.noise, noise_stream, horizon, 1)
+    yield horizon, states[-1:, :, 0], model.omega + final, maxima[-1:, 0]
 
 
 def recurrence_experiment(
@@ -334,12 +342,12 @@ def recurrence_experiment(
     ``(graph, stream) -> phases``, whose output, wrapped once, must lie
     in the admissible set: every edge distance at most pi/2) and its own
     noise stream, then runs for ``horizon`` steps. Trials are stepped
-    together as a trials-minor batch: the state is held as ``(n, trials)`` and
-    advanced in place by the same kernel as :func:`step_theta`, so each
-    column follows exactly the trajectory :func:`simulate` records for
-    that trial. Per step only the largest edge distance of every trial
-    is kept; return, exit, escape and excursion bookkeeping runs once
-    per noise chunk over all of that chunk's steps.
+    together as a trials-minor batch ``(n, trials)`` by the loop that
+    steps :func:`simulate`, so each column follows exactly the
+    trajectory :func:`simulate` records for that trial. Per step only
+    the largest edge distance of every trial is kept; return, exit,
+    escape and excursion bookkeeping runs once per noise chunk over all
+    of that chunk's steps.
 
     Large runs split the trials into contiguous slices, one per CPU
     this process may run on: this process steps the first slice and
@@ -383,13 +391,8 @@ def recurrence_experiment(
     noise_streams = [stream.child(trial=t, purpose="noise") for t in range(trials)]
 
     def run(lo: int, hi: int):
-        # the kernel steps its slice in place, in a contiguous array
         return _step_trials(
-            model,
-            np.ascontiguousarray(theta[:, lo:hi]),
-            noise_streams[lo:hi],
-            gamma,
-            horizon,
+            model, theta[:, lo:hi], noise_streams[lo:hi], gamma, horizon
         )
 
     workers = _worker_count(trials, horizon)
@@ -419,25 +422,67 @@ def recurrence_experiment(
     )
 
 
-def _recurrence_chunk_steps(n: int, width: int) -> int:
-    """Steps per noise chunk of a recurrence slice of ``width`` trials
-    on ``n`` nodes: ``_MAX_BLOCK_WORDS`` noise words, raised toward
-    ``_MIN_CHUNK_STEPS`` as far as ``_MAX_FLOOR_WORDS`` words allow."""
+def _chunk_steps(n: int, width: int) -> int:
+    """Steps per noise chunk of ``width`` trajectories on ``n`` nodes:
+    ``_MAX_BLOCK_WORDS`` noise words, raised toward ``_MIN_CHUNK_STEPS``
+    as far as ``_MAX_FLOOR_WORDS`` words allow."""
     words = _words_per_step(n) * width
     floor = min(_MIN_CHUNK_STEPS, _MAX_FLOOR_WORDS // words)
     return max(1, floor, _MAX_BLOCK_WORDS // words)
 
 
+def _chunks(model, theta, noise_streams, horizon):
+    """Step the trials-minor batch ``theta`` ``(n, width)`` for
+    ``horizon`` steps, column ``t`` driven by ``noise_streams[t]``, one
+    noise chunk of :func:`_chunk_steps` steps and one kernel call at a
+    time.
+
+    Yields ``(k0, states, frequency, maxima)`` for each chunk of
+    ``count`` steps: ``states`` ``(count + 1, n, width)`` holds the
+    states at steps ``k0 .. k0 + count`` and ``maxima``
+    ``(count + 1, width)`` their largest edge geodesic distances;
+    ``frequency`` ``(count, n, width)`` holds ``omega + noise`` of steps
+    ``k0 .. k0 + count - 1``, so state row ``j`` starts the step that
+    frequency row ``j`` drives. The last state row starts the next
+    chunk. All three are buffers that the next chunk overwrites.
+
+    Raises:
+        _NonFinite: a state became non-finite; stepping stops at the end
+            of that chunk, which is not yielded.
+    """
+    n, width = theta.shape
+    chunk = min(horizon, _chunk_steps(n, width))
+    states = np.empty((chunk + 1, n, width))
+    maxima = np.empty((chunk + 1, width))
+    frequency_buffer = np.empty((chunk, n, width))
+    states[0] = theta
+    maxima[0] = edge_geodesics(model.graph, theta.T).max(axis=-1)
+    omega = model.omega[:, None]
+    noise = _NoiseReader(model.noise, noise_streams)
+    for k0 in range(0, horizon, chunk):
+        count = min(chunk, horizon - k0)
+        frequency = frequency_buffer[:count]
+        noise.read(frequency)
+        frequency += omega
+        failure = _integrate(
+            model, states[0], frequency, states[1 : count + 1], maxima[1 : count + 1]
+        )
+        if failure is not None:
+            raise _NonFinite(k0 + failure[0] + 1, failure[1])
+        yield k0, states[: count + 1], frequency, maxima[: count + 1]
+        states[0], maxima[0] = states[count], maxima[count]
+
+
 def _step_trials(model, theta, noise_streams, gamma, horizon):
-    """Step the trials-minor batch ``theta`` ``(n, width)`` in place for
+    """Step the trials-minor batch ``theta`` ``(n, width)`` for
     ``horizon`` steps, column ``t`` driven by ``noise_streams[t]``.
 
     Returns the per-trial fields of :class:`RecurrenceStats` as a dict,
     and ``None`` or, when a state became non-finite, ``(step, column)``
-    of the first one (earliest step, then lowest column); stepping stops
-    at the end of that noise chunk and the fields are then incomplete.
+    of the first one (earliest step, then lowest column); the fields are
+    then incomplete.
     """
-    n, width = theta.shape
+    width = theta.shape[1]
     max_edge = edge_geodesics(model.graph, theta.T).max(axis=-1)
     started_in_set = max_edge <= gamma
     max_excursion = max_edge.copy()
@@ -457,49 +502,36 @@ def _step_trials(model, theta, noise_streams, gamma, horizon):
         "escape_time": escape_time,
     }
 
-    # work buffers, reused by every chunk; the kernel writes each step's
-    # state over that step's frequencies
-    chunk = min(horizon, _recurrence_chunk_steps(n, width))
-    frequency_buffer = np.empty((chunk, n, width))
-    max_buffer = np.empty((chunk, width))
-    omega = model.omega[:, None]
-    noise = _NoiseReader(model.noise, noise_streams)
+    try:
+        for k0, _, _, maxima in _chunks(model, theta, noise_streams, horizon):
+            # the maxima of the states after steps k0 + 1 .. k0 + count
+            step_max = maxima[1:]
+            count = len(step_max)
+            np.maximum(max_excursion, step_max.max(axis=0), out=max_excursion)
+            inside = step_max <= gamma
 
-    for k0 in range(0, horizon, chunk):
-        count = min(chunk, horizon - k0)
-        frequency = frequency_buffer[:count]
-        noise.read(frequency)
-        frequency += omega
-        step_max = max_buffer[:count]
-        failure = _integrate(model, theta, frequency, frequency, step_max)
-        if failure is not None:
-            j, t = failure
-            return fields, (k0 + j + 1, t)
-        theta[...] = frequency[-1]
+            first_escape = _first_true(step_max >= ESCAPE_LEVEL)
+            fresh_escape = ~escaped & (first_escape >= 0)
+            escape_time[fresh_escape] = k0 + 1 + first_escape[fresh_escape]
+            escaped |= fresh_escape
 
-        np.maximum(max_excursion, step_max.max(axis=0), out=max_excursion)
-        inside = step_max <= gamma
-
-        first_escape = _first_true(step_max >= ESCAPE_LEVEL)
-        fresh_escape = ~escaped & (first_escape >= 0)
-        escape_time[fresh_escape] = k0 + 1 + first_escape[fresh_escape]
-        escaped |= fresh_escape
-
-        # a trial that starts inside may count a return only after
-        # its first exit; one that starts outside from its first step
-        first_exit = _first_true(~inside)
-        fresh_exit = started_in_set & ~exited & (first_exit >= 0)
-        eligible_from = np.where(
-            ~started_in_set | exited,
-            0,
-            np.where(fresh_exit, first_exit + 1, count),
-        )
-        rows = np.arange(count)[:, None]
-        first_return = _first_true(inside & (rows >= eligible_from))
-        fresh_return = ~returned & (first_return >= 0)
-        return_time[fresh_return] = k0 + 1 + first_return[fresh_return]
-        returned |= fresh_return
-        exited |= fresh_exit
+            # a trial that starts inside may count a return only after
+            # its first exit; one that starts outside from its first step
+            first_exit = _first_true(~inside)
+            fresh_exit = started_in_set & ~exited & (first_exit >= 0)
+            eligible_from = np.where(
+                ~started_in_set | exited,
+                0,
+                np.where(fresh_exit, first_exit + 1, count),
+            )
+            rows = np.arange(count)[:, None]
+            first_return = _first_true(inside & (rows >= eligible_from))
+            fresh_return = ~returned & (first_return >= 0)
+            return_time[fresh_return] = k0 + 1 + first_return[fresh_return]
+            returned |= fresh_return
+            exited |= fresh_exit
+    except _NonFinite as failure:
+        return fields, (failure.step, failure.column)
 
     never_exited = started_in_set & ~exited
     return_time[never_exited] = 1

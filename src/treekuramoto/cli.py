@@ -40,9 +40,14 @@ numbers must be finite; every violation is reported at once):
     output:     {directory: str without NUL = out, decimation: int in [1, 2**53] = 1}
 
 Data files are comma-separated with a header row; the summary report is
-a single JSON file. Exit codes: 0 success, 2 configuration error,
-3 numeric error (including a non-finite state or result, an allocation
-that fails and a worker process that ends without a result), 4 I/O error.
+a single JSON file. ``simulate`` steps its trajectory a noise chunk at a
+time while it writes ``trajectory.csv``, so its memory does not grow
+with the horizon. Every file is written to a temporary name and renamed
+into place, so a run that fails leaves no partial file, though it may
+leave an empty output directory. Exit codes: 0 success, 2 configuration
+error, 3 numeric error (including a non-finite state or result, an
+allocation that fails and a worker process that ends without a result),
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -453,17 +458,20 @@ def _format(values: np.ndarray) -> list[str]:
     return list(map(repr, values.ravel().tolist()))
 
 
-def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """Write equal-length 1-D ``columns`` as a CSV table headed by their
-    names. Each column is formatted once per chunk of rows."""
-    rows = len(next(iter(columns.values())))
-    chunk = max(1, _CSV_CHUNK_CELLS // len(columns))
+def _write_csv(path: Path, chunks) -> None:
+    """Write a CSV table from ``chunks``, an iterable of dicts of
+    equal-length 1-D columns under the same names, headed by those names.
+    Each column is formatted once per chunk of rows."""
 
     def write(handle):
-        handle.write(",".join(columns) + "\n")
-        for start in range(0, rows, chunk):
-            cells = [_format(c[start : start + chunk]) for c in columns.values()]
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for index, columns in enumerate(chunks):
+            if index == 0:
+                handle.write(",".join(columns) + "\n")
+            rows = len(next(iter(columns.values())))
+            chunk = max(1, _CSV_CHUNK_CELLS // len(columns))
+            for start in range(0, rows, chunk):
+                cells = [_format(c[start : start + chunk]) for c in columns.values()]
+                handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
     _replace(path, write)
 
@@ -579,36 +587,46 @@ def _numbered(prefix: str, block: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _run_simulate(config: ExperimentConfig):
-    graph, gamma, stream = config.model.graph, config.gamma, config.stream
+    model, gamma, stream = config.model, config.gamma, config.stream
+    graph, horizon, every = model.graph, config.horizon, config.decimation
     theta0 = config.sampler(graph, stream.child(trial=0, purpose="init"))
-    record = analysis.simulate(
-        config.model, theta0, config.horizon, stream.child(trial=0)
-    )
-    kept = slice(None, None, config.decimation)
-    theta = record.theta[kept]
-    max_distance = record.max_edge_distance
-    in_set = max_distance <= gamma
-    columns = {
-        "step": np.arange(record.horizon + 1)[kept],
-        **_numbered("theta", theta),
-        **_numbered("edge_dist", edge_geodesics(graph, theta)),
-        "max_edge_distance": max_distance[kept],
-        "drift_v": drift_values(graph, theta, gamma),
-        "in_set": in_set[kept],
-        **_numbered("realized_freq", record.realized_frequency[kept]),
-    }
-    escaped_steps = np.flatnonzero(max_distance >= analysis.ESCAPE_LEVEL)
-    results = {
-        "horizon": record.horizon,
-        "in_set_fraction": float(np.mean(in_set)),
-        "max_edge_distance_overall": float(np.max(max_distance)),
-        "escaped": bool(escaped_steps.size),
-        "first_escape_step": int(escaped_steps[0]) if escaped_steps.size else None,
-        "final_drift_v": float(drift_values(graph, record.theta[-1], gamma)),
-        "gamma": gamma,
-    }
+    results = {"horizon": horizon, "gamma": gamma}
+
+    def chunks():
+        inside, peak, escape = 0, 0.0, None
+        for k0, theta, realized, max_distance in analysis._trajectory(
+            model, theta0, horizon, stream.child(trial=0)
+        ):
+            in_set = max_distance <= gamma
+            inside += int(np.count_nonzero(in_set))
+            peak = max(peak, float(max_distance.max()))
+            escaped = np.flatnonzero(max_distance >= analysis.ESCAPE_LEVEL)
+            if escape is None and escaped.size:
+                escape = k0 + int(escaped[0])
+            # the rows whose global step is a multiple of the decimation
+            kept = slice(-k0 % every, None, every)
+            written = theta[kept]
+            yield {
+                "step": np.arange(k0, k0 + len(theta))[kept],
+                **_numbered("theta", written),
+                **_numbered("edge_dist", edge_geodesics(graph, written)),
+                "max_edge_distance": max_distance[kept],
+                "drift_v": drift_values(graph, written, gamma),
+                "in_set": in_set[kept],
+                **_numbered("realized_freq", realized[kept]),
+            }
+        results.update(
+            in_set_fraction=inside / (horizon + 1),
+            max_edge_distance_overall=peak,
+            escaped=escape is not None,
+            first_escape_step=escape,
+            final_drift_v=float(drift_values(graph, theta[-1], gamma)),
+        )
+        # before the table is renamed into place
+        _check_finite(results)
+
     provenance = {"trajectory": {"method": "monte-carlo", "samples": 1}}
-    return results, provenance, {"trajectory.csv": columns}
+    return results, provenance, {"trajectory.csv": chunks()}
 
 
 def _run_recurrence(config: ExperimentConfig):
@@ -654,7 +672,7 @@ def _run_recurrence(config: ExperimentConfig):
             "workers": stats.workers,
         }
     }
-    return results, provenance, {"trials.csv": columns}
+    return results, provenance, {"trials.csv": [columns]}
 
 
 def _run_drift(config: ExperimentConfig):
@@ -693,7 +711,7 @@ def _run_drift(config: ExperimentConfig):
             "samples": config.drift_noise_samples,
         }
     }
-    return results, provenance, {"probes.csv": columns}
+    return results, provenance, {"probes.csv": [columns]}
 
 
 def _environment() -> dict:
@@ -742,17 +760,17 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
     # Every command detects its numeric failures itself (the integrator's
     # report, the eigensolver's check, _check_finite), so numpy's float
     # warnings would only add lines to the one error message. Forked
-    # recurrence workers inherit this state.
+    # recurrence workers inherit this state, and simulate steps while
+    # its table is written.
     with np.errstate(all="ignore"):
         results, provenance, files = _COMMANDS[command](config)
-    _check_finite(results)
-
-    out_dir = Path(config.output_directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, columns in files.items():
-        _write_csv(out_dir / name, columns)
-        written.append(name)
+        # simulate's results are complete only once its table is written;
+        # its chunks check them then
+        _check_finite(results)
+        out_dir = Path(config.output_directory)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, chunks in files.items():
+            _write_csv(out_dir / name, chunks)
 
     report = {
         "version": __version__,
@@ -760,7 +778,7 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
         "config": config.raw,
         "results": results,
         "provenance": provenance,
-        "data_files": written,
+        "data_files": list(files),
         "environment": _environment(),
         "wall_clock_s": time.perf_counter() - started,
     }

@@ -30,9 +30,10 @@ caller supplies the disturbance vector, so conditional expectations can
 re-draw noise for a fixed state.
 
 One kernel, :func:`_integrate`, steps every caller: :func:`step_theta`
-(one step per state), ``analysis.simulate`` (one state, a whole noise
-chunk per call), the batched recurrence loop (one column per trial) and
-``analysis.drift_estimate`` (one probe under every draw). Each caller
+(one step per state), ``analysis._chunks``, the one chunk loop of
+``simulate`` and of the recurrence batch (a whole noise chunk per call,
+one column per trajectory), and ``analysis.drift_estimate`` (one probe
+under every draw). Each caller
 hands it the noisy frequencies ``omega + noise``; the kernel alone
 scales them by ``tau``, and it alone reports the first non-finite
 state. It runs the steps in sub-blocks of up to 64. Model
@@ -291,8 +292,9 @@ _UNRESOLVED = 2.0**52
 
 def _integrate(model, theta, frequency, out, step_max=None):
     """The model equation, stepped once per row of ``frequency``. This is
-    the only integrator in the package: :func:`step_theta`, ``simulate``,
-    the batched recurrence loop and the drift probes all call it.
+    the only integrator in the package: :func:`step_theta`, the chunk
+    loop of ``simulate`` and the recurrence batch, and the drift probes
+    all call it.
 
     ``theta`` ``(n, c)`` holds one start state per column, ``frequency``
     ``(steps, n, w)`` holds ``omega + noise`` of each step, and ``out``

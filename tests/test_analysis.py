@@ -472,14 +472,15 @@ def test_recurrence_frequency_blocks_stay_bounded(n, width, monkeypatch):
 @pytest.mark.parametrize(
     "n, width, steps",
     [
-        (5, 100, 163),  # line5's 200 trials on two workers: the word budget
-        (200, 100, 64),  # the floor, 64 x 200 x 100 doubles = 10.2 MB
-        (200, 5000, 2),  # the floor would take 512 MB; the budget rules
-        (200, 300, 34),  # the floor, capped at its word limit
+        (5, 1, 8192),  # one line5 trajectory: the word budget
+        (5, 100, 81),  # line5's 200 trials on two workers: the word budget
+        (200, 100, 52),  # the floor, capped at its word limit: 2 x 8.3 MB
+        (200, 5000, 1),  # the floor would take 1 GB; the budget gives none
+        (200, 300, 17),  # the floor, capped at its word limit
     ],
 )
 def test_recurrence_chunk_steps(n, width, steps):
-    assert analysis._recurrence_chunk_steps(n, width) == steps
+    assert analysis._chunk_steps(n, width) == steps
 
 
 def force_workers(monkeypatch, workers):

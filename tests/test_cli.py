@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import tempfile
+import tracemalloc
 import unittest.mock
 import warnings
 from pathlib import Path
@@ -462,18 +463,100 @@ def test_simulate_writes_trajectory_and_summary(tmp_path, capsys):
     assert capsys.readouterr().out  # results echoed to stdout
 
 
-def test_decimation_thins_rows(tmp_path):
-    rows = {}
-    for decimation in (1, 10):
-        out = tmp_path / str(decimation)
+def test_decimation_thins_rows(tmp_path, monkeypatch):
+    def run(decimation, name):
+        out = tmp_path / name
         data = tiny_config(out)
         data["output"]["decimation"] = decimation
-        path = write_config(tmp_path, data)
-        assert main(["simulate", "--config", str(path)]) == 0
-        rows[decimation] = read_csv(out / "trajectory.csv")
+        assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        return (out / "trajectory.csv").read_bytes(), summary["results"]
+
+    default = {decimation: run(decimation, str(decimation)) for decimation in (1, 3, 10)}
+    rows = {d: read_csv(tmp_path / str(d) / "trajectory.csv") for d in (1, 3, 10)}
     assert len(rows[10]) == 1 + 6  # header + steps 0,10,20,30,40,50
-    # every 10th row of the full table, header included
+    # every 10th (3rd) row of the full table, header included
     assert rows[10] == rows[1][:1] + rows[1][1::10]
+    assert rows[3] == rows[1][:1] + rows[1][1::3]
+
+    # 7-step chunks (three nodes take 4 noise words a step): at decimation
+    # 3 the first kept row of most chunks is not the chunk's first row
+    monkeypatch.setattr(analysis, "_MAX_BLOCK_WORDS", 4 * 7)
+    monkeypatch.setattr(analysis, "_MIN_CHUNK_STEPS", 1)
+    chunk_steps = []
+    kernel = analysis._integrate
+
+    def spy(model, theta, frequency, out, step_max=None):
+        chunk_steps.append(len(frequency))
+        return kernel(model, theta, frequency, out, step_max)
+
+    monkeypatch.setattr(analysis, "_integrate", spy)
+    for decimation in (1, 3):
+        chunk_steps.clear()
+        assert run(decimation, f"chunked_{decimation}") == default[decimation]
+        assert chunk_steps == [7] * 7 + [1]
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    # the chunks' buffers are the same at every horizon; the record of a
+    # whole trajectory grew by about 7 MB from 20 000 to 100 000 steps
+    def run(horizon):
+        argv = ["simulate", "--bundled", "line5_zero_mean", "--out", str(tmp_path)]
+        argv += ["--set", "output.decimation=1000", "--set", f"horizon={horizon}"]
+        assert main(argv) == 0
+
+    run(2000)  # imports and caches, outside the measurement
+    peaks = []
+    for horizon in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            run(horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 1 << 20, peaks
+
+
+def test_simulate_failing_midway_leaves_the_earlier_table(
+    tmp_path, capsys, monkeypatch
+):
+    argv = ["simulate", "--bundled", "line5_zero_mean", "--out", str(tmp_path)]
+    argv += ["--set", "horizon=20000"]
+    assert main(argv) == 0
+    earlier = (tmp_path / "trajectory.csv").read_bytes()
+    (tmp_path / "summary.json").unlink()
+    capsys.readouterr()
+    kernel = analysis._integrate
+    calls = []
+
+    def failing_second_call(model, theta, frequency, out, step_max=None):
+        calls.append(len(frequency))
+        if len(calls) == 2:
+            return 3, 0  # the state after the chunk's fourth step
+        return kernel(model, theta, frequency, out, step_max)
+
+    monkeypatch.setattr(analysis, "_integrate", failing_second_call)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric error: phases became non-finite at step {calls[0] + 4}\n"
+    assert (tmp_path / "trajectory.csv").read_bytes() == earlier
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["trajectory.csv"]
+
+    # a summary that is not finite is found before the table is renamed
+    monkeypatch.setattr(analysis, "_integrate", kernel)
+    drift_values = cli.drift_values
+    monkeypatch.setattr(
+        cli,
+        "drift_values",
+        lambda graph, theta, gamma: (
+            np.inf if theta.ndim == 1 else drift_values(graph, theta, gamma)
+        ),
+    )
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric error: result final_drift_v is not finite (inf)\n"
+    assert (tmp_path / "trajectory.csv").read_bytes() == earlier
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["trajectory.csv"]
 
 
 def test_recurrence_and_drift_write_row_files(tmp_path):
@@ -1035,16 +1118,20 @@ def test_write_csv_matches_csv_module(rows, dtypes, chunk_cells, data):
     writer.writerow(list(columns))
     for row in zip(*columns.values()):
         writer.writerow([reference_cell(x) for x in row])
+    # the table arrives in two chunks of rows, split anywhere
+    split = data.draw(st.integers(0, rows))
+    chunks = [{name: c[:split] for name, c in columns.items()}]
+    chunks.append({name: c[split:] for name, c in columns.items()})
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "table.csv"
         with unittest.mock.patch.object(cli, "_CSV_CHUNK_CELLS", chunk_cells):
-            cli._write_csv(path, columns)
+            cli._write_csv(path, iter(chunks))
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_write_csv_zero_rows_is_header_only(tmp_path):
     path = tmp_path / "table.csv"
-    cli._write_csv(path, {"step": np.arange(0), "theta_0": np.empty(0)})
+    cli._write_csv(path, [{"step": np.arange(0), "theta_0": np.empty(0)}])
     assert path.read_bytes() == b"step,theta_0\n"
 
 
