@@ -24,7 +24,11 @@ long the horizon.
   as fractions, never asserted as probability one (:func:`wilson_interval`
   gives their confidence interval). The trials are stepped as one
   trials-minor batch ``(n, trials)``, and the set bookkeeping runs once
-  per noise chunk, vectorized over its steps.
+  per noise chunk, vectorized over its steps. Each trial carries one
+  flag, whether it has been outside the set (true at the start for a
+  trial that starts outside); a return is the first step inside with
+  the flag set, an escape the first step at ``ESCAPE_LEVEL`` or beyond,
+  and a trial that is never outside returns at step 1.
 * :func:`drift_estimate` / :func:`drift_sweep` probe the one-step
   conditional drift ``E[V(theta(k+1)) | theta(k)] - V(theta(k))`` by
   re-drawing noise for a fixed state, exactly matching the conditional
@@ -55,7 +59,7 @@ from .dynamics import (
     validate_gamma,
     wrap_angle,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _check_items
 from .graph import TreeGraph
 from .noise import RandomStream, _NoiseReader, _words_per_step, sample_noise_block
 
@@ -363,6 +367,8 @@ def recurrence_experiment(
         NumericError: a trial's phases become non-finite (the message
             names the first such step and, at that step, the first
             trial), or a worker process ended without a result.
+        MemoryError: the trials' phases do not fit in memory, or not in
+            one array.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -373,6 +379,7 @@ def recurrence_experiment(
     n = graph.n
 
     # trials-minor: one column per trial
+    _check_items(n * trials, "initial phases")
     theta = np.empty((n, trials))
     for t in range(trials):
         candidate = _start_state(
@@ -478,65 +485,50 @@ def _step_trials(model, theta, noise_streams, gamma, horizon):
     ``horizon`` steps, column ``t`` driven by ``noise_streams[t]``.
 
     Returns the per-trial fields of :class:`RecurrenceStats` as a dict,
-    and ``None`` or, when a state became non-finite, ``(step, column)``
-    of the first one (earliest step, then lowest column); the fields are
-    then incomplete.
+    and ``None``; or, when a state became non-finite, an empty dict and
+    ``(step, column)`` of the first one (earliest step, then lowest
+    column).
     """
-    width = theta.shape[1]
     max_edge = edge_geodesics(model.graph, theta.T).max(axis=-1)
     started_in_set = max_edge <= gamma
     max_excursion = max_edge.copy()
-    returned = np.zeros(width, dtype=bool)
-    return_time = np.full(width, -1, dtype=np.int64)
-    exited = np.zeros(width, dtype=bool)
-    escaped = max_edge >= ESCAPE_LEVEL
-    escape_time = np.where(escaped, 0, -1).astype(np.int64)
-
-    # the loop below updates these arrays in place
-    fields = {
-        "started_in_set": started_in_set,
-        "returned": returned,
-        "return_time": return_time,
-        "max_excursion": max_excursion,
-        "escaped": escaped,
-        "escape_time": escape_time,
-    }
+    return_time = np.full(theta.shape[1], -1, dtype=np.int64)
+    escape_time = np.where(max_edge >= ESCAPE_LEVEL, 0, -1).astype(np.int64)
+    # whether each trial has been outside the set by the last step seen
+    been_outside = ~started_in_set
 
     try:
         for k0, _, _, maxima in _chunks(model, theta, noise_streams, horizon):
             # the maxima of the states after steps k0 + 1 .. k0 + count
             step_max = maxima[1:]
-            count = len(step_max)
             np.maximum(max_excursion, step_max.max(axis=0), out=max_excursion)
             inside = step_max <= gamma
-
-            first_escape = _first_true(step_max >= ESCAPE_LEVEL)
-            fresh_escape = ~escaped & (first_escape >= 0)
-            escape_time[fresh_escape] = k0 + 1 + first_escape[fresh_escape]
-            escaped |= fresh_escape
-
-            # a trial that starts inside may count a return only after
-            # its first exit; one that starts outside from its first step
-            first_exit = _first_true(~inside)
-            fresh_exit = started_in_set & ~exited & (first_exit >= 0)
-            eligible_from = np.where(
-                ~started_in_set | exited,
-                0,
-                np.where(fresh_exit, first_exit + 1, count),
-            )
-            rows = np.arange(count)[:, None]
-            first_return = _first_true(inside & (rows >= eligible_from))
-            fresh_return = ~returned & (first_return >= 0)
-            return_time[fresh_return] = k0 + 1 + first_return[fresh_return]
-            returned |= fresh_return
-            exited |= fresh_exit
+            outside_by = np.logical_or.accumulate(~inside, axis=0) | been_outside
+            # a return is a step inside after one outside, or the first
+            # step inside for a trial that starts outside
+            _record_first_hit(return_time, inside & outside_by, k0)
+            _record_first_hit(escape_time, step_max >= ESCAPE_LEVEL, k0)
+            been_outside = outside_by[-1]
     except _NonFinite as failure:
-        return fields, (failure.step, failure.column)
+        return {}, (failure.step, failure.column)
+    # a trial that never leaves the set returns at step 1
+    return_time[~been_outside] = 1
+    return {
+        "started_in_set": started_in_set,
+        "returned": return_time >= 0,
+        "return_time": return_time,
+        "max_excursion": max_excursion,
+        "escaped": escape_time >= 0,
+        "escape_time": escape_time,
+    }, None
 
-    never_exited = started_in_set & ~exited
-    return_time[never_exited] = 1
-    returned |= never_exited
-    return fields, None
+
+def _record_first_hit(times, hits, k0) -> None:
+    """Set ``times[t]``, where it is still -1, to the step ``k0 + 1 +
+    row`` of the first True in column ``t`` of ``hits``."""
+    row = np.argmax(hits, axis=0)
+    fresh = (times < 0) & hits[row, np.arange(hits.shape[1])]
+    times[fresh] = k0 + 1 + row[fresh]
 
 
 def _worker_count(trials: int, horizon: int) -> int:
@@ -625,12 +617,6 @@ def _worker(send, run, lo, hi) -> None:
         outcome = (True, exc)
     send.send(outcome)
     send.close()
-
-
-def _first_true(mask: np.ndarray) -> np.ndarray:
-    """Row of the first True in each column of ``mask``; -1 where none."""
-    first = np.argmax(mask, axis=0)
-    return np.where(mask[first, np.arange(mask.shape[1])], first, -1)
 
 
 def drift_estimate(

@@ -46,8 +46,10 @@ with the horizon. Every file is written to a temporary name and renamed
 into place, so a run that fails leaves no partial file, though it may
 leave an empty output directory. Exit codes: 0 success, 2 configuration
 error, 3 numeric error (including a non-finite state or result, an
-allocation that fails and a worker process that ends without a result),
-4 I/O error.
+allocation that fails or that is too large for one array, and a worker
+process that ends without a result), 4 I/O error, 143 (128 + 15)
+terminated by SIGTERM, after the temporary files are removed and the
+worker processes reaped.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import json
 import math
 import os
 import platform
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -791,6 +794,24 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
     return report
 
 
+#: Exit code of a run ended by SIGTERM: 128 + 15, as a shell reports a
+#: process that the signal ended.
+EXIT_TERMINATED = 128 + signal.SIGTERM
+
+
+class _Terminated(Exception):
+    """SIGTERM arrived during :func:`main`. As an exception it removes
+    temporary files and reaps worker processes on its way out."""
+
+
+def _raise_terminated(signum, frame):
+    # ``timeout`` sends SIGTERM to the process and then to its group, so
+    # a second one may follow; it must not cut the cleanup short. Forked
+    # workers inherit this handler and send the exception back instead.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="treekuramoto",
@@ -817,7 +838,18 @@ def main(argv=None) -> int:
         help="override a scalar config field (dotted keys allowed)",
     )
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        return _run(args)
+    except _Terminated:
+        print("terminated: SIGTERM", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
+
+def _run(args) -> int:
+    """The run that :func:`main` parsed ``args`` for, and its exit code."""
     try:
         path = (
             bundled_config_path(args.bundled) if args.bundled else Path(args.config)

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_items
 
 FAMILIES = ("gaussian", "uniform", "none")
 
@@ -166,8 +166,14 @@ class RandomStream:
         return Philox(counter=counter, key=self._key()), offset
 
     def raw_words(self, index: int, count: int) -> np.ndarray:
-        """``count`` raw 64-bit words starting at word ``index``."""
+        """``count`` raw 64-bit words starting at word ``index``.
+
+        Raises:
+            MemoryError: the words do not fit in memory, or not in one
+                array.
+        """
         bitgen, offset = self._generator(index)
+        _check_items(offset + count, "noise words")
         return bitgen.random_raw(offset + count)[offset:]
 
     def uniforms(self, index: int, count: int) -> np.ndarray:

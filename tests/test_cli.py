@@ -5,7 +5,10 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 import unittest.mock
 import warnings
@@ -31,7 +34,7 @@ from treekuramoto.dynamics import wrap_angle
 from treekuramoto import analysis, cli
 from treekuramoto.analysis import wilson_interval
 
-from conftest import no_children_left
+from conftest import no_children_left, random_tree
 
 PI = math.pi
 
@@ -738,6 +741,81 @@ def test_failing_worker_exits_numeric(
     assert no_children_left()
 
 
+def cli_process(*args):
+    """The CLI running ``args`` in a new Python process, its stderr piped."""
+    source = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "treekuramoto.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def processes_with(marker: str) -> list[int]:
+    """Pids of the running processes whose command line holds ``marker``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:  # the process ended while the list was read
+            continue
+        if marker.encode() in cmdline:
+            pids.append(int(entry.name))
+    return pids
+
+
+def terminate_when(process, ready) -> str:
+    """Send SIGTERM to ``process`` once ``ready()`` holds, and return its
+    stderr; it is killed if it outlives the test."""
+    try:
+        deadline = time.monotonic() + 60
+        while not ready():
+            assert process.poll() is None, process.communicate()
+            assert time.monotonic() < deadline, "the run never got ready"
+            time.sleep(0.02)
+        process.send_signal(signal.SIGTERM)
+        return process.communicate(timeout=60)[1]
+    finally:
+        process.kill()
+        process.wait()
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigterm_removes_the_partial_table(tmp_path):
+    out = tmp_path / "out"
+    process = cli_process(
+        "simulate", "--bundled", "line5_zero_mean", "--out", str(out),
+        "--set", "horizon=1000000000000000", "--set", "output.decimation=1000000",
+    )
+    err = terminate_when(process, lambda: any(out.glob(".trajectory.csv.*.tmp")))
+    assert process.returncode == cli.EXIT_TERMINATED == 143
+    assert err == "terminated: SIGTERM\n"
+    assert list(out.iterdir()) == []
+    assert processes_with(str(out)) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigterm_reaps_the_recurrence_workers(tmp_path):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("on one CPU recurrence forks no worker")
+    # the signal reaches the parent alone; its worker would outlive it
+    out = tmp_path / "out"
+    process = cli_process(
+        "recurrence", "--bundled", "line5_zero_mean", "--out", str(out),
+        "--set", "horizon=3000000",
+    )
+    err = terminate_when(process, lambda: len(processes_with(str(out))) >= 2)
+    assert process.returncode == cli.EXIT_TERMINATED
+    assert err == "terminated: SIGTERM\n"
+    assert processes_with(str(out)) == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "samples, code, message",
     [
@@ -752,6 +830,42 @@ def test_huge_count_exit_codes(tmp_path, capsys, samples, code, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err and len(err.strip().splitlines()) <= 2
+
+
+@pytest.mark.parametrize("n", [5, 200])
+@pytest.mark.parametrize(
+    "command, family, overrides",
+    [
+        ("recurrence", "gaussian", ["trials=9007199254740992"]),
+        (
+            "drift",
+            "gaussian",
+            ["drift.noise_samples=9007199254740992", "drift.probes=1"],
+        ),
+        ("bounds", "uniform", ["mc_samples=9007199254740992"]),
+    ],
+)
+def test_impossible_allocation_exits_numeric(
+    tmp_path, capsys, n, command, family, overrides
+):
+    # on 200 nodes these arrays are too big for numpy to try, which it
+    # reports by a ValueError; on 5 nodes it tries and fails
+    out = tmp_path / "out"
+    tree = random_tree(np.random.default_rng(n), n)
+    data = tiny_config(
+        out,
+        graph={"n": n, "edges": [list(edge) for edge in tree.edges]},
+        omega=[1.0] * n,
+        noise=[{"family": family, "mean": 0.0, "variance": 1.0}] * n,
+    )
+    argv = [command, "--config", str(write_config(tmp_path, data))]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

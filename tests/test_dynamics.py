@@ -370,6 +370,71 @@ def test_orientation_invariance():
             )
 
 
+@st.composite
+def kernel_runs(draw):
+    """A random tree on 2-40 nodes, a variant, ``kappa`` and ``tau``, start
+    states ``(n, width)`` and explicit frequencies ``(steps, n, width)``
+    for several steps, and a generator for the transformation applied."""
+    n = draw(st.integers(2, 40))
+    width = draw(st.integers(1, 3))
+    steps = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = random_tree(rng, n)
+    variant = draw(st.sampled_from(["frequency_dependent", "undirected"]))
+    kappa, tau = rng.uniform(0.5, 10.0), rng.uniform(0.002, 0.1)
+    theta = rng.uniform(-PI, PI, (n, width))
+    frequency = rng.uniform(0.0, 10.0, (n, 1)) + rng.normal(0.0, 3.0, (steps, n, width))
+    return graph, variant, kappa, tau, theta, frequency, rng
+
+
+def run_kernel(graph, variant, kappa, tau, theta, frequency):
+    """The states and their largest edge distances after each step."""
+    model = NetworkModel(
+        graph, np.zeros(graph.n), NoiseSpec.none(graph.n), kappa, tau, variant
+    )
+    out = np.empty_like(frequency)
+    maxima = np.empty((len(frequency), frequency.shape[-1]))
+    assert _integrate(model, theta, frequency, out, maxima) is None
+    return out, maxima
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_runs())
+def test_edge_flips_leave_states_and_maxima_bitwise(case):
+    graph, variant, kappa, tau, theta, frequency, rng = case
+    flip = rng.integers(0, 2, graph.m).astype(bool)
+    flipped = build_tree(
+        graph.n,
+        [(h, t) if f else (t, h) for (t, h), f in zip(graph.edges, flip)],
+    )
+    args = (variant, kappa, tau, theta, frequency)
+    out, maxima = run_kernel(graph, *args)
+    out_flipped, maxima_flipped = run_kernel(flipped, *args)
+    assert out_flipped.tobytes() == out.tobytes()
+    assert maxima_flipped.tobytes() == maxima.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_runs())
+def test_relabelled_nodes_permute_states_bitwise(case):
+    graph, variant, kappa, tau, theta, frequency, rng = case
+    # node i is called label[i]; its phase and draws move with it
+    label = rng.permutation(graph.n)
+    relabelled = build_tree(
+        graph.n, [(int(label[t]), int(label[h])) for t, h in graph.edges]
+    )
+    moved_theta = np.empty_like(theta)
+    moved_theta[label] = theta
+    moved_frequency = np.empty_like(frequency)
+    moved_frequency[:, label] = frequency
+    out, maxima = run_kernel(graph, variant, kappa, tau, theta, frequency)
+    out_moved, maxima_moved = run_kernel(
+        relabelled, variant, kappa, tau, moved_theta, moved_frequency
+    )
+    assert np.ascontiguousarray(out_moved[:, label]).tobytes() == out.tobytes()
+    assert maxima_moved.tobytes() == maxima.tobytes()
+
+
 def test_node_stepping_reproduces_compact_relative_form():
     # Advancing nodes and differencing must equal the closed-form update
     # of the relative phases (modulo wrapping).
