@@ -47,14 +47,15 @@ into place, so a run that fails leaves no partial file, though it may
 leave an empty output directory. Exit codes: 0 success, 2 configuration
 error, 3 numeric error (including a non-finite state or result, an
 allocation that fails or that is too large for one array, and a worker
-process that ends without a result), 4 I/O error, 143 (128 + 15)
-terminated by SIGTERM, after the temporary files are removed and the
-worker processes reaped.
+process that ends without a result), 4 I/O error, 130 (128 + 2)
+interrupted by SIGINT (Ctrl-C) and 143 (128 + 15) terminated by SIGTERM,
+after the temporary files are removed and the worker processes reaped.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.resources
 import json
 import math
@@ -794,22 +795,27 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
     return report
 
 
-#: Exit code of a run ended by SIGTERM: 128 + 15, as a shell reports a
-#: process that the signal ended.
+#: Signals that end a run as :class:`_Terminated`, with exit code 128 plus
+#: the signal number, as a shell reports a process that the signal ended.
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+EXIT_INTERRUPTED = 128 + signal.SIGINT
 EXIT_TERMINATED = 128 + signal.SIGTERM
 
 
 class _Terminated(Exception):
-    """SIGTERM arrived during :func:`main`. As an exception it removes
-    temporary files and reaps worker processes on its way out."""
+    """SIGINT or SIGTERM arrived during :func:`main`. As an exception it
+    removes temporary files and reaps worker processes on its way out.
+    Its one argument is the signal, a :class:`signal.Signals`."""
 
 
 def _raise_terminated(signum, frame):
-    # ``timeout`` sends SIGTERM to the process and then to its group, so
-    # a second one may follow; it must not cut the cleanup short. Forked
-    # workers inherit this handler and send the exception back instead.
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    raise _Terminated
+    # ``timeout`` sends SIGTERM to the process and then to its group, and
+    # Ctrl-C sends SIGINT to the whole group, so a second signal may
+    # follow; it must not cut the cleanup short. Forked workers inherit
+    # this handler and send the exception back instead.
+    for stop in _STOP_SIGNALS:
+        signal.signal(stop, signal.SIG_IGN)
+    raise _Terminated(signal.Signals(signum))
 
 
 def main(argv=None) -> int:
@@ -838,14 +844,29 @@ def main(argv=None) -> int:
         help="override a scalar config field (dotted keys allowed)",
     )
     args = parser.parse_args(argv)
-    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    # What is alive now, the imported modules and the parser, lives until
+    # the process ends. Frozen, it is left out of every later collection:
+    # those during the run, those the interpreter runs at exit, and those
+    # in forked workers, which then write less into the pages they share
+    # with the parent. Importing the package freezes nothing, since the
+    # heap is then the importing program's.
+    gc.freeze()
+    # a signal ignored at start stays ignored, as Python leaves SIGINT in
+    # a job that a shell started in the background
+    previous = {
+        stop: signal.signal(stop, _raise_terminated)
+        for stop in _STOP_SIGNALS
+        if signal.getsignal(stop) is not signal.SIG_IGN
+    }
     try:
         return _run(args)
-    except _Terminated:
-        print("terminated: SIGTERM", file=sys.stderr)
-        return EXIT_TERMINATED
+    except _Terminated as stopped:
+        (signum,) = stopped.args
+        print(f"terminated: {signum.name}", file=sys.stderr)
+        return 128 + signum
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for stop, handler in previous.items():
+            signal.signal(stop, handler)
 
 
 def _run(args) -> int:

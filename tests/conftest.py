@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 
@@ -12,6 +13,15 @@ VARIANCES5 = np.array([3.0, 5.0, 0.5, 2.0, 1.0])
 THETA0_5 = np.array(
     [math.pi / 4, math.pi / 8, -math.pi / 8, -math.pi / 5, math.pi / 5]
 )
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_the_heap():
+    """``cli.main`` freezes the heap it runs in; thaw it after each test,
+    so this process collects garbage as it would without the CLI and no
+    test depends on which ran before it."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

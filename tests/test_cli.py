@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -741,7 +742,7 @@ def test_failing_worker_exits_numeric(
     assert no_children_left()
 
 
-def cli_process(*args):
+def cli_process(*args, **popen):
     """The CLI running ``args`` in a new Python process, its stderr piped."""
     source = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
@@ -751,6 +752,19 @@ def cli_process(*args):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
+        **popen,
+    )
+
+
+def foreground_cli_process(*args):
+    """``cli_process`` as a shell's foreground job, which Ctrl-C signals
+    as a whole: in a process group of its own, and with SIGINT at its
+    default even where this suite runs as a background job, which
+    inherits SIGINT ignored."""
+    return cli_process(
+        *args,
+        start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
 
 
@@ -769,18 +783,25 @@ def processes_with(marker: str) -> list[int]:
     return pids
 
 
-def terminate_when(process, ready) -> str:
-    """Send SIGTERM to ``process`` once ``ready()`` holds, and return its
-    stderr; it is killed if it outlives the test."""
+def terminate_when(process, ready, signum=signal.SIGTERM, group=False) -> str:
+    """Send ``signum`` to ``process``, or to its whole process group, once
+    ``ready()`` holds, and return its stderr; it, or its group, is killed
+    if it outlives the test."""
     try:
         deadline = time.monotonic() + 60
         while not ready():
             assert process.poll() is None, process.communicate()
             assert time.monotonic() < deadline, "the run never got ready"
             time.sleep(0.02)
-        process.send_signal(signal.SIGTERM)
+        if group:
+            os.killpg(process.pid, signum)
+        else:
+            process.send_signal(signum)
         return process.communicate(timeout=60)[1]
     finally:
+        if group:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(process.pid, signal.SIGKILL)
         process.kill()
         process.wait()
 
@@ -814,6 +835,70 @@ def test_sigterm_reaps_the_recurrence_workers(tmp_path):
     assert err == "terminated: SIGTERM\n"
     assert processes_with(str(out)) == []
     assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigint_removes_the_partial_table(tmp_path):
+    out = tmp_path / "out"
+    process = foreground_cli_process(
+        "simulate", "--bundled", "line5_zero_mean", "--out", str(out),
+        "--set", "horizon=1000000000000000", "--set", "output.decimation=1000000",
+    )
+    err = terminate_when(
+        process, lambda: any(out.glob(".trajectory.csv.*.tmp")),
+        signal.SIGINT, group=True,
+    )
+    assert process.returncode == cli.EXIT_INTERRUPTED == 130
+    assert err == "terminated: SIGINT\n"
+    assert list(out.iterdir()) == []
+    assert processes_with(str(out)) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigint_reaps_the_recurrence_workers(tmp_path):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("on one CPU recurrence forks no worker")
+    # Ctrl-C signals the parent and its worker alike; the worker sends
+    # its interruption back instead of printing a traceback
+    out = tmp_path / "out"
+    process = foreground_cli_process(
+        "recurrence", "--bundled", "line5_zero_mean", "--out", str(out),
+        "--set", "horizon=3000000",
+    )
+    err = terminate_when(
+        process, lambda: len(processes_with(str(out))) >= 2,
+        signal.SIGINT, group=True,
+    )
+    assert process.returncode == cli.EXIT_INTERRUPTED
+    assert err == "terminated: SIGINT\n"
+    assert processes_with(str(out)) == []
+    assert not out.exists()
+
+
+def test_main_leaves_an_ignored_signal_ignored(tmp_path, monkeypatch):
+    argv = ["bounds", "--bundled", "line5_zero_mean", "--out", str(tmp_path)]
+    handlers = []
+
+    def recording(command, config):
+        handlers.append([signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)])
+        return run_subcommand(command, config)
+
+    monkeypatch.setattr(cli, "run_subcommand", recording)
+    sigterm = signal.getsignal(signal.SIGTERM)
+    sigint = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        assert main(argv) == 0
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, sigint)
+    assert handlers == [[signal.SIG_IGN, cli._raise_terminated]]
+    assert signal.getsignal(signal.SIGTERM) is sigterm
+
+
+def test_main_freezes_the_heap_it_runs_in(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["bounds", "--bundled", "line5_zero_mean", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() > before
 
 
 @pytest.mark.parametrize(
