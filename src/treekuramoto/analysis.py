@@ -141,22 +141,29 @@ class RecurrenceStats:
     ``return_time[t]`` is the first step ``k >= 1`` at which trial ``t``
     is inside the cohesive set (for trials starting outside) or back
     inside after an exit (for trials starting inside; 1 when the trial
-    never exits). Unreturned trials carry ``-1`` there and are exactly
-    the complement of ``return_fraction``. ``workers`` is the number of
-    processes that stepped the trials; it does not affect any other
-    field.
+    never exits), and ``escape_time[t]`` the first step ``k >= 0`` at
+    which its largest edge distance reaches ``ESCAPE_LEVEL``; ``-1``
+    where there is none. ``returned`` and ``escaped`` are the flags of
+    these times. ``workers`` is the number of processes that stepped the
+    trials; it does not affect any other field.
     """
 
     trials: int
     gamma: float
     horizon: int
     started_in_set: np.ndarray
-    returned: np.ndarray
     return_time: np.ndarray
     max_excursion: np.ndarray
-    escaped: np.ndarray
     escape_time: np.ndarray
     workers: int = 1
+
+    @property
+    def returned(self) -> np.ndarray:
+        return self.return_time >= 0
+
+    @property
+    def escaped(self) -> np.ndarray:
+        return self.escape_time >= 0
 
     @property
     def return_fraction(self) -> float:
@@ -515,10 +522,8 @@ def _step_trials(model, theta, noise_streams, gamma, horizon):
     return_time[~been_outside] = 1
     return {
         "started_in_set": started_in_set,
-        "returned": return_time >= 0,
         "return_time": return_time,
         "max_excursion": max_excursion,
-        "escaped": escape_time >= 0,
         "escape_time": escape_time,
     }, None
 

@@ -27,16 +27,17 @@ independent of edge orientation.
 
 Stepping is a pure function of ``(model, state, noise draw)``: the
 caller supplies the disturbance vector, so conditional expectations can
-re-draw noise for a fixed state.
+re-draw noise for a fixed state. :func:`step` steps one
+:class:`PhaseState` under one draw.
 
-One kernel, :func:`_integrate`, steps every caller: :func:`step_theta`
-(one step per state), ``analysis._chunks``, the one chunk loop of
-``simulate`` and of the recurrence batch (a whole noise chunk per call,
-one column per trajectory), and ``analysis.drift_estimate`` (one probe
-under every draw). Each caller
-hands it the noisy frequencies ``omega + noise``; the kernel alone
-scales them by ``tau``, and it alone reports the first non-finite
-state. It runs the steps in sub-blocks of up to 64. Model
+One kernel, :func:`_integrate`, steps every caller, and it is the one
+entry for stepping a batch: :func:`step` (one column for one step),
+``analysis._chunks``, the one chunk loop of ``simulate`` and of the
+recurrence batch (a whole noise chunk per call, one column per
+trajectory), and ``analysis.drift_estimate`` (one probe under every
+draw). Each caller hands it the noisy frequencies ``omega + noise``;
+the kernel alone scales them by ``tau``, and it alone reports the first
+non-finite state. It runs the steps in sub-blocks of up to 64. Model
 constants are looked up once per call, and the per-step edge
 differences ``B^T theta``, which the next step's coupling needs anyway,
 are kept for the sub-block, so that their geodesic distances and
@@ -258,28 +259,6 @@ class PhaseState:
         return cls(wrap_angle(theta), k)
 
 
-def step_theta(model: NetworkModel, theta: np.ndarray, noise_draw) -> np.ndarray:
-    """Advance raw phase arrays one step, each state under its own draw.
-
-    ``theta`` and ``noise_draw`` have the same shape ``(..., n)``; the
-    result, of that shape too, is wrapped to ``(-pi, pi]``, with NaN for
-    a state that became non-finite or unresolvable.
-    """
-    theta = np.asarray(theta, dtype=float)
-    noise_draw = np.asarray(noise_draw, dtype=float)
-    if noise_draw.shape != theta.shape:
-        raise ValueError(
-            f"noise draw shape {noise_draw.shape} != state shape {theta.shape}"
-        )
-    n = model.graph.n
-    # the frequency, stepped in place into the state after the step
-    out = np.add(model.omega, noise_draw, out=np.empty(theta.shape))
-    # node axis first, leading axes flattened into columns: one step
-    columns = out.reshape(-1, n).T[None]
-    _integrate(model, theta.reshape(-1, n).T, columns, columns)
-    return out
-
-
 #: Most steps, and most words of edge differences, in one sub-block of
 #: :func:`_integrate`.
 _SUB_STEPS = 64
@@ -292,9 +271,10 @@ _UNRESOLVED = 2.0**52
 
 def _integrate(model, theta, frequency, out, step_max=None):
     """The model equation, stepped once per row of ``frequency``. This is
-    the only integrator in the package: :func:`step_theta`, the chunk
-    loop of ``simulate`` and the recurrence batch, and the drift probes
-    all call it.
+    the only integrator in the package and the one entry for stepping a
+    batch of states: :func:`step` (one column, one step), the chunk loop
+    of ``simulate`` and the recurrence batch, and the drift probes all
+    call it.
 
     ``theta`` ``(n, c)`` holds one start state per column, ``frequency``
     ``(steps, n, w)`` holds ``omega + noise`` of each step, and ``out``
@@ -330,9 +310,8 @@ def _integrate(model, theta, frequency, out, step_max=None):
     folded = np.empty_like(rel) if step_max is not None else None
     sines = np.empty((m, width))
     coupling = np.empty((n, width))
-    # in the states' memory order, which the transposed views of
-    # step_theta and the drift probes make Fortran order: mixed orders
-    # would slow every wrap down
+    # in the states' memory order, which the drift probes' transposed
+    # view makes Fortran order: mixed orders would slow every wrap down
     scratch = np.empty_like(out[0])
     mask = np.empty_like(out[0], dtype=bool)
     (first, first_edges), *rest = blocks
@@ -417,13 +396,22 @@ def _integrate(model, theta, frequency, out, step_max=None):
 
 
 def step(model: NetworkModel, state: PhaseState, noise_draw) -> PhaseState:
-    """One update of the network; pure in all of its inputs.
+    """One update of the network under ``noise_draw``, one disturbance
+    per node; pure in all of its inputs.
 
     Raises:
+        ValueError: ``noise_draw`` is not of the state's shape.
         NumericError: the stepped phases are non-finite.
     """
-    theta = step_theta(model, state.theta, noise_draw)
-    if not np.all(np.isfinite(theta)):
+    noise_draw = np.asarray(noise_draw, dtype=float)
+    if noise_draw.shape != state.theta.shape:
+        raise ValueError(
+            f"noise draw shape {noise_draw.shape} != state shape {state.theta.shape}"
+        )
+    # omega + noise, stepped in place into the next state: one column
+    theta = np.add(model.omega, noise_draw)
+    column = theta[None, :, None]
+    if _integrate(model, state.theta[:, None], column, column) is not None:
         raise NumericError(f"phases became non-finite at step {state.k + 1}")
     return PhaseState(theta, state.k + 1)
 

@@ -32,7 +32,7 @@ from treekuramoto import (
     wrap_angle,
 )
 from treekuramoto.cli import main
-from treekuramoto.dynamics import step_theta
+from treekuramoto.dynamics import PhaseState, step
 from treekuramoto.linalg import batch_eigenvalues
 
 from conftest import LINE5_EDGES, OMEGA5, THETA0_5, VARIANCES5, make_line5_model
@@ -293,8 +293,8 @@ def test_a09_numerical_core_properties():
         theta = rng.uniform(-PI, PI, 5)
         draw = rng.normal(size=5)
         shift = float(rng.uniform(-3, 3))
-        base = step_theta(model, theta, draw)
-        rotated = step_theta(model, wrap_angle(theta + shift), draw)
+        base = step(model, PhaseState(theta), draw).theta
+        rotated = step(model, PhaseState(wrap_angle(theta + shift)), draw).theta
         tails, heads = model.graph.tails, model.graph.heads
         base_rel = wrap_angle(base[tails] - base[heads])
         rot_rel = wrap_angle(rotated[tails] - rotated[heads])
@@ -302,8 +302,8 @@ def test_a09_numerical_core_properties():
             failures.append("rotation invariance broken")
             break
         if not np.allclose(
-            step_theta(model, theta, draw),
-            step_theta(flipped, theta, draw),
+            step(model, PhaseState(theta), draw).theta,
+            step(flipped, PhaseState(theta), draw).theta,
             atol=1e-12,
         ):
             failures.append("orientation invariance broken")

@@ -21,7 +21,6 @@ from treekuramoto.dynamics import (
     _wrap_small,
     drift_values,
     edge_geodesics,
-    step_theta,
     validate_gamma,
 )
 from treekuramoto.errors import ConfigError, NumericError
@@ -95,6 +94,16 @@ def small_wrap(x):
 
 def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def kernel_step(model, theta, draw):
+    """One step of ``theta`` under ``draw`` by the kernel itself, which,
+    unlike :func:`step`, takes unwrapped phases and leaves NaN where a
+    phase is unresolvable."""
+    out = np.add(model.omega, draw)
+    column = out[None, :, None]
+    _integrate(model, np.asarray(theta, float)[:, None], column, column)
+    return out
 
 
 def test_small_wrap_equals_wrap_angle_at_edge_points():
@@ -273,7 +282,7 @@ def test_step_from_unwrapped_phases_is_the_model_equation(variant):
         raw = theta + drive * (1.0 - model.kappa * coupling)
     else:
         raw = theta + drive - (model.kappa * model.tau) * coupling
-    assert step_theta(model, theta, draw).tobytes() == wrap_angle(raw).tobytes()
+    assert kernel_step(model, theta, draw).tobytes() == wrap_angle(raw).tobytes()
 
 
 @pytest.mark.parametrize("variant", ["frequency_dependent", "undirected"])
@@ -292,7 +301,7 @@ def test_unresolvable_phase_becomes_nan(variant, increment):
         raw = THETA0_5 + drive - (model.kappa * model.tau) * coupling
     unresolved = np.abs(raw) >= 2.0**52
     assert list(unresolved) == [True, False, False, False, False]
-    stepped = step_theta(model, THETA0_5, draw)
+    stepped = kernel_step(model, THETA0_5, draw)
     assert np.isnan(stepped[unresolved]).all()
     assert same_bits(stepped[~unresolved], wrap_angle(raw[~unresolved]))
 
@@ -324,15 +333,18 @@ def test_kernel_reports_first_non_finite_state_and_stops(with_step_max):
         assert (step_max[128:] == -7.0).all()
 
 
-def test_step_theta_takes_one_draw_per_state():
+def test_step_takes_one_draw_per_state():
     model = make_line5_model()
     with pytest.raises(ValueError, match="noise draw shape"):
-        step_theta(model, THETA0_5, np.zeros((4, 5)))
+        step(model, PhaseState(THETA0_5), np.zeros((4, 5)))
     thetas = np.stack([THETA0_5, -THETA0_5])
     draws = np.array([[0.3, -0.2, 0.9, 0.0, -1.4], [1.0, 0.5, -0.5, 2.0, 0.0]])
-    stepped = step_theta(model, thetas, draws)
+    # one kernel step of both states, one column each
+    stepped = np.add(model.omega, draws)
+    columns = stepped.T[None]
+    _integrate(model, thetas.T, columns, columns)
     for theta, draw, row in zip(thetas, draws, stepped):
-        assert same_bits(row, step_theta(model, theta, draw))
+        assert same_bits(row, step(model, PhaseState(theta), draw).theta)
 
 
 def test_rotation_invariance():
@@ -341,8 +353,8 @@ def test_rotation_invariance():
     theta = rng.uniform(-PI / 4, PI / 4, 5)
     draw = rng.normal(size=5)
     for shift in (0.5, -2.0, 3.0):
-        base = step_theta(model, theta, draw)
-        shifted = step_theta(model, wrap_angle(theta + shift), draw)
+        base = step(model, PhaseState(theta), draw).theta
+        shifted = step(model, PhaseState(wrap_angle(theta + shift)), draw).theta
         assert np.allclose(
             edge_differences(model.graph, shifted),
             edge_differences(model.graph, base),
@@ -366,7 +378,9 @@ def test_orientation_invariance():
                 flipped, np.arange(5.0), NoiseSpec.none(5), 2.0, 0.05, variant
             )
             assert np.allclose(
-                step_theta(m1, theta, draw), step_theta(m2, theta, draw), atol=1e-12
+                step(m1, PhaseState(theta), draw).theta,
+                step(m2, PhaseState(theta), draw).theta,
+                atol=1e-12,
             )
 
 
@@ -467,7 +481,8 @@ def test_node_stepping_reproduces_compact_relative_form():
                     + model.tau * b.T @ w
                     - model.kappa * model.tau * (b.T @ b) @ np.sin(rel)
                 )
-            via_nodes = edge_differences(g, step_theta(model, theta, draw))
+            stepped = step(model, PhaseState(theta), draw).theta
+            via_nodes = edge_differences(g, stepped)
             assert np.allclose(via_nodes, wrap_angle(compact), atol=1e-12)
 
 
@@ -552,7 +567,8 @@ def test_drift_decreases_one_step_on_the_annulus():
         model = noise_free_model(g, tau=0.05)
         theta = sampler(g, RandomStream(seed=trial, purpose="probe"))
         v0 = drift_values(g, theta, gamma)
-        v1 = drift_values(g, step_theta(model, theta, np.zeros(g.n)), gamma)
+        stepped = step(model, PhaseState(theta), np.zeros(g.n)).theta
+        v1 = drift_values(g, stepped, gamma)
         assert v1 < v0
 
 
