@@ -18,11 +18,14 @@ long the horizon.
   chunks of :func:`_trajectory` itself and keeps only the rows it
   writes, so its memory does not grow with the horizon.
 * :func:`recurrence_experiment` runs many trials from sampled initial
-  states and collects first-return times to the cohesive set, maximal
-  excursions and escape counts. Finite-horizon return fractions are the
-  checkable surrogate for almost-sure recurrence and are always reported
-  as fractions, never asserted as probability one (:func:`wilson_interval`
-  gives their confidence interval). The trials are stepped as one
+  states in the admissible set, where no edge distance exceeds
+  ``ADMISSIBLE_LEVEL`` (pi/2, with room for rounding; the CLI checks an
+  explicit start against the same level), and collects first-return
+  times to the cohesive set, maximal excursions and escape counts.
+  Finite-horizon return fractions are the checkable surrogate for
+  almost-sure recurrence and are always reported as fractions, never
+  asserted as probability one (:func:`wilson_interval` gives their
+  confidence interval). The trials are stepped as one
   trials-minor batch ``(n, trials)``, and the set bookkeeping runs once
   per noise chunk, vectorized over its steps. Each trial carries one
   flag, whether it has been outside the set (true at the start for a
@@ -68,6 +71,10 @@ from .noise import RandomStream, _NoiseReader, _words_per_step, sample_noise_blo
 #: cohesiveness analysis regime no longer applies.
 ESCAPE_TOLERANCE = 1e-9
 ESCAPE_LEVEL = 0.5 * math.pi - ESCAPE_TOLERANCE
+
+#: Largest edge distance of an admissible start state: pi/2, with room
+#: for the rounding of wrapping the phases and taking their differences.
+ADMISSIBLE_LEVEL = 0.5 * math.pi + 1e-12
 
 #: Fewest trial*steps for which :func:`recurrence_experiment` splits its
 #: trials across forked workers. Starting a worker and returning its
@@ -397,7 +404,7 @@ def recurrence_experiment(
                 f"sampler returned shape {candidate.shape}, expected ({n},)"
             )
         # NaN compares False, so unresolvable phases are rejected too
-        if not np.all(edge_geodesics(graph, candidate) <= 0.5 * math.pi + 1e-12):
+        if not np.all(edge_geodesics(graph, candidate) <= ADMISSIBLE_LEVEL):
             raise InvalidInitSampler(
                 f"trial {t} starts outside the admissible set"
             )

@@ -7,9 +7,11 @@ Subcommands
     recurrence  first-return statistics over many trials to CSV
     drift       one-step drift estimates over sampled states to CSV
 
-Every run reads a single YAML config file; any scalar field can be
-overridden on the command line with ``--set KEY=VALUE`` (dotted keys for
-nested fields, e.g. ``--set output.decimation=10``). The environment
+Every run reads a single YAML config file: ``--config PATH``, or
+``--bundled NAME`` for one of the YAML files in ``treekuramoto/configs``,
+whose names are ``BUNDLED_CONFIGS``. Any scalar field can be overridden
+on the command line with ``--set KEY=VALUE`` (dotted keys for nested
+fields, e.g. ``--set output.decimation=10``). The environment
 variable ``TREEKURAMOTO_SEED`` overrides the config seed; an explicit
 ``--set seed=...`` wins over both. All angles are radians, frequencies
 rad/s, the sampling period seconds.
@@ -29,7 +31,10 @@ numbers must be finite; every violation is reported at once):
     horizon:    int in [1, 2**53]            # needed by simulate, recurrence
     trials:     int in [1, 2**53]            # needed by recurrence
     mc_samples: int in [1, 2**53]            # needed by spectral, and by bounds
-                                             # for a Monte Carlo estimate
+                                             # where the gap or the spectra are
+                                             # Monte Carlo: a family other than
+                                             # gaussian or none, or any noise
+                                             # under frequency_dependent
     pair_set:   all | edges                  # default all
     initial:    {mode: explicit, phases: [float, ...]}      # length n, each
                                              # of magnitude below 2**52, or
@@ -78,6 +83,7 @@ from . import analysis, conditions, noise as noise_mod
 from .conditions import DEFAULT_GAMMA
 from .dynamics import (
     _UNRESOLVED,
+    VARIANTS,
     NetworkModel,
     drift_values,
     edge_geodesics,
@@ -94,13 +100,16 @@ SEED_ENV_VAR = "TREEKURAMOTO_SEED"
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _HALF_PI = 0.5 * math.pi
 
-BUNDLED_CONFIGS = (
-    "line5_noise_free",
-    "line5_zero_mean",
-    "line5_shifted_mean",
-    "line5_strong_negative_mean",
-    "line5_undirected",
-    "two_node_minimal",
+_CONFIGS = importlib.resources.files("treekuramoto") / "configs"
+
+#: Names of the bundled example configs: the YAML files packaged in
+#: ``treekuramoto/configs``, sorted.
+BUNDLED_CONFIGS = tuple(
+    sorted(
+        entry.name.removesuffix(".yaml")
+        for entry in _CONFIGS.iterdir()
+        if entry.name.endswith(".yaml")
+    )
 )
 
 class ParseError(ConfigError):
@@ -157,9 +166,7 @@ def bundled_config_path(name: str) -> Path:
         raise ConfigError(
             f"unknown bundled config {name!r}; available: {', '.join(BUNDLED_CONFIGS)}"
         )
-    return Path(
-        importlib.resources.files("treekuramoto") / "configs" / f"{name}.yaml"
-    )
+    return Path(_CONFIGS / f"{name}.yaml")
 
 
 def _is_number(x) -> bool:
@@ -179,8 +186,9 @@ def _is_int(x) -> bool:
 
 class _Field(NamedTuple):
     """One config field: its dotted key, a check of its value, the violation
-    message, a default (``...`` when required) and the commands that need it.
-    A section's default is the mapping used when the section is absent."""
+    message, a default (``...`` when required) and the commands that always
+    need it (:func:`_require` adds ``bounds``' need for ``mc_samples``). A
+    section's default is the mapping used when the section is absent."""
 
     key: str
     check: Callable[[object], bool]
@@ -238,7 +246,7 @@ _FIELDS = tuple(_Field(*row) for row in (
     ("graph.edges", _edges, "must be a list of [tail, head] integer pairs"),
     ("omega", _numbers, "must be a list of finite numbers"),
     ("noise", _instance(list), "must be a list of per-node mappings"),
-    ("variant", *_one_of("frequency_dependent", "undirected")),
+    ("variant", *_one_of(*VARIANTS)),
     ("kappa", _between(0.0, math.inf), "must be a positive finite number"),
     ("tau", _between(0.0, math.inf), "must be a positive finite number"),
     ("gamma", _between(0.0, _HALF_PI), "must lie strictly in (0, pi/2)", DEFAULT_GAMMA),
@@ -335,7 +343,7 @@ def _validate(data: dict) -> ExperimentConfig:
         )
     elif mode == "explicit" and graph and phases is not None and len(phases) == n:
         distances = edge_geodesics(graph, wrap_angle(np.array(phases, dtype=float)))
-        if float(np.max(distances)) > _HALF_PI + 1e-12:
+        if float(np.max(distances)) > analysis.ADMISSIBLE_LEVEL:
             bad.append("initial.phases: an edge distance exceeds pi/2")
 
     if bad:
@@ -481,10 +489,22 @@ def _write_csv(path: Path, chunks) -> None:
 
 
 def _require(config: ExperimentConfig, command: str) -> None:
+    """Raise ValidationError naming every field ``command`` needs that
+    ``config`` lacks: those whose ``_FIELDS`` row lists the command, and
+    for ``bounds`` ``mc_samples`` where the gap or the spectra are Monte
+    Carlo, that is for noise other than gaussian or none, or for any
+    noise under the frequency-dependent variant."""
+    noise = config.model.noise
+    monte_carlo = not noise.analytic_gaussian or (
+        config.model.variant == "frequency_dependent" and not noise.is_deterministic
+    )
+    needed = [f.key for f in _FIELDS if command in f.commands]
+    if command == "bounds" and monte_carlo:
+        needed.append("mc_samples")
     missing = [
-        f"{command}: required field {f.key!r} is missing"
-        for f in _FIELDS
-        if command in f.commands and getattr(config, f.key.replace(".", "_")) is None
+        f"{command}: required field {key!r} is missing"
+        for key in needed
+        if getattr(config, key.replace(".", "_")) is None
     ]
     if missing:
         raise ValidationError(missing)
@@ -499,20 +519,6 @@ def _check_finite(results: dict, prefix: str = "") -> None:
             _check_finite(items, f"{name}.")
         elif isinstance(value, float) and not math.isfinite(value):
             raise NumericError(f"result {name} is not finite ({value})")
-
-
-def _gap_estimate(config: ExperimentConfig):
-    model = config.model
-    if not model.noise.analytic_gaussian and config.mc_samples is None:
-        raise ValidationError(["bounds: mc_samples is required for non-gaussian noise"])
-    return noise_mod.e_max_delta_omega(
-        model.omega,
-        model.noise,
-        pairs=config.pair_set,
-        graph=model.graph,
-        mc_samples=config.mc_samples,
-        stream=config.stream,
-    )
 
 
 def _spectral(config: ExperimentConfig, n_samples: int):
@@ -538,7 +544,14 @@ def _spectral(config: ExperimentConfig, n_samples: int):
 
 def _run_bounds(config: ExperimentConfig):
     model = config.model
-    gap = _gap_estimate(config)
+    gap = noise_mod.e_max_delta_omega(
+        model.omega,
+        model.noise,
+        pairs=config.pair_set,
+        graph=model.graph,
+        mc_samples=config.mc_samples,
+        stream=config.stream,
+    )
     provenance = {
         "e_max_delta_omega": {"method": gap.method, "samples": gap.samples}
     }
@@ -550,10 +563,6 @@ def _run_bounds(config: ExperimentConfig):
         "variant": model.variant,
     }
     if model.variant == "frequency_dependent":
-        if not model.noise.is_deterministic and config.mc_samples is None:
-            raise ValidationError(
-                ["bounds: mc_samples is required for stochastic spectral statistics"]
-            )
         stats, results["spectral"], provenance["spectral"] = _spectral(
             config, config.mc_samples or 1
         )

@@ -165,8 +165,9 @@ class RandomStream:
         counter, offset = divmod(index, _WORDS_PER_COUNTER)
         return Philox(counter=counter, key=self._key()), offset
 
-    def raw_words(self, index: int, count: int) -> np.ndarray:
-        """``count`` raw 64-bit words starting at word ``index``.
+    def uniforms(self, index: int, count: int) -> np.ndarray:
+        """``count`` doubles in the open interval (0, 1), from the raw
+        64-bit words starting at word ``index``.
 
         Raises:
             MemoryError: the words do not fit in memory, or not in one
@@ -174,11 +175,7 @@ class RandomStream:
         """
         bitgen, offset = self._generator(index)
         _check_items(offset + count, "noise words")
-        return bitgen.random_raw(offset + count)[offset:]
-
-    def uniforms(self, index: int, count: int) -> np.ndarray:
-        """``count`` doubles in the open interval (0, 1)."""
-        return _open_unit(self.raw_words(index, count))
+        return _open_unit(bitgen.random_raw(offset + count)[offset:])
 
 
 #: The largest double below one.

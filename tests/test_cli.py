@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from treekuramoto.cli import (
 )
 from treekuramoto.conditions import DEFAULT_GAMMA
 from treekuramoto.dynamics import wrap_angle
+from treekuramoto.noise import RandomStream
 from treekuramoto import analysis, cli
 from treekuramoto.analysis import wilson_interval
 
@@ -70,6 +72,16 @@ def write_config(tmp_path, data, name="exp.yaml"):
 
 
 # --- loading and validation -----------------------------------------------------
+
+
+def test_readme_bundled_table_names_packaged_configs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    table = readme.partition("### Bundled example configs")[2].split("\n\n")[1]
+    names = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+    assert len(names) == 6
+    assert set(names) <= set(BUNDLED_CONFIGS)
 
 
 def test_bundled_configs_load():
@@ -301,25 +313,84 @@ def test_null_value_counts_as_absent(tmp_path):
         assert err.value.violations == [f"missing required key {key!r}"]
 
 
+UNIFORM = [{"family": "uniform", "mean": 0.0, "variance": 1.0}] * 3
+SILENT = [{"family": "none"}] * 3
+
+
 @pytest.mark.parametrize(
-    "command, missing",
+    "command, overrides, missing",
     [
-        ("simulate", ["horizon"]),
-        ("recurrence", ["horizon", "trials"]),
-        ("spectral", ["mc_samples"]),
+        ("simulate", {}, ["horizon"]),
+        ("recurrence", {}, ["horizon", "trials"]),
+        ("spectral", {}, ["mc_samples"]),
+        # bounds needs mc_samples where the gap is Monte Carlo ...
+        ("bounds", {"noise": UNIFORM, "variant": "undirected"}, ["mc_samples"]),
+        # ... or the spectra are
+        ("bounds", {}, ["mc_samples"]),
+        # and runs without it where neither is
+        ("bounds", {"variant": "undirected"}, []),
+        ("bounds", {"noise": SILENT}, []),
+    ],
+    ids=[
+        "simulate-missing0",
+        "recurrence-missing1",
+        "spectral-missing2",
+        "bounds-monte-carlo-gap",
+        "bounds-monte-carlo-spectra",
+        "bounds-gaussian-undirected",
+        "bounds-noise-free",
     ],
 )
-def test_command_reports_its_missing_fields(tmp_path, command, missing):
-    data = tiny_config(tmp_path / "o")
+def test_command_reports_its_missing_fields(tmp_path, command, overrides, missing):
+    data = tiny_config(tmp_path / "o", **overrides)
     for key in ("horizon", "trials", "mc_samples"):
         del data[key]
-    config = load_config(write_config(tmp_path, data))
+    path = write_config(tmp_path, data)
+    if not missing:
+        assert main([command, "--config", str(path)]) == 0
+        return
     with pytest.raises(ValidationError) as err:
-        run_subcommand(command, config)
+        run_subcommand(command, load_config(path))
     assert err.value.violations == [
         f"{command}: required field {key!r} is missing" for key in missing
     ]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("excess, admissible", [(5e-13, True), (2e-12, False)])
+def test_config_and_recurrence_share_the_admissible_tolerance(
+    tmp_path, excess, admissible
+):
+    # one edge, at distance pi/2 + excess
+    phases = [0.0, PI / 2 + excess]
+    data = tiny_config(
+        tmp_path / "o",
+        graph={"n": 2, "edges": [[0, 1]]},
+        omega=[1.0, 2.0],
+        noise=SILENT[:2],
+        initial={"mode": "explicit", "phases": phases},
+    )
+    model = load_config(write_config(tmp_path, {**data, "initial": None})).model
+
+    def recurrence():
+        return analysis.recurrence_experiment(
+            model,
+            analysis.fixed_initial(phases),
+            DEFAULT_GAMMA,
+            trials=1,
+            horizon=1,
+            stream=RandomStream(seed=0),
+        )
+
+    if admissible:
+        load_config(write_config(tmp_path, data))
+        recurrence()
+        return
+    with pytest.raises(ValidationError) as err:
+        load_config(write_config(tmp_path, data))
+    assert err.value.violations == ["initial.phases: an edge distance exceeds pi/2"]
+    with pytest.raises(analysis.InvalidInitSampler, match="admissible set"):
+        recurrence()
 
 
 @pytest.mark.parametrize(

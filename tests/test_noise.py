@@ -318,7 +318,7 @@ def test_open_unit_stays_below_one_for_all_ones_words():
 
 
 def test_open_unit_bits_equal_plain_formula():
-    words = RandomStream(seed=17, purpose="words").raw_words(0, 100_000)
+    words = RandomStream(seed=17, purpose="words")._generator(0)[0].random_raw(100_000)
     words[:3] = [0, 1 << 11, 2**64 - 2**12]  # smallest and next-to-largest
     plain = (words >> np.uint64(11)) * 2.0**-53 + 2.0**-54
     assert np.array_equal(_open_unit(words).view(np.uint64), plain.view(np.uint64))
