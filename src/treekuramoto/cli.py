@@ -34,7 +34,9 @@ numbers must be finite; every violation is reported at once):
                                              # where the gap or the spectra are
                                              # Monte Carlo: a family other than
                                              # gaussian or none, or any noise
-                                             # under frequency_dependent
+                                             # under frequency_dependent; at
+                                             # least 2 where the figure is
+                                             # Monte Carlo (spectral: any noise)
     pair_set:   all | edges                  # default all
     initial:    {mode: explicit, phases: [float, ...]}      # length n, each
                                              # of magnitude below 2**52, or
@@ -132,23 +134,21 @@ class ExperimentConfig:
     ``raw`` is the config mapping as read, after overrides. ``model``,
     ``sampler`` (``(graph, stream) -> phases``, the fixed or sampled start
     state of ``initial``) and ``stream`` (keyed by ``seed``) are the run's
-    domain objects, built once by validation; the other fields are the
-    remaining run settings, ``None`` where an optional count is absent.
+    domain objects, built once by validation. Every field is read by its
+    dotted key, as the YAML, ``--set`` and the error messages name it:
+    ``config["drift.probes"]``. ``values`` holds one entry per ``_FIELDS``
+    key, the default where the field is absent (``None`` for an absent
+    optional count), with ``gamma`` as a float.
     """
 
     raw: dict
     model: NetworkModel
     sampler: Callable[[TreeGraph, RandomStream], np.ndarray]
     stream: RandomStream
-    gamma: float
-    horizon: int | None
-    trials: int | None
-    mc_samples: int | None
-    pair_set: str
-    drift_probes: int
-    drift_noise_samples: int
-    output_directory: str
-    decimation: int
+    values: dict
+
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     # the benchmark harness's tests read these two
     @property
@@ -353,28 +353,17 @@ def _validate(data: dict) -> ExperimentConfig:
         sampler = analysis.fixed_initial(phases)
     else:
         sampler = analysis.edge_box_sampler(float(low), float(high))
-    return ExperimentConfig(
-        raw=data,
-        model=NetworkModel(
-            graph=graph,
-            omega=values["omega"],
-            noise=NoiseSpec(tuple(nodes)),
-            kappa=float(values["kappa"]),
-            tau=float(values["tau"]),
-            variant=values["variant"],
-        ),
-        sampler=sampler,
-        stream=RandomStream(seed=values["seed"]),
-        gamma=float(values["gamma"]),
-        horizon=values["horizon"],
-        trials=values["trials"],
-        mc_samples=values["mc_samples"],
-        pair_set=values["pair_set"],
-        drift_probes=values["drift.probes"],
-        drift_noise_samples=values["drift.noise_samples"],
-        output_directory=values["output.directory"],
-        decimation=values["output.decimation"],
+    values["gamma"] = float(values["gamma"])
+    model = NetworkModel(
+        graph=graph,
+        omega=values["omega"],
+        noise=NoiseSpec(tuple(nodes)),
+        kappa=float(values["kappa"]),
+        tau=float(values["tau"]),
+        variant=values["variant"],
     )
+    stream = RandomStream(seed=values["seed"])
+    return ExperimentConfig(data, model, sampler, stream, values)
 
 
 def _read_raw(path) -> dict:
@@ -493,21 +482,32 @@ def _require(config: ExperimentConfig, command: str) -> None:
     ``config`` lacks: those whose ``_FIELDS`` row lists the command, and
     for ``bounds`` ``mc_samples`` where the gap or the spectra are Monte
     Carlo, that is for noise other than gaussian or none, or for any
-    noise under the frequency-dependent variant."""
+    noise under the frequency-dependent variant. Where a figure is Monte
+    Carlo (``bounds`` as above, ``spectral`` for any noise), one sample
+    gives no standard error, so ``mc_samples`` must be at least 2."""
     noise = config.model.noise
-    monte_carlo = not noise.analytic_gaussian or (
-        config.model.variant == "frequency_dependent" and not noise.is_deterministic
-    )
+    noisy = not noise.is_deterministic
+    monte_carlo = {
+        "bounds": not noise.analytic_gaussian
+        or (config.model.variant == "frequency_dependent" and noisy),
+        "spectral": noisy,
+    }.get(command, False)
     needed = [f.key for f in _FIELDS if command in f.commands]
     if command == "bounds" and monte_carlo:
         needed.append("mc_samples")
-    missing = [
+    bad = [
         f"{command}: required field {key!r} is missing"
         for key in needed
-        if getattr(config, key.replace(".", "_")) is None
+        if config[key] is None
     ]
-    if missing:
-        raise ValidationError(missing)
+    samples = config["mc_samples"]
+    if monte_carlo and samples is not None and samples < 2:
+        bad.append(
+            f"{command}: mc_samples must be at least 2 for a Monte Carlo "
+            f"estimate, got {samples}"
+        )
+    if bad:
+        raise ValidationError(bad)
 
 
 def _check_finite(results: dict, prefix: str = "") -> None:
@@ -547,9 +547,9 @@ def _run_bounds(config: ExperimentConfig):
     gap = noise_mod.e_max_delta_omega(
         model.omega,
         model.noise,
-        pairs=config.pair_set,
+        pairs=config["pair_set"],
         graph=model.graph,
-        mc_samples=config.mc_samples,
+        mc_samples=config["mc_samples"],
         stream=config.stream,
     )
     provenance = {
@@ -559,19 +559,19 @@ def _run_bounds(config: ExperimentConfig):
         "e_max_delta_omega": gap.value,
         "e_max_delta_omega_stderr": gap.stderr,
         "e_max_delta_omega_pair": list(gap.pair),
-        "gamma": config.gamma,
+        "gamma": config["gamma"],
         "variant": model.variant,
     }
     if model.variant == "frequency_dependent":
         stats, results["spectral"], provenance["spectral"] = _spectral(
-            config, config.mc_samples or 1
+            config, config["mc_samples"] or 1
         )
         bound = conditions.bounds_frequency_dependent(
-            stats, gap.value, config.gamma, tau=model.tau, kappa=model.kappa
+            stats, gap.value, config["gamma"], tau=model.tau, kappa=model.kappa
         )
     else:
         bound = conditions.bounds_undirected(
-            model.graph, gap.value, config.gamma, tau=model.tau, kappa=model.kappa
+            model.graph, gap.value, config["gamma"], tau=model.tau, kappa=model.kappa
         )
     results["kappa_min"] = bound.kappa_min
     results["tau_max"] = bound.tau_max
@@ -580,7 +580,7 @@ def _run_bounds(config: ExperimentConfig):
     provenance["bounds"] = {"method": "analytic", "samples": 0}
     if np.all(model.omega > 0):
         results["continuous_reference_kappa"] = conditions.continuous_reference_kappa(
-            model.omega, model.graph, config.gamma
+            model.omega, model.graph, config["gamma"]
         )
         provenance["continuous_reference_kappa"] = {
             "method": "analytic",
@@ -590,7 +590,7 @@ def _run_bounds(config: ExperimentConfig):
 
 
 def _run_spectral(config: ExperimentConfig):
-    _, results, provenance = _spectral(config, config.mc_samples)
+    _, results, provenance = _spectral(config, config["mc_samples"])
     return results, {"spectral": provenance}, {}
 
 
@@ -600,8 +600,8 @@ def _numbered(prefix: str, block: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _run_simulate(config: ExperimentConfig):
-    model, gamma, stream = config.model, config.gamma, config.stream
-    graph, horizon, every = model.graph, config.horizon, config.decimation
+    model, gamma, stream = config.model, config["gamma"], config.stream
+    graph, horizon, every = model.graph, config["horizon"], config["output.decimation"]
     theta0 = config.sampler(graph, stream.child(trial=0, purpose="init"))
     results = {"horizon": horizon, "gamma": gamma}
 
@@ -646,9 +646,9 @@ def _run_recurrence(config: ExperimentConfig):
     stats = analysis.recurrence_experiment(
         config.model,
         config.sampler,
-        config.gamma,
-        config.trials,
-        config.horizon,
+        config["gamma"],
+        config["trials"],
+        config["horizon"],
         config.stream,
     )
     columns = {
@@ -691,9 +691,9 @@ def _run_recurrence(config: ExperimentConfig):
 def _run_drift(config: ExperimentConfig):
     estimates = analysis.drift_sweep(
         config.model,
-        config.gamma,
-        config.drift_probes,
-        config.drift_noise_samples,
+        config["gamma"],
+        config["drift.probes"],
+        config["drift.noise_samples"],
         config.stream,
     )
     probes = len(estimates)
@@ -709,8 +709,8 @@ def _run_drift(config: ExperimentConfig):
     }
     results = {
         "probes": probes,
-        "noise_samples": config.drift_noise_samples,
-        "gamma": config.gamma,
+        "noise_samples": config["drift.noise_samples"],
+        "gamma": config["gamma"],
         "min_estimate": float(values.min()) if values.size else None,
         "max_estimate": float(values.max()) if values.size else None,
         "worst_stderr": float(errors.max()) if errors.size else None,
@@ -721,7 +721,7 @@ def _run_drift(config: ExperimentConfig):
     provenance = {
         "drift": {
             "method": "monte-carlo",
-            "samples": config.drift_noise_samples,
+            "samples": config["drift.noise_samples"],
         }
     }
     return results, provenance, {"probes.csv": [columns]}
@@ -780,7 +780,7 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
         # simulate's results are complete only once its table is written;
         # its chunks check them then
         _check_finite(results)
-        out_dir = Path(config.output_directory)
+        out_dir = Path(config["output.directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, chunks in files.items():
             _write_csv(out_dir / name, chunks)

@@ -301,7 +301,7 @@ def test_violation_messages(tmp_path, mutate, violations):
 def test_null_value_counts_as_absent(tmp_path):
     data = tiny_config(tmp_path / "o", gamma=None, horizon=None, drift=None)
     config = load_config(write_config(tmp_path, data))
-    assert (config.gamma, config.horizon, config.drift_probes) == (
+    assert (config["gamma"], config["horizon"], config["drift.probes"]) == (
         DEFAULT_GAMMA,
         None,
         100,
@@ -355,6 +355,57 @@ def test_command_reports_its_missing_fields(tmp_path, command, overrides, missin
         f"{command}: required field {key!r} is missing" for key in missing
     ]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, monte_carlo",
+    [
+        ("bounds", {"noise": UNIFORM, "variant": "undirected"}, True),
+        ("bounds", {}, True),
+        ("spectral", {}, True),
+        ("bounds", {"noise": SILENT}, False),
+        ("spectral", {"noise": SILENT}, False),
+    ],
+    ids=[
+        "bounds-monte-carlo-gap",
+        "bounds-monte-carlo-spectra",
+        "spectral-noisy",
+        "bounds-noise-free",
+        "spectral-noise-free",
+    ],
+)
+def test_one_sample_is_no_monte_carlo_estimate(
+    tmp_path, capsys, command, overrides, monte_carlo
+):
+    data = tiny_config(tmp_path / "o", mc_samples=1, **overrides)
+    code = main([command, "--config", str(write_config(tmp_path, data))])
+    err = capsys.readouterr().err
+    if not monte_carlo:
+        assert (code, err) == (0, "")
+        return
+    assert code == 2
+    assert err == (
+        f"config error: invalid configuration: {command}: mc_samples must be "
+        "at least 2 for a Monte Carlo estimate, got 1\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_field_reads_back_by_its_key(tmp_path):
+    required = ("graph", "omega", "noise", "variant", "kappa", "tau", "seed")
+    data = {k: v for k, v in tiny_config(tmp_path).items() if k in required}
+    config = load_config(write_config(tmp_path, data))
+    # the given fields, and the mode of the default initial section
+    given = {**data, "graph.n": 3, "graph.edges": data["graph"]["edges"]}
+    given["initial.mode"] = "sample"
+    for field in cli._FIELDS:
+        assert config[field.key] == given.get(field.key, field.default), field.key
+        # no second name, but for the two forwarding properties
+        name = field.key.replace(".", "_")
+        assert name in ("graph", "omega") or not hasattr(config, name), name
+    assert set(config.values) == {field.key for field in cli._FIELDS}
+    config = load_config(write_config(tmp_path, {**data, "gamma": 1}))
+    assert repr(config["gamma"]) == "1.0"
 
 
 @pytest.mark.parametrize("excess, admissible", [(5e-13, True), (2e-12, False)])
