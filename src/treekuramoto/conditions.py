@@ -28,7 +28,7 @@ from .errors import NumericError
 from .dynamics import validate_gamma
 from .graph import TreeGraph, edge_laplacian
 from .linalg import NoConvergence, batch_eigenvalues, weighted_edge_laplacian
-from .noise import NoiseSpec, RandomStream, sample_noise_block
+from .noise import NoiseSpec, RandomStream, _NoiseReader, _words_per_step
 
 #: Default cohesion half-width when the caller does not choose one.
 DEFAULT_GAMMA = 0.5 * math.pi - 0.05
@@ -36,11 +36,12 @@ DEFAULT_GAMMA = 0.5 * math.pi - 0.05
 #: Default Monte Carlo sample count for spectral statistics.
 DEFAULT_SPECTRAL_SAMPLES = 100_000
 
-#: Most Monte Carlo samples solved per batch, and the most bytes one
-#: batch of ``m x m`` Laplacians may take; the batch is the smaller of
-#: the two, so memory stays bounded on large trees.
-_CHUNK = 20_000
-_CHUNK_BYTES = 32 * 2**20
+#: Bytes one Monte Carlo batch may take, counting each sample's ``m x m``
+#: Laplacian and its noise words, so memory stays bounded at any sample
+#: count. 512 KiB is the smallest power of two that holds one Laplacian
+#: of a 200-node tree; besides its eigensolves a batch costs about 75 us
+#: at 50 nodes, so smaller batches would buy little memory for their time.
+_CHUNK_BYTES = 512 * 2**10
 
 
 class HypothesisViolated(NumericError):
@@ -114,15 +115,18 @@ def mc_spectral_stats(
 
     if stream is None:
         raise ValueError("stochastic spectral statistics require a stream")
-    spectral_stream = stream.child(purpose="spectral")
+    reader = _NoiseReader(noise, [stream.child(purpose="spectral")])
     lam_min = np.empty(n_samples)
     lam_max = np.empty(n_samples)
-    chunk = min(_CHUNK, max(1, _CHUNK_BYTES // (8 * graph.m**2)))
+    chunk = max(1, _CHUNK_BYTES // (8 * (graph.m**2 + _words_per_step(noise.n))))
+    block = np.empty((min(chunk, n_samples), noise.n, 1))
     for start in range(0, n_samples, chunk):
         count = min(chunk, n_samples - start)
-        draws = sample_noise_block(noise, spectral_stream, start, count)
+        reader.read(block[:count])
         try:
-            ev = batch_eigenvalues(weighted_edge_laplacian(graph, omega + draws))
+            ev = batch_eigenvalues(
+                weighted_edge_laplacian(graph, omega + block[:count, :, 0])
+            )
         except NoConvergence as exc:
             raise NoConvergence(
                 f"eigensolver failed at sample {start + exc.batch_index}: {exc}",

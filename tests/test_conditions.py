@@ -106,7 +106,8 @@ def test_chunking_does_not_change_results(line5, monkeypatch):
     reference = mc_spectral_stats(
         line5, OMEGA5, line5_spec(), n_samples=3000, stream=RandomStream(seed=9)
     )
-    monkeypatch.setattr(cond, "_CHUNK", 700)
+    # a line5 sample takes a 4 x 4 Laplacian and 8 noise words
+    monkeypatch.setattr(cond, "_CHUNK_BYTES", 700 * 8 * (4 * 4 + 8))
     rechunked = mc_spectral_stats(
         line5, OMEGA5, line5_spec(), n_samples=3000, stream=RandomStream(seed=9)
     )
@@ -147,18 +148,24 @@ def test_no_convergence_carries_sample_index(monkeypatch):
     import treekuramoto.conditions as cond
     from treekuramoto.linalg import NoConvergence
 
-    real_block = cond.sample_noise_block
+    real_laplacian = cond.weighted_edge_laplacian
+    seen = 0
 
-    def poisoned(spec, stream, start, count):
-        draws = real_block(spec, stream, start, count)
-        if start <= 103 < start + count:
-            draws[103 - start, 2] = np.nan
-        return draws
+    def poisoned(graph, w):
+        # node 2 of global sample 103 made NaN, wherever its batch starts
+        nonlocal seen
+        if seen <= 103 < seen + len(w):
+            w = w.copy()
+            w[103 - seen, 2] = np.nan
+        seen += len(w)
+        return real_laplacian(graph, w)
 
-    monkeypatch.setattr(cond, "_CHUNK", 100)
-    monkeypatch.setattr(cond, "sample_noise_block", poisoned)
+    # 100-sample batches of 4 x 4 Laplacians and 8 noise words each
+    monkeypatch.setattr(cond, "_CHUNK_BYTES", 100 * 8 * (4 * 4 + 8))
+    monkeypatch.setattr(cond, "weighted_edge_laplacian", poisoned)
     # the line, and a tree whose poisoned node 2 joins three edges
     for edges in (LINE5_EDGES, [(0, 1), (1, 2), (2, 3), (4, 2)]):
+        seen = 0
         with pytest.raises(NoConvergence) as err:
             mc_spectral_stats(
                 build_tree(5, edges),
@@ -207,6 +214,34 @@ def test_large_tree_chunks_bounded_and_match_oracle(monkeypatch):
     assert stats.stderr_min == pytest.approx(
         np.std(ev[:, 0], ddof=1) / math.sqrt(n_samples), rel=1e-8
     )
+
+
+def test_spectral_memory_does_not_grow_with_sample_count():
+    # 50 nodes: at 4 000 samples one batch of all the Laplacians would
+    # take 77 MB. Beyond the two eigenvalue arrays (16 bytes per sample),
+    # the peak may grow by at most one batch budget.
+    import tracemalloc
+
+    import treekuramoto.conditions as cond
+    from conftest import random_tree
+
+    rng = np.random.default_rng(5)
+    g = random_tree(rng, 50)
+    omega = rng.uniform(1.0, 10.0, size=50)
+    spec = NoiseSpec.gaussian(rng.uniform(0.5, 5.0, size=50), np.zeros(50))
+
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            mc_spectral_stats(
+                g, omega, spec, n_samples=n_samples, stream=RandomStream(seed=3)
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200), peak(4_000)
+    assert large - small < 16 * (4_000 - 200) + cond._CHUNK_BYTES
 
 
 def test_spectral_stats_validation():
