@@ -4,11 +4,13 @@ Three instruments, of which the first two share one stepping loop,
 :func:`_chunks`. It reads the noise of one generator per trial through
 ``noise._NoiseReader`` a chunk at a time, steps the chunk with one call
 of the integrator kernel ``dynamics._integrate`` and yields the chunk's
-states, frequencies and per-state largest edge distances (the kernel
-takes those once per sub-block). A chunk spans ``_MAX_BLOCK_WORDS``
-noise words, raised toward one kernel sub-block (64 steps) as far as
-``_MAX_FLOOR_WORDS`` words allow, so its buffers stay bounded however
-long the horizon.
+states, per-state largest edge distances (the kernel takes those once
+per sub-block) and, for a trajectory, its frequencies. A recurrence
+chunk needs no frequencies: its noise is read into its state rows and
+stepped in place there. All of a chunk's buffers together span
+``_MAX_BLOCK_WORDS`` noise words (1 MiB), raised toward one kernel
+sub-block (64 steps) as far as ``_MAX_FLOOR_WORDS`` words allow, so
+they stay bounded however long the horizon.
 
 * :func:`simulate` collects one trajectory's chunks into a record:
   every state, the realized frequencies and each state's largest edge
@@ -90,17 +92,18 @@ _MIN_FORK_WORK = 200_000
 #: the time of one at 2 x 5 trials, 0.91x at 2 x 8 and 0.80x at 2 x 16.
 _MIN_SLICE_TRIALS = 16
 
-#: Noise words one chunk of a trajectory or of a recurrence slice spans,
-#: so that its frequencies and its states take at most 512 KiB each (the
-#: floor below aside).
-_MAX_BLOCK_WORDS = 1 << 16
+#: Noise words' worth of doubles that all the buffers of one chunk hold
+#: together: 1 MiB (the floor below aside). A recurrence chunk steps in
+#: its states alone and gets all of it; a trajectory chunk also keeps
+#: its frequencies, and each of its two buffers gets half.
+_MAX_BLOCK_WORDS = 1 << 17
 
 #: Fewest steps in a chunk, as far as ``_MAX_FLOOR_WORDS`` noise words
-#: allow: each chunk pays a kernel call and the set bookkeeping. Without
-#: it a 200-node tree at 100 trials gets 3-step chunks; at 6 steps a
-#: trial*step took 1.13 times as long as at 64 (median of 8 alternating
-#: runs, 2 vCPUs). The cap keeps 64 steps of a wide slice from taking
-#: 1 GB (200 nodes, 5 000 trials).
+#: over all its buffers allow: each chunk pays a kernel call and the set
+#: bookkeeping. Without it a 200-node tree at 100 trials gets 3-step
+#: chunks; at 6 steps a trial*step took 1.13 times as long as at 64
+#: (median of 8 alternating runs, 2 vCPUs). The cap keeps 64 steps of a
+#: wide slice from taking 1 GB (200 nodes, 5 000 trials).
 _MIN_CHUNK_STEPS = _SUB_STEPS
 _MAX_FLOOR_WORDS = 1 << 20
 
@@ -171,6 +174,15 @@ class RecurrenceStats:
     @property
     def escaped(self) -> np.ndarray:
         return self.escape_time >= 0
+
+    @property
+    def returned_before_escape(self) -> np.ndarray:
+        """Flags of the trials that returned before any escape. A trial
+        that slips past pi/2 can re-enter the set on the far side; its
+        return then follows its escape and is not counted here."""
+        return self.returned & (
+            (self.escape_time < 0) | (self.return_time < self.escape_time)
+        )
 
     @property
     def return_fraction(self) -> float:
@@ -339,7 +351,7 @@ def _trajectory(model, theta0, horizon, stream):
     """
     noise_stream = stream.child(purpose="noise")
     for k0, states, frequency, maxima in _chunks(
-        model, theta0[:, None], [noise_stream], horizon
+        model, theta0[:, None], [noise_stream], horizon, frequencies=True
     ):
         yield k0, states[:-1, :, 0], frequency[..., 0], maxima[:-1, 0]
     final = sample_noise_block(model.noise, noise_stream, horizon, 1)
@@ -443,16 +455,17 @@ def recurrence_experiment(
     )
 
 
-def _chunk_steps(n: int, width: int) -> int:
-    """Steps per noise chunk of ``width`` trajectories on ``n`` nodes:
-    ``_MAX_BLOCK_WORDS`` noise words, raised toward ``_MIN_CHUNK_STEPS``
-    as far as ``_MAX_FLOOR_WORDS`` words allow."""
-    words = _words_per_step(n) * width
+def _chunk_steps(n: int, width: int, buffers: int = 1) -> int:
+    """Steps per noise chunk of ``width`` trajectories on ``n`` nodes
+    held in ``buffers`` buffers: ``_MAX_BLOCK_WORDS`` noise words over
+    all of them, raised toward ``_MIN_CHUNK_STEPS`` as far as
+    ``_MAX_FLOOR_WORDS`` words allow."""
+    words = _words_per_step(n) * width * buffers
     floor = min(_MIN_CHUNK_STEPS, _MAX_FLOOR_WORDS // words)
     return max(1, floor, _MAX_BLOCK_WORDS // words)
 
 
-def _chunks(model, theta, noise_streams, horizon):
+def _chunks(model, theta, noise_streams, horizon, frequencies=False):
     """Step the trials-minor batch ``theta`` ``(n, width)`` for
     ``horizon`` steps, column ``t`` driven by ``noise_streams[t]``, one
     noise chunk of :func:`_chunk_steps` steps and one kernel call at a
@@ -461,36 +474,41 @@ def _chunks(model, theta, noise_streams, horizon):
     Yields ``(k0, states, frequency, maxima)`` for each chunk of
     ``count`` steps: ``states`` ``(count + 1, n, width)`` holds the
     states at steps ``k0 .. k0 + count`` and ``maxima``
-    ``(count + 1, width)`` their largest edge geodesic distances;
+    ``(count + 1, width)`` their largest edge geodesic distances. The
+    last state row starts the next chunk. With ``frequencies``,
     ``frequency`` ``(count, n, width)`` holds ``omega + noise`` of steps
     ``k0 .. k0 + count - 1``, so state row ``j`` starts the step that
-    frequency row ``j`` drives. The last state row starts the next
-    chunk. All three are buffers that the next chunk overwrites.
+    frequency row ``j`` drives. Without, it is ``None``: the noise is
+    read into the state rows and stepped in place there, so the chunk
+    holds one buffer, not two, and the budget gives it twice the steps.
+    All of them are buffers that the next chunk overwrites.
 
     Raises:
         _NonFinite: a state became non-finite; stepping stops at the end
             of that chunk, which is not yielded.
     """
     n, width = theta.shape
-    chunk = min(horizon, _chunk_steps(n, width))
+    chunk = min(horizon, _chunk_steps(n, width, 2 if frequencies else 1))
     states = np.empty((chunk + 1, n, width))
     maxima = np.empty((chunk + 1, width))
-    frequency_buffer = np.empty((chunk, n, width))
+    frequency_buffer = np.empty((chunk, n, width)) if frequencies else None
     states[0] = theta
     maxima[0] = edge_geodesics(model.graph, theta.T).max(axis=-1)
     omega = model.omega[:, None]
     noise = _NoiseReader(model.noise, noise_streams)
     for k0 in range(0, horizon, chunk):
         count = min(chunk, horizon - k0)
-        frequency = frequency_buffer[:count]
+        stepped = states[1 : count + 1]
+        frequency = frequency_buffer[:count] if frequencies else stepped
         noise.read(frequency)
         frequency += omega
         failure = _integrate(
-            model, states[0], frequency, states[1 : count + 1], maxima[1 : count + 1]
+            model, states[0], frequency, stepped, maxima[1 : count + 1]
         )
         if failure is not None:
             raise _NonFinite(k0 + failure[0] + 1, failure[1])
-        yield k0, states[: count + 1], frequency, maxima[: count + 1]
+        kept = frequency if frequencies else None
+        yield k0, states[: count + 1], kept, maxima[: count + 1]
         states[0], maxima[0] = states[count], maxima[count]
 
 

@@ -661,6 +661,7 @@ def _run_recurrence(config: ExperimentConfig):
         "escape_time": stats.escape_time,
     }
     finite = stats.return_times
+    unslipped = stats.returned_before_escape
     results = {
         "trials": stats.trials,
         "horizon": stats.horizon,
@@ -668,6 +669,10 @@ def _run_recurrence(config: ExperimentConfig):
         "return_fraction": stats.return_fraction,
         "return_fraction_ci95": list(
             analysis.wilson_interval(int(stats.returned.sum()), stats.trials)
+        ),
+        "returned_before_escape_fraction": float(np.mean(unslipped)),
+        "returned_before_escape_fraction_ci95": list(
+            analysis.wilson_interval(int(unslipped.sum()), stats.trials)
         ),
         "escaped_fraction": stats.escaped_fraction,
         "escaped_fraction_ci95": list(
@@ -796,11 +801,9 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
         "wall_clock_s": time.perf_counter() - started,
     }
 
-    def write(handle):
-        json.dump(report, handle, indent=2, sort_keys=True, default=float)
-        handle.write("\n")
-
-    _replace(out_dir / "summary.json", write)
+    # one string and one write: json.dump writes every token on its own
+    text = json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
+    _replace(out_dir / "summary.json", lambda handle: handle.write(text))
     return report
 
 

@@ -11,13 +11,17 @@ Gaussian draws use inverse-CDF sampling (exactly one counter word per
 value) rather than rejection methods, which would consume a variable
 number of words and break counter addressing.
 
-Words become disturbances in one place, :func:`_disturbances`: one
-vectorized pass per family over that family's node columns. Two readers
-feed it. :func:`sample_noise_block` addresses one stream's block by
-counter. :class:`_NoiseReader` reads many streams in step order, with
-one generator per stream that is placed once and then read onward, and
-fills trials-minor ``(steps, n, trials)`` blocks a group of streams at a
-time; every column equals the first reader's block bit for bit.
+Words become open-interval uniforms in one place, :func:`_open_uniforms`,
+which numpy's ``Generator.random`` fills straight from the placed Philox
+(the top 53 bits of each word, scaled), and uniforms become disturbances
+in one place, :func:`_disturbances`: one vectorized pass per family over
+that family's nodes, whose scaling pass writes into the caller's block.
+Two readers feed them. :func:`sample_noise_block` addresses one
+stream's block by counter. :class:`_NoiseReader` reads many streams in
+step order, with one generator per stream that is placed once and then
+read onward, and fills trials-minor ``(steps, n, trials)`` blocks a
+group of streams at a time through two reused buffers; every column
+equals the first reader's block bit for bit.
 """
 
 from __future__ import annotations
@@ -159,38 +163,40 @@ class RandomStream:
         digest = hashlib.blake2b(tag, digest_size=16).digest()
         return np.frombuffer(digest, dtype=np.uint64)
 
-    def _generator(self, index: int) -> tuple[Philox, int]:
-        """Philox whose next words start at the counter block holding word
-        ``index``, and the offset of ``index`` in that block."""
+    def _generator(self, index: int) -> np.random.Generator:
+        """Generator whose next word is word ``index`` of this stream."""
         counter, offset = divmod(index, _WORDS_PER_COUNTER)
-        return Philox(counter=counter, key=self._key()), offset
+        bitgen = Philox(counter=counter, key=self._key())
+        bitgen.random_raw(offset)
+        return np.random.Generator(bitgen)
 
     def uniforms(self, index: int, count: int) -> np.ndarray:
         """``count`` doubles in the open interval (0, 1), from the raw
-        64-bit words starting at word ``index``.
+        64-bit words starting at word ``index`` (see :func:`_open_uniforms`).
 
         Raises:
             MemoryError: the words do not fit in memory, or not in one
                 array.
         """
-        bitgen, offset = self._generator(index)
-        _check_items(offset + count, "noise words")
-        return _open_unit(bitgen.random_raw(offset + count)[offset:])
+        _check_items(count, "noise words")
+        return _open_uniforms([self._generator(index)], np.empty((1, count)))[0]
 
 
 #: The largest double below one.
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
-def _open_unit(words: np.ndarray) -> np.ndarray:
-    """Doubles in the open interval (0, 1) from 64-bit words: the top 53
-    bits scaled to [0, 1) plus 2**-54. The sum rounds to exactly 1 for
-    the one word value whose top 53 bits are all ones; that value is
-    mapped to the largest double below 1, and every other is unchanged.
-    """
-    u = (words >> np.uint64(11)) * 2.0**-53
-    u += 2.0**-54
-    return np.minimum(u, _BELOW_ONE, out=u)
+def _open_uniforms(generators, out: np.ndarray) -> np.ndarray:
+    """Fill row ``i`` of ``out`` with doubles in the open interval (0, 1),
+    one from each of the next 64-bit words of ``generators[i]``: the top
+    53 bits scaled to [0, 1) (``Generator.random``) plus 2**-54. The sum
+    rounds to exactly 1 for the one word value whose top 53 bits are all
+    ones; that value is mapped to the largest double below 1, and every
+    other is unchanged."""
+    for row, generator in zip(out, generators):
+        generator.random(out=row)
+    out += 2.0**-54
+    return np.minimum(out, _BELOW_ONE, out=out)
 
 
 def _words_per_step(n: int) -> int:
@@ -202,42 +208,54 @@ def _words_per_step(n: int) -> int:
 
 def _family_rows(spec: NoiseSpec) -> list:
     """``(family, columns, scale, mean)`` for each random family in
-    ``spec``: its node columns (``slice(None)`` when it has every node)
-    and per-node rows of its scale (gaussian: the standard deviation,
-    uniform: the half width ``sqrt(3 variance)``) and of its mean."""
+    ``spec``: its nodes (``slice(None)`` when it has every node) and
+    ``(nodes, 1)`` columns of its scale (gaussian: the standard
+    deviation, uniform: the half width ``sqrt(3 variance)``) and of its
+    mean; ``mean`` is ``None`` when every mean is zero, since adding a
+    zero leaves the bits of every draw but -0.0 as they are, and
+    ``ndtri(u)`` and ``2u - 1`` are +0.0 at ``u = 1/2``, their one zero."""
     rows = []
     for family, spread in (("gaussian", 1.0), ("uniform", 3.0)):
         nodes = [i for i, node in enumerate(spec.nodes) if node.family == family]
         if nodes:
+            mean = spec.means()[nodes, None]
             rows.append(
                 (
                     family,
                     slice(None) if len(nodes) == spec.n else np.array(nodes),
-                    np.sqrt(spread * spec.variances()[nodes]),
-                    spec.means()[nodes],
+                    np.sqrt(spread * spec.variances()[nodes, None]),
+                    mean if mean.any() else None,
                 )
             )
     return rows
 
 
-def _disturbances(rows: list, u: np.ndarray) -> np.ndarray:
-    """Disturbances from open-interval uniforms ``u`` of shape ``(..., n)``,
-    node ``i`` in column ``i``: ``ndtri(u) * sd + mean`` for gaussian
-    nodes, ``mean + (2u - 1) * half_width`` for uniform nodes and +0.0 for
-    ``none`` nodes, one pass per family over its columns. ``rows`` is
-    :func:`_family_rows` of the spec."""
-    out = None
+def _disturbances(rows: list, u, standard, out) -> np.ndarray:
+    """Fill ``out`` ``(steps, n, width)`` with the disturbances of the
+    open-interval uniforms ``u`` of that shape, node ``i`` at index ``i``
+    of axis 1: ``ndtri(u) * sd + mean`` for gaussian nodes, ``(2u - 1) *
+    half_width + mean`` for uniform nodes and +0.0 for ``none`` nodes,
+    one pass per family over its nodes. ``rows`` is :func:`_family_rows`
+    of the spec; ``standard``, of the same shape (it may be ``out``),
+    receives ``ndtri(u)`` or ``2u - 1`` of a family that has every node,
+    and the scaling pass writes those straight into ``out``."""
+    if not (rows and isinstance(rows[0][1], slice)):
+        out[...] = 0.0
     for family, columns, scale, mean in rows:
-        picked = u[..., columns]
-        x = ndtri(picked) if family == "gaussian" else 2.0 * picked - 1.0
-        x *= scale
-        x += mean
-        if isinstance(columns, slice):
-            return x
-        if out is None:
-            out = np.zeros(u.shape)
-        out[..., columns] = x
-    return np.zeros(u.shape) if out is None else out
+        whole = isinstance(columns, slice)
+        picked = u if whole else u[:, columns]
+        x = standard if whole else picked
+        if family == "gaussian":
+            ndtri(picked, out=x)
+        else:
+            np.multiply(picked, 2.0, out=x)
+            x -= 1.0
+        x = np.multiply(x, scale, out=out if whole else x)
+        if mean is not None:
+            x += mean
+        if not whole:
+            out[:, columns] = x
+    return out
 
 
 def sample_noise_block(
@@ -252,12 +270,13 @@ def sample_noise_block(
     """
     n = spec.n
     stride = _words_per_step(n)
-    u = stream.uniforms(k0 * stride, steps * stride).reshape(steps, stride)[:, :n]
-    return _disturbances(_family_rows(spec), u)
+    u = stream.uniforms(k0 * stride, steps * stride).reshape(steps, stride, 1)
+    out = np.empty((steps, n, 1))
+    return _disturbances(_family_rows(spec), u[:, :n], out, out)[:, :, 0]
 
 
-#: Streams a :class:`_NoiseReader` draws as one group: ``random_raw``
-#: from each, then one conversion, one transform and one store for all.
+#: Streams a :class:`_NoiseReader` draws as one group: one fill of the
+#: group's uniforms, then one pass of each family and one scaled store.
 _READ_GROUP = 16
 
 
@@ -265,34 +284,41 @@ class _NoiseReader:
     """The noise of many streams, read in step order into trials-minor
     blocks.
 
-    Holds one Philox per stream, placed once at step ``k0`` through
+    Holds one generator per stream, placed once at step ``k0`` through
     :meth:`RandomStream._generator`; each :meth:`read` continues where the
     last one stopped. A step's words are whole counter blocks, so a
     generator that has emitted them stands where a new one for the next
     step would start, and column ``t`` of every block equals
-    ``sample_noise_block(spec, streams[t], k, count)`` bit for bit.
+    ``sample_noise_block(spec, streams[t], k, count)`` bit for bit. The
+    uniforms of a group and their standardized draws live in two buffers
+    that every read reuses.
     """
 
     def __init__(self, spec: NoiseSpec, streams, k0: int = 0):
         self._rows = _family_rows(spec)
         self._stride = _words_per_step(spec.n)
-        self._generators = [
-            stream._generator(k0 * self._stride)[0] for stream in streams
-        ]
+        self._generators = [stream._generator(k0 * self._stride) for stream in streams]
+        self._uniforms = self._standard = np.empty(0)
 
     def read(self, out: np.ndarray) -> None:
         """Fill ``out`` ``(count, n, width)``, one column per stream, with
         the next ``count`` steps of every stream."""
         count, n, width = out.shape
         words = count * self._stride
+        group = min(_READ_GROUP, width)
+        if self._uniforms.size < group * words:
+            self._uniforms = np.empty(group * words)
+            self._standard = np.empty(group * count * n)
         for lo in range(0, width, _READ_GROUP):
-            group = self._generators[lo : lo + _READ_GROUP]
-            raw = np.empty((len(group), words), dtype=np.uint64)
-            for row, bitgen in zip(raw, group):
-                row[:] = bitgen.random_raw(words)
-            u = _open_unit(raw).reshape(len(group), count, self._stride)[..., :n]
-            out[:, :, lo : lo + len(group)] = _disturbances(self._rows, u).transpose(
-                1, 2, 0
+            generators = self._generators[lo : lo + _READ_GROUP]
+            size = len(generators)
+            u = self._uniforms[: size * words].reshape(size, words)
+            _open_uniforms(generators, u)
+            # steps, nodes and streams as the axes of out
+            u = u.reshape(size, count, self._stride)[..., :n].transpose(1, 2, 0)
+            standard = self._standard[: size * count * n].reshape(size, count, n)
+            _disturbances(
+                self._rows, u, standard.transpose(1, 2, 0), out[:, :, lo : lo + size]
             )
 
 

@@ -425,6 +425,36 @@ def test_recurrence_independent_of_chunks_below_the_floor(regime, monkeypatch):
     test_recurrence_independent_of_chunk_size(regime, monkeypatch)
 
 
+def test_recurrence_identical_across_budgets_with_partial_read_groups(monkeypatch):
+    # 37 trials: the noise reader's groups of 16 end in one of 5, and
+    # every chunk is read into its state rows and stepped in place there
+    model, sampler, gamma, _, horizon = CHUNK_REGIMES["exits_undirected_k5"]
+    trials = 37
+    force_workers(monkeypatch, 1)
+    monkeypatch.setattr(analysis, "_MIN_CHUNK_STEPS", 1)
+    run = lambda: recurrence_experiment(  # noqa: E731
+        model, sampler, gamma, trials, horizon, RandomStream(seed=37)
+    )
+    reference = run()
+    assert reference.returned.any() and reference.escaped.any()
+    for steps_per_chunk in (1, 5, 64, 163, horizon):
+        monkeypatch.setattr(analysis, "_MAX_BLOCK_WORDS", 8 * trials * steps_per_chunk)
+        assert analysis._chunk_steps(5, trials) == steps_per_chunk
+        chunked = run()
+        for field in dataclasses.fields(reference):
+            assert np.array_equal(
+                getattr(chunked, field.name), getattr(reference, field.name)
+            ), (steps_per_chunk, field.name)
+    # and trial by trial, each column follows simulate's trajectory
+    base = RandomStream(seed=37)
+    for t in (0, 16, 36):
+        theta0 = sampler(model.graph, base.child(trial=t, purpose="init"))
+        rec = simulate(model, theta0, horizon, base.child(trial=t))
+        rt, et, mx = oracle_trial_stats(rec.max_edge_distance, gamma)
+        assert (reference.return_time[t], reference.escape_time[t]) == (rt, et)
+        assert reference.max_excursion[t] == mx
+
+
 def test_batch_equals_sequential_below_the_chunk_floor(monkeypatch):
     # batch chunks of a few steps, so their seams fall inside the short
     # horizons of the property test
@@ -452,7 +482,7 @@ def test_recurrence_frequency_blocks_stay_bounded(n, width, monkeypatch):
     kernel = analysis._integrate
 
     def spy(model, theta, frequency, out, step_max=None):
-        blocks.append(frequency.shape)
+        blocks.append((frequency.shape, frequency.base, out.base))
         return kernel(model, theta, frequency, out, step_max)
 
     monkeypatch.setattr(analysis, "_integrate", spy)
@@ -460,27 +490,47 @@ def test_recurrence_frequency_blocks_stay_bounded(n, width, monkeypatch):
     recurrence_experiment(
         model, edge_box_sampler(), 1.0, width, horizon, RandomStream(seed=n)
     )
-    assert len(blocks) >= 2 and sum(steps for steps, _, _ in blocks) == horizon
-    for steps, nodes, columns in blocks:
+    assert len(blocks) >= 2 and sum(shape[0] for shape, _, _ in blocks) == horizon
+    # every chunk's noise is read into the rows of one states buffer and
+    # stepped there: no other chunk buffer
+    states = blocks[0][1]
+    for (steps, nodes, columns), frequency, out in blocks:
         assert (nodes, columns) == (n, width)
-        assert steps * words * width <= analysis._MAX_BLOCK_WORDS or (
-            steps <= dynamics._SUB_STEPS
-            and steps * words * width <= analysis._MAX_FLOOR_WORDS
-        )
+        assert frequency is states and out is states
+    # the budget counts a step's noise words, and the buffer holds one
+    # more row, the chunk's start state
+    budget = analysis._MAX_BLOCK_WORDS
+    if len(states) - 1 <= dynamics._SUB_STEPS:
+        budget = max(budget, analysis._MAX_FLOOR_WORDS)
+    assert states.nbytes <= 8 * (budget + words * width)
+    assert (len(states) - 1) * words * width <= budget
 
 
 @pytest.mark.parametrize(
     "n, width, steps",
     [
-        (5, 1, 8192),  # one line5 trajectory: the word budget
-        (5, 100, 81),  # line5's 200 trials on two workers: the word budget
-        (200, 100, 52),  # the floor, capped at its word limit: 2 x 8.3 MB
+        (5, 1, 16384),  # one line5 trial: the word budget in one buffer
+        (5, 100, 163),  # line5's 200 trials on two workers: the word budget
+        (200, 100, 52),  # the floor, capped at its word limit: 8.3 MB
         (200, 5000, 1),  # the floor would take 1 GB; the budget gives none
         (200, 300, 17),  # the floor, capped at its word limit
     ],
 )
 def test_recurrence_chunk_steps(n, width, steps):
     assert analysis._chunk_steps(n, width) == steps
+
+
+@pytest.mark.parametrize(
+    "n, steps",
+    [
+        (5, 8192),  # one line5 trajectory: half the word budget per buffer
+        (50, 1260),  # one trajectory on a 50-node tree (52 words a step)
+        (200, 327),  # one trajectory on a 200-node tree
+    ],
+)
+def test_trajectory_chunk_steps(n, steps):
+    # a trajectory keeps its frequencies beside its states: two buffers
+    assert analysis._chunk_steps(n, 1, buffers=2) == steps
 
 
 def force_workers(monkeypatch, workers):

@@ -605,9 +605,10 @@ def test_decimation_thins_rows(tmp_path, monkeypatch):
     assert rows[10] == rows[1][:1] + rows[1][1::10]
     assert rows[3] == rows[1][:1] + rows[1][1::3]
 
-    # 7-step chunks (three nodes take 4 noise words a step): at decimation
-    # 3 the first kept row of most chunks is not the chunk's first row
-    monkeypatch.setattr(analysis, "_MAX_BLOCK_WORDS", 4 * 7)
+    # 7-step chunks (three nodes take 4 noise words a step, and a
+    # trajectory chunk holds two buffers): at decimation 3 the first kept
+    # row of most chunks is not the chunk's first row
+    monkeypatch.setattr(analysis, "_MAX_BLOCK_WORDS", 2 * 4 * 7)
     monkeypatch.setattr(analysis, "_MIN_CHUNK_STEPS", 1)
     chunk_steps = []
     kernel = analysis._integrate
@@ -714,6 +715,27 @@ def test_recurrence_summary_reports_uncertainty(tmp_path):
     assert results["return_time_p90"] == float(np.percentile(times, 90))
     for key in ("return_fraction", "escaped_fraction", "return_time_median"):
         assert key in results
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.2])
+def test_recurrence_summary_counts_returns_before_any_escape(tmp_path, tau):
+    # at tau = 0.2 trials slip past pi/2 and re-enter the set on the far
+    # side: they count as returned, but not as returned before an escape
+    out = tmp_path / "run"
+    data = tiny_config(out, tau=tau, trials=40, horizon=400)
+    assert main(["recurrence", "--config", str(write_config(tmp_path, data))]) == 0
+    results = json.loads((out / "summary.json").read_text())["results"]
+    rows = read_csv(out / "trials.csv")[1:]
+    before = sum(
+        row[2] == "1" and (row[6] == "-1" or int(row[3]) < int(row[6]))
+        for row in rows
+    )
+    assert results["returned_before_escape_fraction"] == before / 40
+    assert results["returned_before_escape_fraction_ci95"] == list(
+        wilson_interval(before, 40)
+    )
+    slipped = results["return_fraction"] - results["returned_before_escape_fraction"]
+    assert (slipped > 0.5) == (tau == 0.2)
 
 
 @pytest.mark.parametrize("command", ["recurrence", "simulate"])
@@ -1248,6 +1270,31 @@ def test_summary_records_numeric_environment(tmp_path):
     assert all(env[key] for key in ("python", "scipy", "platform"))
 
 
+def test_summary_is_written_in_one_call(tmp_path, monkeypatch):
+    # json.dump wrote each token on its own, about 1 250 writes for a
+    # spectral summary; the bytes are json.dumps of the report
+    out = tmp_path / "run"
+    path = write_config(tmp_path, tiny_config(out))
+    writes = []
+    replace = cli._replace
+
+    def spy(target, write):
+        class Handle:
+            def write(self, text):
+                writes.append(text)
+
+        if target.name == "summary.json":
+            write(Handle())
+        replace(target, write)
+
+    monkeypatch.setattr(cli, "_replace", spy)
+    assert main(["spectral", "--config", str(path)]) == 0
+    text = (out / "summary.json").read_text()
+    assert writes == [text]
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_io_error_exit_code(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory", encoding="utf-8")
@@ -1282,13 +1329,31 @@ def test_failed_write_leaves_previous_file(tmp_path, capsys, monkeypatch, target
 
         monkeypatch.setattr(cli, "_format", failing)
     else:
+        # the summary is written in one call; the disk fills during it
+        real_open = open
 
-        def failing(report, handle, **kwargs):
-            handle.write('{\n  "command": ')
-            handle.flush()
-            raise disk_full()
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
 
-        monkeypatch.setattr(cli.json, "dump", failing)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:20])
+                self.handle.flush()
+                raise disk_full()
+
+        def failing_open(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+            if Path(path).name.startswith(".summary.json."):
+                return FullDisk(handle)
+            return handle
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
     # another seed and horizon: every output would differ
     assert main(argv + ["--set", "horizon=300", "--set", "seed=7"]) == 4
     assert capsys.readouterr().err.startswith("io error: [Errno 28]")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.random import Philox
 from scipy.integrate import quad
 from scipy.special import ndtri
 
@@ -19,8 +20,10 @@ from treekuramoto.noise import (
     InvalidNoiseSpec,
     NegativeVariance,
     UnsupportedFamily,
+    _BELOW_ONE,
     _NoiseReader,
-    _open_unit,
+    _open_uniforms,
+    _words_per_step,
     sample_noise_block,
 )
 
@@ -308,19 +311,107 @@ def test_gap_analytic_rejected_for_uniform_family():
     assert est.method == "monte-carlo"
 
 
+class PlacedWords:
+    """Stands in for a placed generator whose next words are ``words``:
+    ``random`` scales their top 53 bits to [0, 1) as numpy's
+    ``Generator.random`` does, which
+    ``test_reader_and_uniforms_bits_equal_raw_word_oracle`` pins."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random(self, out):
+        out[:] = (self.words[: len(out)] >> np.uint64(11)) * 2.0**-53
+        self.words = self.words[len(out) :]
+
+
+#: The smallest word, the smallest with a nonzero top 53 bits and the
+#: next-to-largest top 53 bits.
+EDGE_WORDS = [0, 1 << 11, 2**64 - 2**12]
+
+
 def test_open_unit_stays_below_one_for_all_ones_words():
     # the top 53 bits all ones: (2**53 - 1) * 2**-53 + 2**-54 rounds to 1
-    words = np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
-    u = _open_unit(words)
+    words = [2**64 - 1, 2**64 - 2**11]
+    u = _open_uniforms([PlacedWords(words)], np.empty((1, 2)))[0]
     assert np.all(u < 1.0)
     assert np.all(u == np.nextafter(1.0, 0.0))
     assert np.all(np.isfinite(ndtri(u)))
 
 
 def test_open_unit_bits_equal_plain_formula():
-    words = RandomStream(seed=17, purpose="words")._generator(0)[0].random_raw(100_000)
-    words[:3] = [0, 1 << 11, 2**64 - 2**12]  # smallest and next-to-largest
+    words = RandomStream(seed=17, purpose="words")._generator(0).bit_generator
+    words = words.random_raw(100_000)
+    words[:3] = EDGE_WORDS
     plain = (words >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-    assert np.array_equal(_open_unit(words).view(np.uint64), plain.view(np.uint64))
+    u = _open_uniforms([PlacedWords(words)], np.empty((1, len(words))))[0]
+    assert np.array_equal(u.view(np.uint64), plain.view(np.uint64))
     u = RandomStream(seed=17).uniforms(5, 1000)
     assert np.all((0.0 < u) & (u < 1.0))
+
+
+def oracle_uniforms(words):
+    """Open-interval doubles of raw 64-bit words, by the plain formula."""
+    return np.minimum((words >> np.uint64(11)) * 2.0**-53 + 2.0**-54, _BELOW_ONE)
+
+
+def oracle_disturbances(spec, u):
+    """Disturbances of uniforms ``u`` ``(steps, n)`` by the plain formulas."""
+    out = np.zeros(u.shape)
+    for i, node in enumerate(spec.nodes):
+        if node.family == "gaussian":
+            out[:, i] = ndtri(u[:, i]) * math.sqrt(node.variance) + node.mean
+        elif node.family == "uniform":
+            half = math.sqrt(3.0 * node.variance)
+            out[:, i] = (2.0 * u[:, i] - 1.0) * half + node.mean
+    return out
+
+
+def placed_words(stream, index, count):
+    """``count`` raw words of ``stream`` from word ``index``, from a Philox
+    placed as ``RandomStream`` documents it: keyed by the stream, its
+    counter at the block that holds word ``index``."""
+    counter, offset = divmod(index, 4)
+    bitgen = Philox(counter=counter, key=stream._key())
+    return bitgen.random_raw(offset + count)[offset:]
+
+
+ORACLE_SPECS = BLOCK_SPECS + [
+    # one family with every node and zero means: the scaled store alone
+    NoiseSpec.gaussian(VARIANCES5),
+    NoiseSpec(tuple(NodeNoise("uniform", variance=v) for v in (1.0, 2.0, 3.0))),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_SPECS)))
+def test_reader_and_uniforms_bits_equal_raw_word_oracle(case):
+    # every double from the raw words of an identically placed Philox,
+    # compared bitwise: this pins Generator.random to (w >> 11) * 2**-53
+    spec = ORACLE_SPECS[case]
+    stream = RandomStream(seed=31, trial=case, purpose="oracle")
+    words = placed_words(stream, 5, 100_000)
+    u = stream.uniforms(5, 100_000)
+    assert u.tobytes() == oracle_uniforms(words).tobytes()
+
+    stride, k0, width = _words_per_step(spec.n), 7, 3
+    count = -(-100_000 // (stride * width))
+    streams = [stream.child(trial=t) for t in range(width)]
+    block = np.empty((count, spec.n, width))
+    _NoiseReader(spec, streams, k0).read(block)
+    for t, child in enumerate(streams):
+        u = oracle_uniforms(placed_words(child, k0 * stride, count * stride))
+        expected = oracle_disturbances(spec, u.reshape(count, stride)[:, : spec.n])
+        assert block[:, :, t].tobytes() == expected.tobytes()
+        assert sample_noise_block(spec, child, k0, count).tobytes() == (
+            expected.tobytes()
+        )
+
+    # the edge words, and the all-ones one, through the reader's fill
+    edge = np.array(EDGE_WORDS + [2**64 - 1], dtype=np.uint64)
+    words = np.resize(edge, 2 * stride)
+    reader = _NoiseReader(spec, [stream])
+    reader._generators = [PlacedWords(words)]
+    block = np.empty((2, spec.n, 1))
+    reader.read(block)
+    u = oracle_uniforms(words).reshape(2, stride)[:, : spec.n]
+    assert block[:, :, 0].tobytes() == oracle_disturbances(spec, u).tobytes()
