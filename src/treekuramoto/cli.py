@@ -16,35 +16,11 @@ variable ``TREEKURAMOTO_SEED`` overrides the config seed; an explicit
 ``--set seed=...`` wins over both. All angles are radians, frequencies
 rad/s, the sampling period seconds.
 
-Config schema (unknown keys are rejected, a null value counts as absent,
-numbers must be finite; every violation is reported at once):
-
-    graph:      {n: int, edges: [[tail, head], ...]}  # a tree on n nodes
-    omega:      [float, ...]                 # length n, rad/s
-    noise:      [{family: gaussian|uniform|none,
-                  mean: float, variance: float}, ...]      # length n
-    variant:    frequency_dependent | undirected
-    kappa:      float > 0
-    tau:        float > 0                    # seconds
-    gamma:      float in (0, pi/2)           # default pi/2 - 0.05
-    seed:       int
-    horizon:    int in [1, 2**53]            # needed by simulate, recurrence
-    trials:     int in [1, 2**53]            # needed by recurrence
-    mc_samples: int in [1, 2**53]            # needed by spectral, and by bounds
-                                             # where the gap or the spectra are
-                                             # Monte Carlo: a family other than
-                                             # gaussian or none, or any noise
-                                             # under frequency_dependent; at
-                                             # least 2 where the figure is
-                                             # Monte Carlo (spectral: any noise)
-    pair_set:   all | edges                  # default all
-    initial:    {mode: explicit, phases: [float, ...]}      # length n, each
-                                             # of magnitude below 2**52, or
-                {mode: sample, low: float = 0, high: float = pi/2}
-                # default {mode: sample}; 0 <= low < high <= pi/2
-    drift:      {probes: int in [0, 2**53] = 100,
-                 noise_samples: int in [2, 2**53] = 10000}
-    output:     {directory: str without NUL = out, decimation: int in [1, 2**53] = 1}
+The config schema is ``_FIELDS``, one row per field: ``treekuramoto
+--help`` lists each row's key, rule, default and the commands that need
+it, and README "Config schema" adds the per-node noise entries and the
+initial modes. Unknown keys are rejected, a null value counts as absent,
+and every violation is reported at once.
 
 Data files are comma-separated with a header row; the summary report is
 a single JSON file. ``simulate`` steps its trajectory a noise chunk at a
@@ -54,9 +30,10 @@ into place, so a run that fails leaves no partial file, though it may
 leave an empty output directory. Exit codes: 0 success, 2 configuration
 error, 3 numeric error (including a non-finite state or result, an
 allocation that fails or that is too large for one array, and a worker
-process that ends without a result), 4 I/O error, 130 (128 + 2)
-interrupted by SIGINT (Ctrl-C) and 143 (128 + 15) terminated by SIGTERM,
-after the temporary files are removed and the worker processes reaped.
+process that ends without a result), 4 I/O error (a closed or full
+stdout included), 130 (128 + 2) interrupted by SIGINT (Ctrl-C) and 143
+(128 + 15) terminated by SIGTERM, after the temporary files are removed
+and the worker processes reaped.
 """
 
 from __future__ import annotations
@@ -71,7 +48,7 @@ import platform
 import signal
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -528,18 +505,11 @@ def _spectral(config: ExperimentConfig, n_samples: int):
     stats = conditions.mc_spectral_stats(
         model.graph, model.omega, model.noise, n_samples=n_samples, stream=config.stream
     )
-    results = {
-        "e_lambda_min": stats.e_lambda_min,
-        "e_lambda_max": stats.e_lambda_max,
-        "stderr_min": stats.stderr_min,
-        "stderr_max": stats.stderr_max,
-        "samples": stats.samples,
-    }
     provenance = {
         "method": "deterministic" if model.noise.is_deterministic else "monte-carlo",
         "samples": stats.samples,
     }
-    return stats, results, provenance
+    return stats, asdict(stats), provenance
 
 
 def _run_bounds(config: ExperimentConfig):
@@ -556,11 +526,8 @@ def _run_bounds(config: ExperimentConfig):
         "e_max_delta_omega": {"method": gap.method, "samples": gap.samples}
     }
     results = {
-        "e_max_delta_omega": gap.value,
         "e_max_delta_omega_stderr": gap.stderr,
         "e_max_delta_omega_pair": list(gap.pair),
-        "gamma": config["gamma"],
-        "variant": model.variant,
     }
     if model.variant == "frequency_dependent":
         stats, results["spectral"], provenance["spectral"] = _spectral(
@@ -573,10 +540,7 @@ def _run_bounds(config: ExperimentConfig):
         bound = conditions.bounds_undirected(
             model.graph, gap.value, config["gamma"], tau=model.tau, kappa=model.kappa
         )
-    results["kappa_min"] = bound.kappa_min
-    results["tau_max"] = bound.tau_max
-    results["tau"] = model.tau
-    results["kappa"] = model.kappa
+    results.update(asdict(bound))
     provenance["bounds"] = {"method": "analytic", "samples": 0}
     if np.all(model.omega > 0):
         results["continuous_reference_kappa"] = conditions.continuous_reference_kappa(
@@ -651,38 +615,33 @@ def _run_recurrence(config: ExperimentConfig):
         config["horizon"],
         config.stream,
     )
+    names = (
+        "started_in_set", "returned", "return_time", "max_excursion", "escaped",
+        "escape_time",
+    )
     columns = {
         "trial": np.arange(stats.trials),
-        "started_in_set": stats.started_in_set,
-        "returned": stats.returned,
-        "return_time": stats.return_time,
-        "max_excursion": stats.max_excursion,
-        "escaped": stats.escaped,
-        "escape_time": stats.escape_time,
+        **{name: getattr(stats, name) for name in names},
     }
     finite = stats.return_times
-    unslipped = stats.returned_before_escape
     results = {
         "trials": stats.trials,
         "horizon": stats.horizon,
         "gamma": stats.gamma,
-        "return_fraction": stats.return_fraction,
-        "return_fraction_ci95": list(
-            analysis.wilson_interval(int(stats.returned.sum()), stats.trials)
-        ),
-        "returned_before_escape_fraction": float(np.mean(unslipped)),
-        "returned_before_escape_fraction_ci95": list(
-            analysis.wilson_interval(int(unslipped.sum()), stats.trials)
-        ),
-        "escaped_fraction": stats.escaped_fraction,
-        "escaped_fraction_ci95": list(
-            analysis.wilson_interval(int(stats.escaped.sum()), stats.trials)
-        ),
         "max_excursion_overall": float(np.max(stats.max_excursion)),
         "return_time_median": float(np.median(finite)) if finite.size else None,
         "return_time_p90": float(np.percentile(finite, 90)) if finite.size else None,
         "return_time_max": int(np.max(finite)) if finite.size else None,
     }
+    for name, flags in (
+        ("return", stats.returned),
+        ("returned_before_escape", stats.returned_before_escape),
+        ("escaped", stats.escaped),
+    ):
+        results[f"{name}_fraction"] = float(np.mean(flags))
+        results[f"{name}_fraction_ci95"] = list(
+            analysis.wilson_interval(int(flags.sum()), stats.trials)
+        )
     provenance = {
         "recurrence": {
             "method": "monte-carlo",
@@ -702,16 +661,16 @@ def _run_drift(config: ExperimentConfig):
         config.stream,
     )
     probes = len(estimates)
-    values = np.array([est.estimate for est in estimates])
-    errors = np.array([est.stderr for est in estimates])
     thetas = [est.theta for est in estimates]
     columns = {
         "probe": np.arange(probes),
-        "estimate": values,
-        "stderr": errors,
-        "samples": np.array([est.samples for est in estimates], dtype=np.int64),
+        **{
+            name: np.array([getattr(est, name) for est in estimates])
+            for name in ("estimate", "stderr", "samples")
+        },
         **_numbered("theta", np.reshape(thetas, (probes, config.model.graph.n))),
     }
+    values, errors = columns["estimate"], columns["stderr"]
     results = {
         "probes": probes,
         "noise_samples": config["drift.noise_samples"],
@@ -830,11 +789,26 @@ def _raise_terminated(signum, frame):
     raise _Terminated(signal.Signals(signum))
 
 
+def _epilog() -> str:
+    """``--help``'s list of the config fields, one ``_FIELDS`` row a line."""
+    lines = ['config fields, by the keys --set takes (see README "Config schema"):']
+    for f in _FIELDS:
+        notes = [f.message]
+        if f.default is not None:
+            notes.append("required" if f.default is ... else f"default {f.default}")
+        if f.commands:
+            notes.append(f"needed by {', '.join(f.commands)}")
+        lines.append(f"  {f.key:<20} {'; '.join(notes)}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="treekuramoto",
         description="Stochastic Kuramoto oscillators on trees: bounds, "
         "spectral statistics, trajectories, recurrence and drift checks.",
+        epilog=_epilog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     source = parser.add_mutually_exclusive_group(required=True)
@@ -898,11 +872,21 @@ def _run(args) -> int:
                     f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
                 ) from None
         _apply_overrides(data, args.overrides)
-        if args.out:
+        if args.out is not None:
             _set_field(data, "output.directory", args.out, "--out")
 
         config = _validate(data)
-        report = run_subcommand(args.command, config)
+        results = run_subcommand(args.command, config)["results"]
+        try:
+            # flushed here, so that a closed or full stdout is this run's
+            # I/O error
+            lines = (f"{key}: {value}" for key, value in sorted(results.items()))
+            print(*lines, sep="\n", flush=True)
+        except OSError:
+            # the files are written; the interpreter's own flush of stdout
+            # at exit would fail again, so it writes to devnull instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            raise
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -912,10 +896,6 @@ def _run(args) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-
-    results = report["results"]
-    for key in sorted(results):
-        print(f"{key}: {results[key]}")
     return 0
 
 

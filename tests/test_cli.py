@@ -71,17 +71,64 @@ def write_config(tmp_path, data, name="exp.yaml"):
     return path
 
 
+def readme_section(title):
+    """The text of README's section ``title``, up to the next one."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    return readme.partition(f"\n{title}\n")[2].partition("\n## ")[0]
+
+
 # --- loading and validation -----------------------------------------------------
 
 
 def test_readme_bundled_table_names_packaged_configs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8"
-    )
-    table = readme.partition("### Bundled example configs")[2].split("\n\n")[1]
+    table = readme_section("### Bundled example configs").split("\n\n")[0]
     names = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
     assert len(names) == 6
     assert set(names) <= set(BUNDLED_CONFIGS)
+
+
+def test_readme_config_schema_covers_every_field():
+    section = readme_section("## Config schema")
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    # each top-level key's lines, commented alternatives such as
+    # ``#initial: {mode: explicit, ...}`` included
+    lines = {}
+    for key, rest in re.findall(r"^#?(\w+):(.*)$", block, re.M):
+        lines[key] = lines.get(key, "") + rest
+    example = yaml.safe_load(block)
+    for field in cli._FIELDS:
+        if field.section:
+            assert re.search(rf"\b{field.leaf}:", lines[field.section]), field.key
+        else:
+            assert field.key in lines and field.key in example, field.key
+        if field.default in (None, ...):
+            continue
+        value = (example[field.section] if field.section else example)[field.leaf]
+        if isinstance(field.default, dict):
+            assert field.default.items() <= value.items(), field.key
+        else:
+            # by value: README's gamma 1.5207963267948966 is DEFAULT_GAMMA
+            assert value == field.default, field.key
+    assert cli._validate(example)["gamma"] == DEFAULT_GAMMA
+
+
+def test_help_lists_every_field(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    text = capsys.readouterr().out
+    for field in cli._FIELDS:
+        (line,) = re.findall(rf"^  {re.escape(field.key)} +(.*)$", text, re.M)
+        assert line.startswith(field.message)
+        if field.default not in (None, ...):
+            assert f"default {field.default}" in line
+        assert line.endswith(
+            f"needed by {', '.join(field.commands)}" if field.commands else ""
+        )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bundled_configs_load():
@@ -471,6 +518,15 @@ def test_out_is_set_like_a_dotted_override(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "config error: --out: 'output' is not a mapping\n"
     data["output"] = None
     write_config(tmp_path, data)
+    # an empty directory is refused as the config's own would be, not
+    # replaced by the default out/
+    for empty in (argv + [""], argv[:-1] + ["--set", "output.directory="]):
+        assert main(empty) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid configuration: "
+            "output.directory: must be a nonempty string without NUL\n"
+        )
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
     assert main(argv + ["123"]) == 0
     summary = json.loads((tmp_path / "123" / "summary.json").read_text())
     assert summary["config"]["output"] == {"directory": "123"}
@@ -686,17 +742,85 @@ def test_simulate_failing_midway_leaves_the_earlier_table(
     assert sorted(path.name for path in tmp_path.iterdir()) == ["trajectory.csv"]
 
 
+def readme_columns(name, n):
+    """The columns that README's "Data files" lists for ``name`` on ``n``
+    nodes, ``theta_0..theta_{n-1}`` spelled out."""
+    listed = re.search(
+        rf"`{name}` \(.*?\):\n\n((?:    .*\n)+)", readme_section("## Data files")
+    ).group(1)
+    columns = []
+    for item in map(str.strip, listed.split(",")):
+        numbered = re.fullmatch(r"(\w+)_0\.\.\1_\{n-1\}", item)
+        columns += [f"{numbered[1]}_{i}" for i in range(n)] if numbered else [item]
+    return columns
+
+
 def test_recurrence_and_drift_write_row_files(tmp_path):
     out = tmp_path / "run"
     path = write_config(tmp_path, tiny_config(out))
     assert main(["recurrence", "--config", str(path)]) == 0
     rows = read_csv(out / "trials.csv")
-    assert rows[0][0] == "trial"
+    assert rows[0] == readme_columns("trials.csv", 3)
     assert len(rows) == 5
     assert main(["drift", "--config", str(path)]) == 0
     rows = read_csv(out / "probes.csv")
-    assert rows[0][:4] == ["probe", "estimate", "stderr", "samples"]
+    assert rows[0] == readme_columns("probes.csv", 3)
     assert len(rows) == 4
+
+
+SPECTRAL_KEYS = ["e_lambda_max", "e_lambda_min", "samples", "stderr_max", "stderr_min"]
+BOUNDS_KEYS = [
+    "continuous_reference_kappa", "e_max_delta_omega", "e_max_delta_omega_pair",
+    "e_max_delta_omega_stderr", "gamma", "kappa", "kappa_min", "tau", "tau_max",
+    "variant",
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, keys",
+    [
+        ("bounds", "line5_zero_mean", sorted(BOUNDS_KEYS + ["spectral"])),
+        ("bounds", "line5_undirected", BOUNDS_KEYS),
+        ("spectral", "line5_zero_mean", SPECTRAL_KEYS),
+        (
+            "simulate", "line5_zero_mean",
+            [
+                "escaped", "final_drift_v", "first_escape_step", "gamma", "horizon",
+                "in_set_fraction", "max_edge_distance_overall",
+            ],
+        ),
+        (
+            "recurrence", "line5_zero_mean",
+            [
+                "escaped_fraction", "escaped_fraction_ci95", "gamma", "horizon",
+                "max_excursion_overall", "return_fraction", "return_fraction_ci95",
+                "return_time_max", "return_time_median", "return_time_p90",
+                "returned_before_escape_fraction",
+                "returned_before_escape_fraction_ci95", "trials",
+            ],
+        ),
+        (
+            "drift", "line5_zero_mean",
+            [
+                "all_negative_3se", "gamma", "max_estimate", "min_estimate",
+                "noise_samples", "probes", "worst_stderr",
+            ],
+        ),
+    ],
+)
+def test_summary_results_keys(tmp_path, command, name, keys):
+    """The names each command reports; a figure added to a library result
+    type shows up here."""
+    small = [
+        "horizon=20", "trials=3", "mc_samples=20", "drift.probes=2",
+        "drift.noise_samples=20",
+    ]
+    argv = [command, "--bundled", name, "--out", str(tmp_path)]
+    assert main(argv + [arg for pair in small for arg in ("--set", pair)]) == 0
+    results = json.loads((tmp_path / "summary.json").read_text())["results"]
+    assert sorted(results) == keys
+    if "spectral" in results:
+        assert sorted(results["spectral"]) == SPECTRAL_KEYS
 
 
 def test_recurrence_summary_reports_uncertainty(tmp_path):
@@ -886,14 +1010,14 @@ def test_failing_worker_exits_numeric(
     assert no_children_left()
 
 
-def cli_process(*args, **popen):
+def cli_process(*args, stdout=subprocess.DEVNULL, **popen):
     """The CLI running ``args`` in a new Python process, its stderr piped."""
     source = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "treekuramoto.cli", *args],
         env={**os.environ, "PYTHONPATH": path},
-        stdout=subprocess.DEVNULL,
+        stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         **popen,
@@ -1301,6 +1425,42 @@ def test_io_error_exit_code(tmp_path):
     data = tiny_config(blocker / "sub")
     path = write_config(tmp_path, data)
     assert main(["simulate", "--config", str(path)]) == 4
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "sink, error",
+    [
+        ("pipe", "[Errno 32] Broken pipe"),
+        ("/dev/full", "[Errno 28] No space left on device"),
+    ],
+)
+def test_unwritable_stdout_is_io_error(tmp_path, monkeypatch, sink, error, unbuffered):
+    """A stdout whose reader has gone, or that is full, fails the run with
+    one line after its files are written, buffered or not; never with a
+    traceback or the interpreter's "Exception ignored" at exit."""
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if sink == "pipe":
+        read, stdout = os.pipe()
+        os.close(read)
+    elif Path(sink).exists():
+        stdout = os.open(sink, os.O_WRONLY)
+    else:
+        pytest.skip(f"no {sink}")
+    out = tmp_path / "out"
+    try:
+        process = cli_process(
+            "bounds", "--bundled", "two_node_minimal", "--out", str(out), stdout=stdout
+        )
+    finally:
+        os.close(stdout)
+    err = process.communicate(timeout=120)[1]
+    assert process.returncode == 4
+    assert err == f"io error: {error}\n"
+    assert (out / "summary.json").exists()
 
 
 def disk_full():
