@@ -42,17 +42,20 @@ they stay bounded however long the horizon.
 
 Trials, probes and their noise all use distinct stream coordinates, so
 results are independent of evaluation order and of how work is split
-across workers.
+across workers. Large recurrence runs and drift sweeps split their
+trials or probes into contiguous ranges, one per CPU this process may
+run on, and fork a worker process for each range but the first
+(``_fork``); each command's threshold keeps small runs in one process.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from .dynamics import (
     _SUB_STEPS,
     _UNRESOLVED,
@@ -91,6 +94,15 @@ _MIN_FORK_WORK = 200_000
 #: alternating pairs, 30 000 steps, 2 CPUs), two processes took 0.99x
 #: the time of one at 2 x 5 trials, 0.91x at 2 x 8 and 0.80x at 2 x 16.
 _MIN_SLICE_TRIALS = 16
+
+#: Fewest noise values, probes times draws times nodes, for which
+#: :func:`drift_sweep` splits its probes across forked workers: about
+#: 0.1 us each in one process. Measured in-process against one process
+#: (median of 7 alternating pairs, 2 vCPUs, one BLAS thread), two workers
+#: took 0.89x the time at 500 000 values (10 probes x 1 000 draws on a
+#: 50-node tree, 34 ms in one process), 0.64x at 1e6 and 0.55x at 5e6,
+#: but 0.98x to 1.36x at 200 000.
+_MIN_FORK_DRAWS = 500_000
 
 #: Noise words' worth of doubles that all the buffers of one chunk hold
 #: together: 1 MiB (the floor below aside). A recurrence chunk steps in
@@ -381,9 +393,10 @@ def recurrence_experiment(
 
     Large runs split the trials into contiguous slices, one per CPU
     this process may run on: this process steps the first slice and
-    forked worker processes step the others (see :func:`_worker_count`).
-    Per-trial stream coordinates make the result independent of the
-    batch, chunk and slice sizes, so it is bit-identical at every
+    forked worker processes step the others (see ``_fork``; at least
+    ``_MIN_FORK_WORK`` trial*steps and ``_MIN_SLICE_TRIALS`` trials per
+    slice). Per-trial stream coordinates make the result independent of
+    the batch, chunk and slice sizes, so it is bit-identical at every
     worker count; ``RecurrenceStats.workers`` records the count.
 
     Raises:
@@ -428,11 +441,11 @@ def recurrence_experiment(
             model, theta[:, lo:hi], noise_streams[lo:hi], gamma, horizon
         )
 
-    workers = _worker_count(trials, horizon)
-    bounds = [
-        (w * trials // workers, (w + 1) * trials // workers) for w in range(workers)
-    ]
-    parts = _run_forked(run, bounds) if workers > 1 else [run(0, trials)]
+    workers = _fork.worker_count(
+        trials, trials * horizon, _MIN_FORK_WORK, _MIN_SLICE_TRIALS
+    )
+    bounds = _fork.ranges(trials, workers)
+    parts = _fork.forked_map(run, bounds, "stepping trials")
 
     # the error a single batch raises: earliest step, then lowest trial
     failures = [
@@ -561,94 +574,6 @@ def _record_first_hit(times, hits, k0) -> None:
     times[fresh] = k0 + 1 + row[fresh]
 
 
-def _worker_count(trials: int, horizon: int) -> int:
-    """Processes that step the trials of one recurrence run.
-
-    One per CPU in this process's affinity mask, with at least
-    ``_MIN_SLICE_TRIALS`` trials each; a single one when the run is below
-    ``_MIN_FORK_WORK`` trial*steps, where there is no fork start method
-    (or no affinity mask), and inside a worker process, so that workers
-    never fork again.
-    """
-    slices = trials // _MIN_SLICE_TRIALS
-    if (
-        slices < 2
-        or trials * horizon < _MIN_FORK_WORK
-        or not hasattr(os, "sched_getaffinity")
-    ):
-        return 1
-    # imported here, so that loading the package does not pay for it
-    import multiprocessing
-
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.parent_process() is not None
-    ):
-        return 1
-    return min(len(os.sched_getaffinity(0)), slices)
-
-
-def _run_forked(run, bounds):
-    """``[run(lo, hi) for lo, hi in bounds]``: the first slice in this
-    process, each other one in a forked worker that sends its result
-    back through a pipe. Every worker is reaped before this returns or
-    raises; an exception raised in a worker is raised here.
-
-    Raises:
-        NumericError: a worker could not be started or ended without
-            sending its result (killed, for example, by the kernel when
-            memory runs out).
-    """
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for lo, hi in bounds[1:]:
-            receive, send = context.Pipe(duplex=False)
-            process = context.Process(target=_worker, args=(send, run, lo, hi))
-            try:
-                process.start()
-            except OSError as exc:
-                receive.close()
-                raise NumericError(f"cannot start a worker process: {exc}") from None
-            finally:
-                send.close()
-            workers.append((process, receive, lo, hi))
-        parts = [run(*bounds[0])]
-        for process, receive, lo, hi in workers:
-            try:
-                failed, value = receive.recv()
-            except EOFError:
-                process.join()
-                raise NumericError(
-                    f"the worker stepping trials {lo}..{hi - 1} ended without "
-                    f"a result (exit code {process.exitcode})"
-                ) from None
-            process.join()
-            if failed:
-                raise value
-            parts.append(value)
-        return parts
-    finally:
-        for process, receive, _, _ in workers:
-            receive.close()
-            if process.exitcode is None:
-                process.kill()
-                process.join()
-
-
-def _worker(send, run, lo, hi) -> None:
-    """Body of a forked worker: send ``(False, run(lo, hi))``, or
-    ``(True, exception)`` for the parent to raise."""
-    try:
-        outcome = (False, run(lo, hi))
-    except Exception as exc:  # raised again in the parent, as in one process
-        outcome = (True, exc)
-    send.send(outcome)
-    send.close()
-
-
 def drift_estimate(
     model: NetworkModel,
     state,
@@ -704,23 +629,46 @@ def drift_sweep(
     negative drift; probing it systematically turns that requirement
     into a testable statement.
 
+    Large sweeps split the probes into contiguous ranges, one per
+    process of :func:`_drift_workers`: this process probes the first
+    range and forked workers the others. Probe ``i`` samples its state
+    from ``stream.child(trial=i, purpose="probe")`` and its draws from
+    ``stream.child(trial=i)``, so the estimates are bit-identical at
+    every worker count.
+
     Raises:
         NumericError: a step from a probed state is non-finite (the
-            message names the probe).
+            message names the probe, the lowest one that fails), or a
+            worker process ended without a result.
     """
     if n_states < 0:
         raise ValueError(f"n_states must be nonnegative, got {n_states}")
     gamma = validate_gamma(gamma)
     sampler = edge_box_sampler(low=gamma, high=0.5 * math.pi)
-    estimates = []
-    for i in range(n_states):
-        theta = sampler(model.graph, stream.child(trial=i, purpose="probe"))
-        try:
-            estimates.append(
-                drift_estimate(
-                    model, theta, gamma, noise_samples, stream.child(trial=i)
+
+    def run(lo: int, hi: int) -> list[DriftEstimate]:
+        estimates = []
+        for i in range(lo, hi):
+            theta = sampler(model.graph, stream.child(trial=i, purpose="probe"))
+            try:
+                estimates.append(
+                    drift_estimate(
+                        model, theta, gamma, noise_samples, stream.child(trial=i)
+                    )
                 )
-            )
-        except NumericError as exc:
-            raise NumericError(f"probe {i}: {exc}") from exc
-    return estimates
+            except NumericError as exc:
+                raise NumericError(f"probe {i}: {exc}") from exc
+        return estimates
+
+    bounds = _fork.ranges(n_states, _drift_workers(model, n_states, noise_samples))
+    parts = _fork.forked_map(run, bounds, "stepping probes")
+    return [estimate for part in parts for estimate in part]
+
+
+def _drift_workers(model: NetworkModel, n_states: int, noise_samples: int) -> int:
+    """Processes that share :func:`drift_sweep`'s probes: one per CPU
+    this process may run on, once the probes draw at least
+    ``_MIN_FORK_DRAWS`` noise values in all (see ``_fork``)."""
+    draws = 1 if model.noise.is_deterministic else noise_samples
+    values = n_states * draws * model.graph.n
+    return _fork.worker_count(n_states, values, _MIN_FORK_DRAWS)

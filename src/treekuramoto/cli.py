@@ -22,6 +22,12 @@ it, and README "Config schema" adds the per-node noise entries and the
 initial modes. Unknown keys are rejected, a null value counts as absent,
 and every violation is reported at once.
 
+Large ``recurrence``, ``drift`` and ``spectral`` runs (and ``bounds``'
+spectral means) split their trials, probes or samples across forked
+worker processes, one per CPU the process may run on; every file and
+result is the same at any worker count, and the summary's provenance
+records the count as ``workers``.
+
 Data files are comma-separated with a header row; the summary report is
 a single JSON file. ``simulate`` steps its trajectory a noise chunk at a
 time while it writes ``trajectory.csv``, so its memory does not grow
@@ -505,11 +511,13 @@ def _spectral(config: ExperimentConfig, n_samples: int):
     stats = conditions.mc_spectral_stats(
         model.graph, model.omega, model.noise, n_samples=n_samples, stream=config.stream
     )
+    results = asdict(stats)
     provenance = {
         "method": "deterministic" if model.noise.is_deterministic else "monte-carlo",
         "samples": stats.samples,
+        "workers": results.pop("workers"),
     }
-    return stats, asdict(stats), provenance
+    return stats, results, provenance
 
 
 def _run_bounds(config: ExperimentConfig):
@@ -686,6 +694,9 @@ def _run_drift(config: ExperimentConfig):
         "drift": {
             "method": "monte-carlo",
             "samples": config["drift.noise_samples"],
+            "workers": analysis._drift_workers(
+                config.model, config["drift.probes"], config["drift.noise_samples"]
+            ),
         }
     }
     return results, provenance, {"probes.csv": [columns]}
@@ -737,8 +748,8 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
     # Every command detects its numeric failures itself (the integrator's
     # report, the eigensolver's check, _check_finite), so numpy's float
     # warnings would only add lines to the one error message. Forked
-    # recurrence workers inherit this state, and simulate steps while
-    # its table is written.
+    # workers inherit this state, and simulate steps while its table is
+    # written.
     with np.errstate(all="ignore"):
         results, provenance, files = _COMMANDS[command](config)
         # simulate's results are complete only once its table is written;

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from treekuramoto import NetworkModel, NoiseSpec, build_tree
+from treekuramoto import NetworkModel, NoiseSpec, _fork, build_tree
 
 LINE5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4)]
 OMEGA5 = np.array([7.0, 10.0, 1.0, 6.0, 2.0])
@@ -66,3 +66,11 @@ def no_children_left() -> bool:
     except ChildProcessError:
         return True
     return False
+
+
+def force_workers(monkeypatch, workers):
+    """Make every forked map of the package split its indices into
+    ``workers`` ranges, whatever the run's size and the CPU count."""
+    monkeypatch.setattr(
+        _fork, "worker_count", lambda items, work, min_work, min_items=1: workers
+    )

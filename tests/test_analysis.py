@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import multiprocessing
 import os
 import unittest.mock
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treekuramoto import analysis, dynamics
+from treekuramoto import _fork, analysis, dynamics
 from treekuramoto import (
     NetworkModel,
     NoiseSpec,
@@ -31,7 +30,13 @@ from treekuramoto.dynamics import edge_geodesics, geodesic_distance, wrap_angle
 from treekuramoto.graph import TreeGraph
 from treekuramoto.noise import _words_per_step, sample_noise_block
 
-from conftest import THETA0_5, make_line5_model, no_children_left, random_tree
+from conftest import (
+    THETA0_5,
+    force_workers,
+    make_line5_model,
+    no_children_left,
+    random_tree,
+)
 
 PI = math.pi
 GAMMA = PI / 2 - 0.05
@@ -533,10 +538,6 @@ def test_trajectory_chunk_steps(n, steps):
     assert analysis._chunk_steps(n, 1, buffers=2) == steps
 
 
-def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(analysis, "_worker_count", lambda trials, horizon: workers)
-
-
 WORKER_REGIMES = {
     "cohesive": (make_line5_model(), edge_box_sampler(0.0, 0.8), GAMMA, 400),
     **{
@@ -612,21 +613,37 @@ def test_worker_numeric_error_names_global_trial(workers, bad_trials, monkeypatc
 
 def test_worker_count_derivation():
     cpus = len(os.sched_getaffinity(0))
-    assert analysis._worker_count(200, 10_000) == min(cpus, 200 // 16)
-    assert analysis._worker_count(1, 10**9) == 1
-    assert analysis._worker_count(31, 10**9) == 1  # slices narrower than 16
-    assert analysis._worker_count(200, 10) == 1  # below the work threshold
+    count = _fork.worker_count
+    assert count(200, 2_000_000, 200_000, 16) == min(cpus, 200 // 16)
+    assert count(1, 10**9, 200_000, 16) == 1
+    assert count(31, 10**9, 200_000, 16) == 1  # slices narrower than 16
+    assert count(200, 2_000, 200_000, 16) == 1  # below the work threshold
+    assert count(3, 10**9, 1) == min(cpus, 3)
     # a worker process never forks again
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    child = context.Process(
-        target=lambda: send.send(analysis._worker_count(200, 10_000))
+    in_each = _fork.forked_map(
+        lambda lo, hi: count(200, 2_000_000, 200_000, 16), [(0, 1), (1, 2)], "testing"
     )
-    child.start()
-    send.close()
-    assert receive.poll(30) and receive.recv() == 1
-    child.join(30)
-    assert child.exitcode == 0
+    assert in_each == [min(cpus, 200 // 16), 1]
+    assert not _fork._in_worker and no_children_left()
+
+
+def test_forked_map_keeps_range_order_and_raises_the_lowest_failure():
+    def run(lo, hi):
+        bad = [i for i in range(lo, hi) if i in (4, 7)]
+        if bad:
+            raise ValueError(f"index {bad[0]}")
+        return list(range(lo, hi)), os.getpid()
+
+    parts = _fork.forked_map(run, _fork.ranges(4, 3), "testing")
+    assert [values for values, _ in parts] == [[0], [1], [2, 3]]
+    pids = [pid for _, pid in parts]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    # 4 and 7 fail in the second and third range, both in workers
+    bounds = _fork.ranges(9, 3)
+    assert bounds == [(0, 3), (3, 6), (6, 9)]
+    with pytest.raises(ValueError, match="^index 4$"):
+        _fork.forked_map(run, bounds, "testing")
+    assert no_children_left()
 
 
 def test_non_finite_initial_state_rejected():
@@ -1044,3 +1061,54 @@ def test_drift_sweep_reproducible():
         assert np.array_equal(x.theta, y.theta)
         assert x.estimate == y.estimate
         assert x.stderr == y.stderr
+
+
+@pytest.mark.parametrize("means", [None, (0.0, 0.0, -3.0, 0.0, 0.0)])
+def test_drift_sweep_identical_at_any_worker_count(means, monkeypatch):
+    model = make_line5_model(means=None if means is None else np.array(means))
+    runs = {}
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        # 7 probes: uneven ranges of 3+4 and 2+2+3 probes
+        runs[workers] = drift_sweep(model, GAMMA, 7, 300, RandomStream(seed=4))
+        assert no_children_left()
+    reference = runs[1]
+    assert len(reference) == 7
+    for workers in (2, 3):
+        for ours, theirs in zip(runs[workers], reference, strict=True):
+            for field in dataclasses.fields(theirs):
+                assert np.array_equal(
+                    getattr(ours, field.name), getattr(theirs, field.name)
+                ), (workers, field.name)
+
+
+def test_drift_worker_count_follows_the_draws():
+    cpus = len(os.sched_getaffinity(0))
+    noisy, silent = make_line5_model(), two_node_model()
+    # 100 probes on 5 nodes: 500 noise values a draw
+    draws = -(-analysis._MIN_FORK_DRAWS // 500)
+    assert analysis._drift_workers(noisy, 100, draws) == min(cpus, 100)
+    assert analysis._drift_workers(noisy, 100, draws - 1) == 1
+    assert analysis._drift_workers(noisy, 1, 10**9) == 1
+    # without noise a probe takes one draw, whatever the sample count
+    assert analysis._drift_workers(silent, 100, 10**9) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_drift_error_names_global_probe(workers, monkeypatch):
+    # probes 5 and 6 fail; both lie in the last range at 2 and 3
+    # workers, and the message names the lower one, as in one process
+    estimate = analysis.drift_estimate
+
+    def failing(model, theta, gamma, samples, stream):
+        if stream.trial in (5, 6):
+            raise NumericError("one step from the probed state is non-finite")
+        return estimate(model, theta, gamma, samples, stream)
+
+    monkeypatch.setattr(analysis, "drift_estimate", failing)
+    force_workers(monkeypatch, workers)
+    with pytest.raises(
+        NumericError, match=r"^probe 5: one step from the probed state is non-finite$"
+    ):
+        drift_sweep(make_line5_model(), GAMMA, 7, 50, RandomStream(seed=1))
+    assert no_children_left()

@@ -34,10 +34,10 @@ from treekuramoto.cli import (
 from treekuramoto.conditions import DEFAULT_GAMMA
 from treekuramoto.dynamics import wrap_angle
 from treekuramoto.noise import RandomStream
-from treekuramoto import analysis, cli
+from treekuramoto import analysis, cli, conditions
 from treekuramoto.analysis import wilson_interval
 
-from conftest import no_children_left, random_tree
+from conftest import force_workers, no_children_left, random_tree
 
 PI = math.pi
 
@@ -960,25 +960,66 @@ def test_drift_without_probes_writes_header_only(tmp_path):
     )
 
 
-def run_recurrence_with_workers(monkeypatch, out, workers):
-    monkeypatch.setattr(
-        analysis, "_worker_count", lambda trials, horizon: workers
-    )
-    argv = ["recurrence", "--bundled", "line5_zero_mean", "--out", str(out)]
-    return main(argv + ["--set", "horizon=1000", "--set", "trials=31"])
+#: Small forked runs of each command on line5_zero_mean: 31 trials of
+#: recurrence (slices of 15 and 16 at 2 workers), 6 drift probes (3 and
+#: 3) and 1 000 spectral samples (500 and 500).
+FORKED_SIZES = {
+    "recurrence": ["horizon=1000", "trials=31"],
+    "drift": ["drift.probes=6", "drift.noise_samples=100"],
+    "spectral": ["mc_samples=1000"],
+}
+
+
+def run_with_workers(monkeypatch, out, workers, command, sizes=None):
+    force_workers(monkeypatch, workers)
+    argv = [command, "--bundled", "line5_zero_mean", "--out", str(out)]
+    for pair in FORKED_SIZES[command] if sizes is None else sizes:
+        argv += ["--set", pair]
+    return main(argv)
 
 
 def test_recurrence_outputs_independent_of_worker_count(tmp_path, monkeypatch):
     summaries = {}
     for workers in (1, 3):
         out = tmp_path / str(workers)
-        assert run_recurrence_with_workers(monkeypatch, out, workers) == 0
+        assert run_with_workers(monkeypatch, out, workers, "recurrence") == 0
         summaries[workers] = json.loads((out / "summary.json").read_text())
         assert summaries[workers]["provenance"]["recurrence"]["workers"] == workers
     assert (tmp_path / "1" / "trials.csv").read_bytes() == (
         tmp_path / "3" / "trials.csv"
     ).read_bytes()
     assert summaries[1]["results"] == summaries[3]["results"]
+
+
+@pytest.mark.parametrize(
+    "command, sizes",
+    [
+        ("drift", ["drift.probes=7"]),  # the bundled 10 000 draws a probe
+        ("spectral", []),  # the bundled 100 000 samples
+        ("bounds", []),
+    ],
+)
+def test_drift_and_spectral_outputs_independent_of_worker_count(
+    tmp_path, monkeypatch, command, sizes
+):
+    summaries = {}
+    for workers in (1, 2, 3):
+        out = tmp_path / str(workers)
+        assert run_with_workers(monkeypatch, out, workers, command, sizes) == 0
+        summaries[workers] = json.loads((out / "summary.json").read_text())
+        block = "drift" if command == "drift" else "spectral"
+        assert summaries[workers]["provenance"][block]["workers"] == workers
+        assert no_children_left()
+    for workers in (2, 3):
+        assert summaries[workers]["results"] == summaries[1]["results"]
+        if command == "drift":
+            assert (tmp_path / str(workers) / "probes.csv").read_bytes() == (
+                tmp_path / "1" / "probes.csv"
+            ).read_bytes()
+    # the count is the only provenance that differs
+    provenance = summaries[3]["provenance"]
+    provenance[block]["workers"] = 1
+    assert provenance == summaries[1]["provenance"]
 
 
 @pytest.mark.parametrize(
@@ -991,23 +1032,85 @@ def test_recurrence_outputs_independent_of_worker_count(tmp_path, monkeypatch):
 def test_failing_worker_exits_numeric(
     tmp_path, capsys, monkeypatch, failure, message
 ):
+    check_failing_worker(
+        tmp_path, capsys, monkeypatch, "recurrence", failure, message
+    )
+
+
+@pytest.mark.parametrize(
+    "command, failure, message",
+    [
+        ("drift", "killed", "the worker stepping probes 3..5 ended without a result"),
+        ("drift", "memory", "no memory for the noise block"),
+        (
+            "spectral",
+            "killed",
+            "the worker solving samples 500..999 ended without a result",
+        ),
+        ("spectral", "memory", "no memory for the noise block"),
+    ],
+)
+def test_failing_drift_or_spectral_worker_exits_numeric(
+    tmp_path, capsys, monkeypatch, command, failure, message
+):
+    check_failing_worker(tmp_path, capsys, monkeypatch, command, failure, message)
+
+
+def check_failing_worker(tmp_path, capsys, monkeypatch, command, failure, message):
+    """A forked worker of ``command`` that the kernel kills, or that
+    runs out of memory, ends the run with exit code 3 and one line."""
     parent = os.getpid()
-    step_trials = analysis._step_trials
+    module, name = {
+        "recurrence": (analysis, "_step_trials"),
+        "drift": (analysis, "drift_estimate"),
+        "spectral": (conditions, "batch_eigenvalues"),
+    }[command]
+    work = getattr(module, name)
 
     def failing_in_workers(*args):
         if os.getpid() != parent:
             if failure == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise MemoryError("no memory for the noise block")
-        return step_trials(*args)
+        return work(*args)
 
-    monkeypatch.setattr(analysis, "_step_trials", failing_in_workers)
-    assert run_recurrence_with_workers(monkeypatch, tmp_path, 2) == 3
+    monkeypatch.setattr(module, name, failing_in_workers)
+    assert run_with_workers(monkeypatch, tmp_path, 2, command) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"numeric error: {message}")
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "summary.json").exists()
     assert no_children_left()
+
+
+def test_forked_recurrence_never_imports_multiprocessing(tmp_path):
+    # the workers are os.fork, a pipe and pickle: multiprocessing's import
+    # and its Process and Connection objects would cost every forked run
+    # time and memory
+    script = (
+        "import sys\n"
+        "from treekuramoto import _fork, cli\n"
+        "_fork.worker_count = lambda items, work, min_work, min_items=1: 2\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "loaded = [m for m in sys.modules if m.startswith('multiprocessing')]\n"
+        "print('multiprocessing modules:', loaded)\n"
+        "sys.exit(code)\n"
+    )
+    out = tmp_path / "out"
+    source = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "recurrence", "--bundled", "line5_zero_mean",
+         "--out", str(out), "--set", "horizon=1000", "--set", "trials=31"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "multiprocessing modules: []"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["provenance"]["recurrence"]["workers"] == 2
 
 
 def cli_process(*args, stdout=subprocess.DEVNULL, **popen):
@@ -1088,21 +1191,54 @@ def test_sigterm_removes_the_partial_table(tmp_path):
     assert processes_with(str(out)) == []
 
 
-@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
-def test_sigterm_reaps_the_recurrence_workers(tmp_path):
+#: Forked runs of each command on line5_zero_mean that last minutes,
+#: long past the signal that stops them.
+LONG_FORKED_RUNS = {
+    "recurrence": ["--set", "horizon=3000000"],
+    "drift": ["--set", "drift.probes=1000000"],
+    "spectral": ["--set", "mc_samples=50000000"],
+}
+
+
+def check_signal_reaps_the_workers(tmp_path, command, signum):
+    """Stop a forked ``command`` run with ``signum`` once its workers run:
+    SIGTERM reaches the parent alone, whose workers would outlive it, and
+    SIGINT the parent and its workers alike, as Ctrl-C does; a worker
+    sends its interruption back instead of printing a traceback. The run
+    exits 128 plus the signal number with one line on stderr and leaves
+    no process and no output behind."""
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("on one CPU recurrence forks no worker")
-    # the signal reaches the parent alone; its worker would outlive it
+        pytest.skip(f"on one CPU {command} forks no worker")
     out = tmp_path / "out"
-    process = cli_process(
-        "recurrence", "--bundled", "line5_zero_mean", "--out", str(out),
-        "--set", "horizon=3000000",
+    argv = [command, "--bundled", "line5_zero_mean", "--out", str(out)]
+    argv += LONG_FORKED_RUNS[command]
+    if signum == signal.SIGINT:
+        process = foreground_cli_process(*argv)
+    else:
+        process = cli_process(*argv)
+    err = terminate_when(
+        process, lambda: len(processes_with(str(out))) >= 2,
+        signum, group=signum == signal.SIGINT,
     )
-    err = terminate_when(process, lambda: len(processes_with(str(out))) >= 2)
-    assert process.returncode == cli.EXIT_TERMINATED
-    assert err == "terminated: SIGTERM\n"
+    assert process.returncode == 128 + signum
+    assert err == f"terminated: {signal.Signals(signum).name}\n"
     assert processes_with(str(out)) == []
     assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigterm_reaps_the_recurrence_workers(tmp_path):
+    check_signal_reaps_the_workers(tmp_path, "recurrence", signal.SIGTERM)
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigterm_reaps_the_drift_workers(tmp_path):
+    check_signal_reaps_the_workers(tmp_path, "drift", signal.SIGTERM)
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigterm_reaps_the_spectral_workers(tmp_path):
+    check_signal_reaps_the_workers(tmp_path, "spectral", signal.SIGTERM)
 
 
 @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
@@ -1124,23 +1260,17 @@ def test_sigint_removes_the_partial_table(tmp_path):
 
 @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
 def test_sigint_reaps_the_recurrence_workers(tmp_path):
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("on one CPU recurrence forks no worker")
-    # Ctrl-C signals the parent and its worker alike; the worker sends
-    # its interruption back instead of printing a traceback
-    out = tmp_path / "out"
-    process = foreground_cli_process(
-        "recurrence", "--bundled", "line5_zero_mean", "--out", str(out),
-        "--set", "horizon=3000000",
-    )
-    err = terminate_when(
-        process, lambda: len(processes_with(str(out))) >= 2,
-        signal.SIGINT, group=True,
-    )
-    assert process.returncode == cli.EXIT_INTERRUPTED
-    assert err == "terminated: SIGINT\n"
-    assert processes_with(str(out)) == []
-    assert not out.exists()
+    check_signal_reaps_the_workers(tmp_path, "recurrence", signal.SIGINT)
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigint_reaps_the_drift_workers(tmp_path):
+    check_signal_reaps_the_workers(tmp_path, "drift", signal.SIGINT)
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigint_reaps_the_spectral_workers(tmp_path):
+    check_signal_reaps_the_workers(tmp_path, "spectral", signal.SIGINT)
 
 
 def test_main_leaves_an_ignored_signal_ignored(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -22,8 +23,10 @@ from treekuramoto.conditions import (
     _mean_and_stderr,
 )
 from treekuramoto.errors import NumericError
+from treekuramoto.linalg import NoConvergence
+from treekuramoto.noise import sample_noise_block
 
-from conftest import LINE5_EDGES, OMEGA5, VARIANCES5
+from conftest import LINE5_EDGES, OMEGA5, VARIANCES5, force_workers, no_children_left
 
 PI = math.pi
 
@@ -114,6 +117,78 @@ def test_chunking_does_not_change_results(line5, monkeypatch):
     assert rechunked == reference
 
 
+def line5_batch_bytes(samples):
+    """``_CHUNK_BYTES`` of ``samples`` line5 samples, each a 4 x 4
+    Laplacian and 8 noise words."""
+    return samples * 8 * (4 * 4 + 8)
+
+
+@pytest.mark.parametrize("batch", [None, 700])
+def test_spectral_identical_at_any_worker_count(line5, monkeypatch, batch):
+    import treekuramoto.conditions as cond
+
+    if batch is not None:
+        # ranges start at 1500 (2 workers), 1000 and 2000 (3 workers),
+        # each inside a batch of 700 samples
+        monkeypatch.setattr(cond, "_CHUNK_BYTES", line5_batch_bytes(batch))
+    runs = {}
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        runs[workers] = mc_spectral_stats(
+            line5, OMEGA5, line5_spec(), n_samples=3001, stream=RandomStream(seed=9)
+        )
+        assert runs[workers].workers == workers
+        assert no_children_left()
+    for workers in (2, 3):
+        # equality compares every field but workers
+        assert runs[workers] == runs[1]
+
+
+def test_spectral_worker_count_follows_the_batch_bytes(line5):
+    import treekuramoto.conditions as cond
+
+    cpus = len(os.sched_getaffinity(0))
+    at_threshold = -(-cond._MIN_FORK_BYTES // line5_batch_bytes(1))
+    for samples, workers in ((at_threshold, cpus), (at_threshold - 1, 1)):
+        stats = mc_spectral_stats(
+            line5, OMEGA5, line5_spec(), n_samples=samples, stream=RandomStream(seed=1)
+        )
+        assert stats.workers == workers
+    # a noise-free spectrum is one exact solve
+    exact = mc_spectral_stats(line5, OMEGA5, NoiseSpec.none(5), n_samples=10**9)
+    assert exact.workers == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_eigensolver_failure_names_global_sample(line5, monkeypatch, workers):
+    import treekuramoto.conditions as cond
+
+    # samples 1700 and 2400 fail: at 2 workers both lie in the second
+    # range (1500..3000), at 3 workers in the second (1000..1999) and the
+    # third, and in the batches of 700 samples neither starts a batch
+    monkeypatch.setattr(cond, "_CHUNK_BYTES", line5_batch_bytes(700))
+    spec, stream = line5_spec(), RandomStream(seed=5)
+    draws = stream.child(purpose="spectral")
+    bad = [
+        OMEGA5[0] + sample_noise_block(spec, draws, k, 1)[0, 0] for k in (1700, 2400)
+    ]
+    laplacian = cond.weighted_edge_laplacian
+
+    def failing(graph, w):
+        lap = laplacian(graph, w)
+        lap[np.isin(w[..., 0], bad)] = np.nan
+        return lap
+
+    monkeypatch.setattr(cond, "weighted_edge_laplacian", failing)
+    force_workers(monkeypatch, workers)
+    with pytest.raises(
+        NoConvergence, match=r"^eigensolver failed at sample 1700: "
+    ) as failure:
+        mc_spectral_stats(line5, OMEGA5, spec, n_samples=3001, stream=stream)
+    assert failure.value.batch_index == 1700
+    assert no_children_left()
+
+
 def test_spectral_means_near_the_largest_double_stay_finite(line5):
     # lambda_max of each sample is about 1.7e308: a running sum of the
     # samples overflows, their mean does not
@@ -197,6 +272,8 @@ def test_large_tree_chunks_bounded_and_match_oracle(monkeypatch):
         return real_laplacian(graph, w)
 
     monkeypatch.setattr(cond, "weighted_edge_laplacian", spy)
+    # the spy counts this process's batches: no worker solves any
+    force_workers(monkeypatch, 1)
     n_samples = 240
     stats = mc_spectral_stats(
         g, omega, spec, n_samples=n_samples, stream=RandomStream(seed=12)
