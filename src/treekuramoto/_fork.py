@@ -2,10 +2,14 @@
 
 Trials, drift probes and spectral samples each read their own
 counter-addressed noise stream, so any split of their indices across
-processes gives the same bits. :func:`worker_count` derives how many
-processes share a run and :func:`ranges` splits its indices into that
-many contiguous ranges; :func:`forked_map` runs the first range in this
-process and each other one in a worker forked for it.
+processes gives the same bits. :func:`forked_map` is the one place that
+splits a run: it takes the run's index count, its work and the caller's
+threshold, derives how many processes share the run
+(:func:`worker_count`), splits the indices into that many contiguous
+ranges (:func:`ranges`), runs the first range in this process and each
+other one in a worker forked for it, and returns every range with its
+part. The number of ranges it returns is the run's worker count, which
+each caller reports with its result.
 
 A worker is ``os.fork`` with one ``os.pipe`` back to the parent and its
 result pickled into it, not ``multiprocessing``. On a 2-vCPU host, after
@@ -42,12 +46,8 @@ def worker_count(items: int, work: float, min_work: float, min_items: int = 1) -
     Windows, ``os.fork``), and inside a worker.
     """
     slices = items // min_items
-    if (
-        slices < 2
-        or work < min_work
-        or _in_worker
-        or not hasattr(os, "sched_getaffinity")
-    ):
+    forkable = hasattr(os, "sched_getaffinity") and not _in_worker
+    if slices < 2 or work < min_work or not forkable:
         return 1
     return min(len(os.sched_getaffinity(0)), slices)
 
@@ -58,12 +58,14 @@ def ranges(count: int, workers: int) -> list[tuple[int, int]]:
     return [(w * count // workers, (w + 1) * count // workers) for w in range(workers)]
 
 
-def forked_map(run, bounds, task: str) -> list:
-    """``[run(lo, hi) for lo, hi in bounds]``: the first range in this
-    process, each other one in a forked worker that pickles its result
-    into a pipe. An exception raised in a worker is raised here, the
-    lowest range's first. Every worker is killed, if it still runs, and
-    reaped before this returns or raises.
+def forked_map(run, task, items, work, min_work, min_items=1) -> list:
+    """``[((lo, hi), run(lo, hi)), ...]`` over the :func:`ranges` of
+    ``range(items)``, one per process of :func:`worker_count` for
+    ``items``, ``work``, ``min_work`` and ``min_items``: the first range
+    in this process, each other one in a forked worker that pickles its
+    result into a pipe. An exception raised in a worker is raised here,
+    the lowest range's first. Every worker is killed, if it still runs,
+    and reaped before this returns or raises.
 
     ``task`` names what the ranges index, as in ``"stepping trials"``,
     for the error that reports a worker lost.
@@ -73,6 +75,7 @@ def forked_map(run, bounds, task: str) -> list:
             sending its result (killed, for example, by the kernel when
             memory runs out); the message names its range and exit code.
     """
+    bounds = ranges(items, worker_count(items, work, min_work, min_items))
     workers = []  # [pid, read end of its pipe, lo, hi]; pid None once reaped
     try:
         for lo, hi in bounds[1:]:
@@ -101,7 +104,7 @@ def forked_map(run, bounds, task: str) -> list:
             if failed:
                 raise value
             parts.append(value)
-        return parts
+        return list(zip(bounds, parts))
     finally:
         for pid, pipe, _, _ in workers:
             pipe.close()

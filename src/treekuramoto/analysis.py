@@ -44,8 +44,12 @@ Trials, probes and their noise all use distinct stream coordinates, so
 results are independent of evaluation order and of how work is split
 across workers. Large recurrence runs and drift sweeps split their
 trials or probes into contiguous ranges, one per CPU this process may
-run on, and fork a worker process for each range but the first
-(``_fork``); each command's threshold keeps small runs in one process.
+run on, and fork a worker process for each range but the first, in one
+call of ``_fork.forked_map`` each; each command's threshold keeps small
+runs in one process. The results record the count that ran
+(``RecurrenceStats.workers``, ``DriftSweep.workers``). Drift estimates
+take their means and standard errors from ``noise._mean_and_stderr``,
+the package's one Monte Carlo estimator.
 """
 
 from __future__ import annotations
@@ -69,7 +73,13 @@ from .dynamics import (
 )
 from .errors import ConfigError, NumericError, _check_items
 from .graph import TreeGraph
-from .noise import RandomStream, _NoiseReader, _words_per_step, sample_noise_block
+from .noise import (
+    RandomStream,
+    _NoiseReader,
+    _mean_and_stderr,
+    _words_per_step,
+    sample_noise_block,
+)
 
 #: States whose largest edge distance reaches ``ESCAPE_LEVEL = pi/2 -
 #: ESCAPE_TOLERANCE`` are flagged as escaped: beyond that the
@@ -244,6 +254,16 @@ class DriftEstimate:
     estimate: float
     stderr: float
     samples: int
+
+
+class DriftSweep(list):
+    """The :class:`DriftEstimate` of each probe of :func:`drift_sweep`, in
+    probe order. ``workers`` is the number of processes that probed
+    them; it affects no estimate, and list equality ignores it."""
+
+    def __init__(self, estimates, workers: int):
+        super().__init__(estimates)
+        self.workers = workers
 
 
 def fixed_initial(theta0):
@@ -441,17 +461,14 @@ def recurrence_experiment(
             model, theta[:, lo:hi], noise_streams[lo:hi], gamma, horizon
         )
 
-    workers = _fork.worker_count(
-        trials, trials * horizon, _MIN_FORK_WORK, _MIN_SLICE_TRIALS
+    work = trials * horizon
+    ran = _fork.forked_map(
+        run, "stepping trials", trials, work, _MIN_FORK_WORK, _MIN_SLICE_TRIALS
     )
-    bounds = _fork.ranges(trials, workers)
-    parts = _fork.forked_map(run, bounds, "stepping trials")
 
     # the error a single batch raises: earliest step, then lowest trial
     failures = [
-        (first[0], lo + first[1])
-        for (lo, _), (_, first) in zip(bounds, parts)
-        if first is not None
+        (first[0], lo + first[1]) for (lo, _), (_, first) in ran if first is not None
     ]
     if failures:
         step, t = min(failures)
@@ -460,10 +477,10 @@ def recurrence_experiment(
         trials=trials,
         gamma=gamma,
         horizon=horizon,
-        workers=workers,
+        workers=len(ran),
         **{
-            name: np.concatenate([fields[name] for fields, _ in parts])
-            for name in parts[0][0]
+            name: np.concatenate([fields[name] for _, (fields, _) in ran])
+            for name in ran[0][1][0]
         },
     )
 
@@ -584,7 +601,9 @@ def drift_estimate(
     """Monte Carlo one-step drift of the drift function at ``state``.
 
     Averages ``V(step(state, noise)) - V(state)`` over fresh noise draws
-    conditioned on the fixed state, with the standard error of the mean.
+    conditioned on the fixed state, with the standard error of the mean
+    (``noise._mean_and_stderr``). Without noise one draw is exact, and
+    its standard error is 0.
 
     Raises:
         NumericError: a stepped state is non-finite, as it is from a
@@ -594,23 +613,20 @@ def drift_estimate(
         raise ValueError(f"need at least 2 noise samples, got {noise_samples}")
     gamma = validate_gamma(gamma)
     theta = _start_state(state)
-    # without noise one draw (of zeros) is exact; averaging identical
-    # values would only add rounding noise to the zero standard error
-    deterministic = model.noise.is_deterministic
-    draws = 1 if deterministic else noise_samples
+    # without noise one draw (of zeros) is exact, with a zero standard error
+    draws = 1 if model.noise.is_deterministic else noise_samples
     noise = sample_noise_block(model.noise, stream.child(purpose="drift"), 0, draws)
     # omega + noise, then the stepped states, in place: one column per draw
     frequency = np.add(noise, model.omega, out=noise).T[None]
     if _integrate(model, theta[:, None], frequency, frequency) is not None:
         raise NumericError("one step from the probed state is non-finite")
     v_next = drift_values(model.graph, noise, gamma)
-    v_now = drift_values(model.graph, theta, gamma)
-    spread = 0.0 if deterministic else np.std(v_next, ddof=1) / math.sqrt(draws)
+    mean, stderr = _mean_and_stderr(v_next)
     return DriftEstimate(
         theta=theta,
         gamma=gamma,
-        estimate=float(np.mean(v_next) - v_now),
-        stderr=float(spread),
+        estimate=float(mean - drift_values(model.graph, theta, gamma)),
+        stderr=stderr,
         samples=noise_samples,
     )
 
@@ -621,7 +637,7 @@ def drift_sweep(
     n_states: int,
     noise_samples: int,
     stream: RandomStream,
-) -> list[DriftEstimate]:
+) -> DriftSweep:
     """Drift estimates at ``n_states`` states sampled uniformly from the
     annulus where every edge distance lies in ``[gamma, pi/2)``.
 
@@ -629,12 +645,13 @@ def drift_sweep(
     negative drift; probing it systematically turns that requirement
     into a testable statement.
 
-    Large sweeps split the probes into contiguous ranges, one per
-    process of :func:`_drift_workers`: this process probes the first
-    range and forked workers the others. Probe ``i`` samples its state
+    Large sweeps split the probes into contiguous ranges, one per CPU
+    this process may run on, once they draw at least ``_MIN_FORK_DRAWS``
+    noise values in all: this process probes the first range and forked
+    workers the others (see ``_fork``). Probe ``i`` samples its state
     from ``stream.child(trial=i, purpose="probe")`` and its draws from
     ``stream.child(trial=i)``, so the estimates are bit-identical at
-    every worker count.
+    every worker count; ``DriftSweep.workers`` records the count.
 
     Raises:
         NumericError: a step from a probed state is non-finite (the
@@ -660,15 +677,7 @@ def drift_sweep(
                 raise NumericError(f"probe {i}: {exc}") from exc
         return estimates
 
-    bounds = _fork.ranges(n_states, _drift_workers(model, n_states, noise_samples))
-    parts = _fork.forked_map(run, bounds, "stepping probes")
-    return [estimate for part in parts for estimate in part]
-
-
-def _drift_workers(model: NetworkModel, n_states: int, noise_samples: int) -> int:
-    """Processes that share :func:`drift_sweep`'s probes: one per CPU
-    this process may run on, once the probes draw at least
-    ``_MIN_FORK_DRAWS`` noise values in all (see ``_fork``)."""
     draws = 1 if model.noise.is_deterministic else noise_samples
-    values = n_states * draws * model.graph.n
-    return _fork.worker_count(n_states, values, _MIN_FORK_DRAWS)
+    work = n_states * draws * model.graph.n
+    ran = _fork.forked_map(run, "stepping probes", n_states, work, _MIN_FORK_DRAWS)
+    return DriftSweep((estimate for _, part in ran for estimate in part), len(ran))

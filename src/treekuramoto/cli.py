@@ -694,9 +694,7 @@ def _run_drift(config: ExperimentConfig):
         "drift": {
             "method": "monte-carlo",
             "samples": config["drift.noise_samples"],
-            "workers": analysis._drift_workers(
-                config.model, config["drift.probes"], config["drift.noise_samples"]
-            ),
+            "workers": estimates.workers,
         }
     }
     return results, provenance, {"probes.csv": [columns]}

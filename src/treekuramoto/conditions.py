@@ -15,6 +15,11 @@ sufficient and the tau condition necessary; both are open inequalities
 and are reported as strict bounds, never as safe equalities. The
 undirected variant uses the deterministic spectrum of ``B^T B`` instead
 of an expectation.
+
+:func:`mc_spectral_stats` splits its samples across processes in one
+call of ``_fork.forked_map`` and takes its means and standard errors
+from ``noise._mean_and_stderr``, as the Monte Carlo gap expectation
+does.
 """
 
 from __future__ import annotations
@@ -29,7 +34,13 @@ from .errors import NumericError
 from .dynamics import validate_gamma
 from .graph import TreeGraph, edge_laplacian
 from .linalg import NoConvergence, batch_eigenvalues, weighted_edge_laplacian
-from .noise import NoiseSpec, RandomStream, _NoiseReader, _words_per_step
+from .noise import (
+    NoiseSpec,
+    RandomStream,
+    _NoiseReader,
+    _mean_and_stderr,
+    _words_per_step,
+)
 
 #: Default cohesion half-width when the caller does not choose one.
 DEFAULT_GAMMA = 0.5 * math.pi - 0.05
@@ -168,35 +179,14 @@ def mc_spectral_stats(
             lam[1, start : start + count] = ev[:, -1]
         return lam[:, lo:hi]
 
-    workers = _fork.worker_count(n_samples, n_samples * sample_bytes, _MIN_FORK_BYTES)
-    bounds = _fork.ranges(n_samples, workers)
-    parts = _fork.forked_map(run, bounds, "solving samples")
-    for (lo, hi), part in zip(bounds[1:], parts[1:]):
+    ran = _fork.forked_map(
+        run, "solving samples", n_samples, n_samples * sample_bytes, _MIN_FORK_BYTES
+    )
+    for (lo, hi), part in ran[1:]:
         lam[:, lo:hi] = part
 
-    e_lambda_min, stderr_min = _mean_and_stderr(lam[0])
-    e_lambda_max, stderr_max = _mean_and_stderr(lam[1])
-    return SpectralStats(
-        e_lambda_min, e_lambda_max, stderr_min, stderr_max, n_samples, workers
-    )
-
-
-def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
-    """Mean of the samples ``x`` and its standard error (0 for one sample).
-
-    Both are taken on ``x`` scaled by the power of two of its largest
-    magnitude, and scaled back. A power of two scales exactly as long as
-    no scaled value is subnormal, so the results have the bits of
-    ``np.mean`` and ``np.std`` of ``x``, except that their running sums
-    no longer overflow for samples near the largest double.
-    """
-    _, exponent = np.frexp(np.max(np.abs(x)))
-    scaled = np.ldexp(x, -exponent)
-    mean = np.ldexp(np.mean(scaled), exponent)
-    if len(x) < 2:
-        return float(mean), 0.0
-    spread = np.ldexp(np.std(scaled, ddof=1), exponent) / math.sqrt(len(x))
-    return float(mean), float(spread)
+    (e_min, se_min), (e_max, se_max) = map(_mean_and_stderr, lam)
+    return SpectralStats(e_min, e_max, se_min, se_max, n_samples, len(ran))
 
 
 def _evaluate_bounds(

@@ -22,6 +22,10 @@ step order, with one generator per stream that is placed once and then
 read onward, and fills trials-minor ``(steps, n, trials)`` blocks a
 group of streams at a time through two reused buffers; every column
 equals the first reader's block bit for bit.
+
+Every Monte Carlo mean in the package and its standard error come from
+:func:`_mean_and_stderr`, which keeps numpy's bits without overflowing
+near the largest double.
 """
 
 from __future__ import annotations
@@ -433,9 +437,28 @@ def e_max_delta_omega(
     disturbed = omega + draws
     best, best_pair, best_err = -math.inf, pair_list[0], 0.0
     for i, j in pair_list:
-        gaps = np.abs(disturbed[:, i] - disturbed[:, j])
-        mean = float(np.mean(gaps))
+        mean, stderr = _mean_and_stderr(np.abs(disturbed[:, i] - disturbed[:, j]))
         if mean > best:
-            best, best_pair = mean, (i, j)
-            best_err = float(np.std(gaps, ddof=1) / math.sqrt(mc_samples))
+            best, best_pair, best_err = mean, (i, j), stderr
     return DeltaOmegaEstimate(best, best_err, "monte-carlo", best_pair, mc_samples)
+
+
+def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
+    """Mean of the samples ``x`` and its standard error (0 for one
+    sample): the one estimator of every Monte Carlo mean in the package,
+    the spectral means, the gap expectations and the drift estimates.
+
+    Both are taken on ``x`` scaled by the power of two of its largest
+    magnitude, and scaled back. A power of two scales exactly as long as
+    no scaled value is subnormal, so the results have the bits of
+    ``np.mean`` and ``np.std(ddof=1) / sqrt(len(x))`` of ``x``, except
+    that their running sums no longer overflow for samples near the
+    largest double.
+    """
+    _, exponent = np.frexp(np.max(np.abs(x)))
+    scaled = np.ldexp(x, -exponent)
+    mean = np.ldexp(np.mean(scaled), exponent)
+    if len(x) < 2:
+        return float(mean), 0.0
+    spread = np.ldexp(np.std(scaled, ddof=1), exponent) / math.sqrt(len(x))
+    return float(mean), float(spread)

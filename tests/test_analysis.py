@@ -611,7 +611,7 @@ def test_worker_numeric_error_names_global_trial(workers, bad_trials, monkeypatc
     assert no_children_left()
 
 
-def test_worker_count_derivation():
+def test_worker_count_derivation(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     count = _fork.worker_count
     assert count(200, 2_000_000, 200_000, 16) == min(cpus, 200 // 16)
@@ -620,21 +620,25 @@ def test_worker_count_derivation():
     assert count(200, 2_000, 200_000, 16) == 1  # below the work threshold
     assert count(3, 10**9, 1) == min(cpus, 3)
     # a worker process never forks again
+    force_workers(monkeypatch, 2)
     in_each = _fork.forked_map(
-        lambda lo, hi: count(200, 2_000_000, 200_000, 16), [(0, 1), (1, 2)], "testing"
+        lambda lo, hi: count(200, 2_000_000, 200_000, 16), "testing", 2, 0, 0
     )
-    assert in_each == [min(cpus, 200 // 16), 1]
+    assert in_each == [((0, 1), min(cpus, 200 // 16)), ((1, 2), 1)]
     assert not _fork._in_worker and no_children_left()
 
 
-def test_forked_map_keeps_range_order_and_raises_the_lowest_failure():
+def test_forked_map_keeps_range_order_and_raises_the_lowest_failure(monkeypatch):
     def run(lo, hi):
         bad = [i for i in range(lo, hi) if i in (4, 7)]
         if bad:
             raise ValueError(f"index {bad[0]}")
         return list(range(lo, hi)), os.getpid()
 
-    parts = _fork.forked_map(run, _fork.ranges(4, 3), "testing")
+    force_workers(monkeypatch, 3)
+    ran = _fork.forked_map(run, "testing", 4, 0, 0)
+    assert [bounds for bounds, _ in ran] == _fork.ranges(4, 3)
+    parts = [part for _, part in ran]
     assert [values for values, _ in parts] == [[0], [1], [2, 3]]
     pids = [pid for _, pid in parts]
     assert pids[0] == os.getpid() and len(set(pids)) == 3
@@ -642,7 +646,7 @@ def test_forked_map_keeps_range_order_and_raises_the_lowest_failure():
     bounds = _fork.ranges(9, 3)
     assert bounds == [(0, 3), (3, 6), (6, 9)]
     with pytest.raises(ValueError, match="^index 4$"):
-        _fork.forked_map(run, bounds, "testing")
+        _fork.forked_map(run, "testing", 9, 0, 0)
     assert no_children_left()
 
 
@@ -1082,16 +1086,27 @@ def test_drift_sweep_identical_at_any_worker_count(means, monkeypatch):
                 ), (workers, field.name)
 
 
-def test_drift_worker_count_follows_the_draws():
+def test_drift_worker_count_follows_the_draws(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     noisy, silent = make_line5_model(), two_node_model()
+    # the count alone is under test: each probe's estimate is its index
+    monkeypatch.setattr(
+        analysis, "drift_estimate", lambda model, theta, gamma, n, stream: stream.trial
+    )
+
+    def workers(model, probes, samples):
+        sweep = drift_sweep(model, GAMMA, probes, samples, RandomStream(seed=1))
+        assert sweep == list(range(probes))
+        return sweep.workers
+
     # 100 probes on 5 nodes: 500 noise values a draw
     draws = -(-analysis._MIN_FORK_DRAWS // 500)
-    assert analysis._drift_workers(noisy, 100, draws) == min(cpus, 100)
-    assert analysis._drift_workers(noisy, 100, draws - 1) == 1
-    assert analysis._drift_workers(noisy, 1, 10**9) == 1
+    assert workers(noisy, 100, draws) == min(cpus, 100)
+    assert workers(noisy, 100, draws - 1) == 1
+    assert workers(noisy, 1, 10**9) == 1
     # without noise a probe takes one draw, whatever the sample count
-    assert analysis._drift_workers(silent, 100, 10**9) == 1
+    assert workers(silent, 100, 10**9) == 1
+    assert no_children_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -581,6 +581,28 @@ def test_overflowing_tau_max_is_numeric_error(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("omega0", [1e305, 1e300])
+def test_monte_carlo_gap_near_the_largest_double_is_finite(tmp_path, capsys, omega0):
+    # uniform noise takes the Monte Carlo gap. Its 100 000 gaps near 1e305
+    # sum beyond the largest double, and the squared deviations of gaps
+    # near 1e300, one rounding step (~1e284) apart, overflow; the
+    # estimator's sums run on the gaps scaled by a power of two
+    data = yaml.safe_load(bundled_config_path("line5_undirected").read_text())
+    data.update(
+        omega=[omega0, 0.0, 0.0, 0.0, 0.0],
+        noise=[{"family": "uniform", "mean": 0.0, "variance": 1.0}] * 5,
+    )
+    config, out = str(write_config(tmp_path, data)), tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bounds", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["e_max_delta_omega"] == pytest.approx(omega0)
+    for key in ("e_max_delta_omega_stderr", "kappa_min", "tau_max"):
+        assert math.isfinite(results[key]) and results[key] > 0, key
+
+
 def test_parse_error_reports_location(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("graph: {n: 3\nomega: [1, 2]\n", encoding="utf-8")
@@ -1436,6 +1458,25 @@ def test_simulate_escape_in_strong_negative_bundle(tmp_path):
     assert results["escaped"] is True
     assert results["max_edge_distance_overall"] >= PI / 2 - 1e-9
     assert results["first_escape_step"] >= 1
+
+
+def test_simulate_follows_recurrence_trial_0(tmp_path):
+    # simulate samples its start where recurrence samples trial 0's and
+    # steps it on trial 0's noise; on a trial that escapes, both report
+    # the same excursion and the same escape step
+    data = yaml.safe_load(bundled_config_path("line5_strong_negative_mean").read_text())
+    data.update(initial={"mode": "sample"}, horizon=3000, trials=2)
+    config = str(write_config(tmp_path, data))
+    for command in ("simulate", "recurrence"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", config, "--out", out]) == 0
+    summary = (tmp_path / "simulate" / "summary.json").read_text()
+    results = json.loads(summary)["results"]
+    header, first, *_ = read_csv(tmp_path / "recurrence" / "trials.csv")
+    trial = dict(zip(header, first))
+    assert results["escaped"] is True
+    assert results["max_edge_distance_overall"] == float(trial["max_excursion"])
+    assert results["first_escape_step"] == int(trial["escape_time"])
 
 
 def test_bounds_reproduce_published_values_with_gamma_override(tmp_path):

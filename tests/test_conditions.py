@@ -17,14 +17,10 @@ from treekuramoto import (
     continuous_reference_kappa,
     mc_spectral_stats,
 )
-from treekuramoto.conditions import (
-    HypothesisViolated,
-    NonPositiveEigenvalue,
-    _mean_and_stderr,
-)
+from treekuramoto.conditions import HypothesisViolated, NonPositiveEigenvalue
 from treekuramoto.errors import NumericError
 from treekuramoto.linalg import NoConvergence
-from treekuramoto.noise import sample_noise_block
+from treekuramoto.noise import _mean_and_stderr, sample_noise_block
 
 from conftest import LINE5_EDGES, OMEGA5, VARIANCES5, force_workers, no_children_left
 

@@ -311,6 +311,35 @@ def test_gap_analytic_rejected_for_uniform_family():
     assert est.method == "monte-carlo"
 
 
+def test_gap_monte_carlo_keeps_the_bits_of_numpy():
+    # ordinary uniform draws: the scaled estimator gives np.mean and
+    # np.std(ddof=1) / sqrt(n) of the gaps bit for bit
+    spec = NoiseSpec(tuple(NodeNoise("uniform", variance=v) for v in VARIANCES5))
+    stream, samples = RandomStream(seed=41), 5000
+    est = e_max_delta_omega(OMEGA5, spec, mc_samples=samples, stream=stream)
+    draws = sample_noise_block(spec, stream.child(purpose="emax"), 0, samples)
+    disturbed = OMEGA5 + draws
+    gaps = {
+        (i, j): np.abs(disturbed[:, i] - disturbed[:, j])
+        for i in range(5)
+        for j in range(i + 1, 5)
+    }
+    means = {pair: float(np.mean(gap)) for pair, gap in gaps.items()}
+    assert est.pair == max(means, key=means.get)
+    assert est.value == means[est.pair]
+    assert est.stderr == float(np.std(gaps[est.pair], ddof=1) / math.sqrt(samples))
+
+
+def test_gap_monte_carlo_of_one_draw_has_zero_stderr():
+    # as mc_spectral_stats reports for one sample, where np.std(ddof=1)
+    # would warn of zero degrees of freedom
+    spec = NoiseSpec((NodeNoise("uniform", variance=1.0), NodeNoise("none")))
+    stream = RandomStream(seed=5)
+    est = e_max_delta_omega(np.zeros(2), spec, mc_samples=1, stream=stream)
+    draw = sample_noise_block(spec, stream.child(purpose="emax"), 0, 1)[0]
+    assert (est.value, est.stderr, est.samples) == (abs(draw[0] - draw[1]), 0.0, 1)
+
+
 class PlacedWords:
     """Stands in for a placed generator whose next words are ``words``:
     ``random`` scales their top 53 bits to [0, 1) as numpy's
