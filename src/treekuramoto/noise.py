@@ -26,19 +26,57 @@ equals the first reader's block bit for bit.
 Every Monte Carlo mean in the package and its standard error come from
 :func:`_mean_and_stderr`, which keeps numpy's bits without overflowing
 near the largest double.
+
+scipy's special functions come only from its compiled ufunc module,
+``scipy.special._ufuncs``, which :func:`_special_ufuncs` loads without
+running the ``scipy.special`` package's ``__init__``. That ``__init__``
+imports scipy's array-API layer, and with it ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma``, which nearly doubled the import time
+of the CLI (README, "Fixed cost of a CLI process"). ``ndtri`` is bound
+from that module. ``ndtr`` and ``bdtr`` are in it too: take them from
+there, since an ``import scipy.special`` anywhere in the package brings
+the cost back.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .errors import ConfigError, _check_items
+
+
+def _special_ufuncs():
+    """``scipy.special._ufuncs``, or ``scipy.special`` if it is already loaded.
+
+    The extension is imported under an unexecuted stand-in for its parent
+    package, which is then taken out of ``sys.modules``: a later ``import
+    scipy.special`` runs the real ``__init__``, which reuses the loaded
+    extension, so both give the same ufunc objects. ``scipy.special`` is
+    looked up in ``sys.modules`` and never as an attribute of ``scipy``,
+    whose module ``__getattr__`` would import the whole package.
+    """
+    loaded = sys.modules.get("scipy.special")
+    if loaded is not None:
+        return loaded
+    spec = importlib.util.find_spec("scipy.special")
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        del sys.modules["scipy.special"]
+
+
+try:
+    ndtri = _special_ufuncs().ndtri
+except (ImportError, AttributeError):  # a scipy laid out otherwise
+    from scipy.special import ndtri
 
 FAMILIES = ("gaussian", "uniform", "none")
 

@@ -1,10 +1,14 @@
 import gc
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treekuramoto
 from treekuramoto import NetworkModel, NoiseSpec, _fork, build_tree
 
 LINE5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4)]
@@ -73,4 +77,24 @@ def force_workers(monkeypatch, workers):
     ``workers`` ranges, whatever the run's size and the CPU count."""
     monkeypatch.setattr(
         _fork, "worker_count", lambda items, work, min_work, min_items=1: workers
+    )
+
+
+def package_env():
+    """This process's environment with the package's source directory first
+    on ``PYTHONPATH``, for a new Python process that imports it."""
+    source = str(Path(treekuramoto.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(script, *args):
+    """Run ``script`` with ``args`` in a new Python process; its output is
+    captured as text."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
     )

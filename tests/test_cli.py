@@ -37,7 +37,9 @@ from treekuramoto.noise import RandomStream
 from treekuramoto import analysis, cli, conditions
 from treekuramoto.analysis import wilson_interval
 
-from conftest import force_workers, no_children_left, random_tree
+from conftest import (
+    force_workers, no_children_left, package_env, random_tree, run_python,
+)
 
 PI = math.pi
 
@@ -1119,15 +1121,9 @@ def test_forked_recurrence_never_imports_multiprocessing(tmp_path):
         "sys.exit(code)\n"
     )
     out = tmp_path / "out"
-    source = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, "recurrence", "--bundled", "line5_zero_mean",
-         "--out", str(out), "--set", "horizon=1000", "--set", "trials=31"],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
+    done = run_python(
+        script, "recurrence", "--bundled", "line5_zero_mean",
+        "--out", str(out), "--set", "horizon=1000", "--set", "trials=31",
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "multiprocessing modules: []"
@@ -1135,13 +1131,39 @@ def test_forked_recurrence_never_imports_multiprocessing(tmp_path):
     assert summary["provenance"]["recurrence"]["workers"] == 2
 
 
+def test_cli_runs_never_import_the_scipy_special_package(tmp_path):
+    # noise loads scipy's compiled ufuncs alone: the scipy.special package's
+    # __init__ imports scipy's array-API layer, which loads numpy.f2py,
+    # numpy.testing and numpy.ma, nearly half of the CLI's import time
+    script = (
+        "import sys\n"
+        "from treekuramoto import _fork, cli\n"
+        "_fork.worker_count = lambda items, work, min_work, min_items=1: 2\n"
+        "out = sys.argv[1]\n"
+        "for argv in (\n"
+        "    ['spectral', '--set', 'mc_samples=200', '--out', out + '/spectral'],\n"
+        "    ['recurrence', '--set', 'horizon=1000', '--set', 'trials=31',\n"
+        "     '--out', out + '/recurrence'],\n"
+        "):\n"
+        "    code = cli.main([*argv, '--bundled', 'line5_zero_mean'])\n"
+        "    if code:\n"
+        "        sys.exit(code)\n"
+        "heavy = ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py')\n"
+        "print('loaded:', [m for m in heavy if m in sys.modules])\n"
+    )
+    done = run_python(script, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded: []"
+    for command in ("spectral", "recurrence"):
+        summary = json.loads((tmp_path / command / "summary.json").read_text())
+        assert summary["provenance"][command]["workers"] == 2
+
+
 def cli_process(*args, stdout=subprocess.DEVNULL, **popen):
     """The CLI running ``args`` in a new Python process, its stderr piped."""
-    source = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "treekuramoto.cli", *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,

@@ -27,7 +27,7 @@ from treekuramoto.noise import (
     sample_noise_block,
 )
 
-from conftest import OMEGA5, VARIANCES5
+from conftest import OMEGA5, VARIANCES5, run_python
 
 
 def folded_mean_quadrature(m, s2):
@@ -352,6 +352,26 @@ class PlacedWords:
     def random(self, out):
         out[:] = (self.words[: len(out)] >> np.uint64(11)) * 2.0**-53
         self.words = self.words[len(out) :]
+
+
+@pytest.mark.parametrize("special_first", [True, False])
+def test_ndtri_is_scipy_specials_in_either_import_order(special_first):
+    # noise loads scipy.special's compiled ufuncs without the package; the
+    # package, imported before or after, must give the same ufunc and work
+    imports = ["import scipy.special", "from treekuramoto import noise"]
+    if not special_first:
+        imports.reverse()
+    script = "\n".join([
+        "import math",
+        *imports,
+        "assert noise.ndtri is scipy.special.ndtri",
+        "assert scipy.special.ndtr(0.0) == 0.5",
+        "assert math.isclose(scipy.special.logsumexp([0.0, 0.0]), math.log(2))",
+        "print('ok')",
+    ])
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 #: The smallest word, the smallest with a nonzero top 53 bits and the
