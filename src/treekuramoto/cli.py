@@ -463,16 +463,14 @@ def _write_csv(path: Path, chunks) -> None:
 def _require(config: ExperimentConfig, command: str) -> None:
     """Raise ValidationError naming every field ``command`` needs that
     ``config`` lacks: those whose ``_FIELDS`` row lists the command, and
-    for ``bounds`` ``mc_samples`` where the gap or the spectra are Monte
-    Carlo, that is for noise other than gaussian or none, or for any
-    noise under the frequency-dependent variant. Where a figure is Monte
-    Carlo (``bounds`` as above, ``spectral`` for any noise), one sample
-    gives no standard error, so ``mc_samples`` must be at least 2."""
-    noise = config.model.noise
-    noisy = not noise.is_deterministic
+    for ``bounds`` ``mc_samples`` where the spectra are Monte Carlo, that
+    is for any noise under the frequency-dependent variant (the gap is
+    exact for every family). Where a figure is Monte Carlo (``bounds`` as
+    above, ``spectral`` for any noise), one sample gives no standard
+    error, so ``mc_samples`` must be at least 2."""
+    noisy = not config.model.noise.is_deterministic
     monte_carlo = {
-        "bounds": not noise.analytic_gaussian
-        or (config.model.variant == "frequency_dependent" and noisy),
+        "bounds": config.model.variant == "frequency_dependent" and noisy,
         "spectral": noisy,
     }.get(command, False)
     needed = [f.key for f in _FIELDS if command in f.commands]
@@ -523,20 +521,10 @@ def _spectral(config: ExperimentConfig, n_samples: int):
 def _run_bounds(config: ExperimentConfig):
     model = config.model
     gap = noise_mod.e_max_delta_omega(
-        model.omega,
-        model.noise,
-        pairs=config["pair_set"],
-        graph=model.graph,
-        mc_samples=config["mc_samples"],
-        stream=config.stream,
+        model.omega, model.noise, pairs=config["pair_set"], graph=model.graph
     )
-    provenance = {
-        "e_max_delta_omega": {"method": gap.method, "samples": gap.samples}
-    }
-    results = {
-        "e_max_delta_omega_stderr": gap.stderr,
-        "e_max_delta_omega_pair": list(gap.pair),
-    }
+    provenance = {"e_max_delta_omega": {"method": "analytic", "samples": 0}}
+    results = {"e_max_delta_omega_pair": list(gap.pair)}
     if model.variant == "frequency_dependent":
         stats, results["spectral"], provenance["spectral"] = _spectral(
             config, config["mc_samples"] or 1

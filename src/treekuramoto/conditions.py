@@ -18,8 +18,9 @@ of an expectation.
 
 :func:`mc_spectral_stats` splits its samples across processes in one
 call of ``_fork.forked_map`` and takes its means and standard errors
-from ``noise._mean_and_stderr``, as the Monte Carlo gap expectation
-does.
+from ``noise._mean_and_stderr``. The gap is exact
+(``noise.e_max_delta_omega``), so the spectra are the bounds' only Monte
+Carlo figures.
 """
 
 from __future__ import annotations

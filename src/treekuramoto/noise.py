@@ -25,7 +25,10 @@ equals the first reader's block bit for bit.
 
 Every Monte Carlo mean in the package and its standard error come from
 :func:`_mean_and_stderr`, which keeps numpy's bits without overflowing
-near the largest double.
+near the largest double. The disturbance gap is not one of them: for
+gaussian, uniform and ``none`` nodes alike, :func:`e_max_delta_omega`
+takes each pair's expectation in closed form, with ``math.erfc`` for the
+gaussian tail.
 
 scipy's special functions come only from its compiled ufunc module,
 ``scipy.special._ufuncs``, which :func:`_special_ufuncs` loads without
@@ -49,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Philox
 
-from .errors import ConfigError, _check_items
+from .errors import ConfigError, NumericError, _check_items
 
 
 def _special_ufuncs():
@@ -90,10 +93,6 @@ class InvalidNoiseSpec(ConfigError):
 
 class NegativeVariance(InvalidNoiseSpec):
     """Variance below zero."""
-
-
-class UnsupportedFamily(ConfigError):
-    """Analytic computation requested for a family without a closed form."""
 
 
 @dataclass(frozen=True)
@@ -145,11 +144,6 @@ class NoiseSpec:
     def is_deterministic(self) -> bool:
         """True when every node has family ``none``."""
         return all(node.family == "none" for node in self.nodes)
-
-    @property
-    def analytic_gaussian(self) -> bool:
-        """True when every family is gaussian or none (closed forms apply)."""
-        return all(node.family in ("gaussian", "none") for node in self.nodes)
 
     def means(self) -> np.ndarray:
         return np.array([node.mean for node in self.nodes])
@@ -389,18 +383,79 @@ def folded_normal_mean(m: float, s2: float) -> float:
 
 @dataclass(frozen=True)
 class DeltaOmegaEstimate:
-    """Largest expected absolute disturbed-frequency gap.
-
-    ``method`` is ``analytic`` (closed form, ``stderr == 0``) or
-    ``monte-carlo`` with ``samples`` draws; ``pair`` is the node pair
-    attaining the maximum.
-    """
+    """Largest expected absolute disturbed-frequency gap and the node pair
+    attaining it."""
 
     value: float
-    stderr: float
-    method: str
     pair: tuple[int, int]
-    samples: int = 0
+
+
+#: Standard scores past which :func:`_gaussian_tail` is its limit in
+#: doubles: beyond ``+_TAIL_END`` it is below the smallest double
+#: (``erfc(t / sqrt 2)`` underflows near ``t = 38.5``), and below
+#: ``-_TAIL_END`` ``Q(t)`` rounds to 1 and ``phi(t)`` to 0.
+_TAIL_END = 40.0
+
+#: A uniform half-width below ``_FOLD`` times the pair's wider scale, its
+#: gaussian standard deviation or the other uniform's half-width, is
+#: taken as a gaussian of its variance: its difference quotient would
+#: lose digits as the inverse of that ratio, while the fold's error falls
+#: as its fourth power. About the threshold both stay within about 7e-13
+#: relative (README, "The disturbance gap").
+_FOLD = 1e-4
+
+
+def _gaussian_tail(x: float, s: float) -> float:
+    """``E[(G - x)+^2] / 2`` for ``G ~ Normal(0, s^2)``: the integral from
+    ``x`` to infinity of the partial expectation ``E[(G - y)+] = s phi(t)
+    - y Q(t)``, ``t = y / s``, which is ``s^2 ((1 + t^2) Q(t) - t phi(t)) /
+    2`` at ``t = x / s`` and ``max(-x, 0)^2 / 2`` at ``s = 0``. ``Q`` is
+    ``erfc(t / sqrt 2) / 2``, exact in the tail."""
+    if not x < _TAIL_END * s:  # NaN too, which its caller's sum carries
+        return 0.0
+    if x <= -_TAIL_END * s:
+        return (x * x + s * s) / 2
+    t = x / s
+    q = 0.5 * math.erfc(t / math.sqrt(2.0))
+    p = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    return s * s * ((1 + t * t) * q - t * p) / 2
+
+
+def _gap_mean(m: float, nodes) -> float:
+    """``E|m + G + U|``, where ``G + U`` is the difference of the two
+    ``nodes``' centred disturbances: ``G ~ Normal(0, s2)``, ``s2`` their
+    summed gaussian variance, and ``U`` the sum of one uniform on
+    ``[-a, a]``, ``a = sqrt(3 var)``, for each uniform node (a pair of
+    uniform nodes has no gaussian).
+
+    It is ``|m| + 2 E[(-|m| - G - U)+]``, whose tail term is a finite
+    difference of the antiderivatives of the partial expectation: of
+    :func:`_gaussian_tail` over ``±a`` divided by ``2a`` for one uniform,
+    of ``max(-x, 0)^3 / 6`` (its integral at ``s = 0``) over ``±a ± b``
+    divided by ``4ab`` for two. Each pair is scaled by ``max(a, s)``, so
+    no square or cube overflows and a mean gap far beyond the noise has a
+    tail of exactly 0. Widths too narrow for their difference quotient
+    are folded into ``s2`` first (``_FOLD``); a pair left without a
+    uniform is :func:`folded_normal_mean`'s, bit for bit.
+    """
+    s2 = sum(node.variance for node in nodes if node.family == "gaussian")
+    widths = sorted(
+        math.sqrt(3.0 * node.variance) for node in nodes if node.family == "uniform"
+    )
+    while widths and widths[0] < _FOLD * max(math.sqrt(s2), widths[-1]):
+        s2 += widths.pop(0) ** 2 / 3.0
+    if not widths:
+        return folded_normal_mean(m, s2)
+    scale = max(widths[-1], math.sqrt(s2))
+    x, s = abs(m) / scale, math.sqrt(s2) / scale
+    if len(widths) == 1:
+        a = widths[0] / scale
+        tail = (_gaussian_tail(x - a, s) - _gaussian_tail(x + a, s)) / a
+    else:
+        b, a = (w / scale for w in widths)
+        corners = ((i * j, x + i * a + j * b) for i in (-1, 1) for j in (-1, 1))
+        tail = sum(sign * max(-y, 0.0) ** 3 for sign, y in corners) / (12 * a * b)
+    return abs(m) + scale * tail
 
 
 def _pair_set(n: int, pairs: str, graph) -> list[tuple[int, int]]:
@@ -414,20 +469,16 @@ def _pair_set(n: int, pairs: str, graph) -> list[tuple[int, int]]:
 
 
 def e_max_delta_omega(
-    omega,
-    spec: NoiseSpec,
-    pairs: str = "all",
-    graph=None,
-    method: str = "auto",
-    mc_samples: int = 100_000,
-    stream: RandomStream | None = None,
+    omega, spec: NoiseSpec, pairs: str = "all", graph=None
 ) -> DeltaOmegaEstimate:
-    """Maximum over node pairs of ``E|(omega_i + n_i) - (omega_j + n_j)|``.
+    """Maximum over node pairs of ``E|(omega_i + n_i) - (omega_j + n_j)|``,
+    exact for every family.
 
-    For gaussian (or none) families the per-pair expectation has the
-    folded-normal closed form with mean ``(omega_i + mu_i) - (omega_j +
-    mu_j)`` and variance ``V_i + V_j``; otherwise the expectations are
-    estimated by Monte Carlo with a reported standard error.
+    A pair's difference is ``m + G + U_i + U_j``: ``m = (omega_i + mu_i) -
+    (omega_j + mu_j)``, ``G`` gaussian with the sum of the pair's gaussian
+    variances, and a uniform of half-width ``sqrt(3 V)`` for each uniform
+    node (see :func:`_gap_mean`). A pair without a uniform node has the
+    folded-normal closed form, :func:`folded_normal_mean`.
 
     Args:
         omega: Exogenous frequencies, length ``n``.
@@ -435,56 +486,35 @@ def e_max_delta_omega(
         pairs: ``all`` node pairs (default, conservative) or graph
             ``edges`` only; the latter requires ``graph``.
         graph: Tree supplying the edge set when ``pairs='edges'``.
-        method: ``auto`` picks analytic when available; ``analytic``
-            insists on it; ``mc`` forces Monte Carlo.
-        mc_samples: Monte Carlo sample count.
-        stream: Random stream, required for Monte Carlo.
 
     Raises:
-        UnsupportedFamily: ``method='analytic'`` with a family lacking a
-            closed form.
+        NumericError: a pair's expected gap is not finite, as with a
+            uniform variance whose half-width overflows (the message
+            names the pair).
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (spec.n,):
         raise ValueError(f"omega shape {omega.shape} != ({spec.n},)")
     pair_list = _pair_set(spec.n, pairs, graph)
-
-    if method == "auto":
-        method = "analytic" if spec.analytic_gaussian else "mc"
-    if method == "analytic":
-        if not spec.analytic_gaussian:
-            raise UnsupportedFamily(
-                "analytic gap expectation needs gaussian or none families"
-            )
-        shifted = omega + spec.means()
-        variances = spec.variances()
-        best, best_pair = -math.inf, pair_list[0]
-        for i, j in pair_list:
-            value = folded_normal_mean(
-                shifted[i] - shifted[j], variances[i] + variances[j]
-            )
-            if value > best:
-                best, best_pair = value, (i, j)
-        return DeltaOmegaEstimate(best, 0.0, "analytic", best_pair)
-
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    if stream is None:
-        raise ValueError("Monte Carlo gap estimation requires a stream")
-    draws = sample_noise_block(spec, stream.child(purpose="emax"), 0, mc_samples)
-    disturbed = omega + draws
-    best, best_pair, best_err = -math.inf, pair_list[0], 0.0
+    if not pair_list:
+        raise ValueError("the gap needs at least one node pair")
+    shifted = (omega + spec.means()).tolist()
+    best, best_pair = -math.inf, None
     for i, j in pair_list:
-        mean, stderr = _mean_and_stderr(np.abs(disturbed[:, i] - disturbed[:, j]))
-        if mean > best:
-            best, best_pair, best_err = mean, (i, j), stderr
-    return DeltaOmegaEstimate(best, best_err, "monte-carlo", best_pair, mc_samples)
+        value = _gap_mean(shifted[i] - shifted[j], (spec.nodes[i], spec.nodes[j]))
+        if not math.isfinite(value):
+            raise NumericError(
+                f"the expected gap of nodes {i} and {j} is not finite ({value})"
+            )
+        if value > best:
+            best, best_pair = value, (i, j)
+    return DeltaOmegaEstimate(best, best_pair)
 
 
 def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
     """Mean of the samples ``x`` and its standard error (0 for one
     sample): the one estimator of every Monte Carlo mean in the package,
-    the spectral means, the gap expectations and the drift estimates.
+    the spectral means and the drift estimates.
 
     Both are taken on ``x`` scaled by the power of two of its largest
     magnitude, and scaled back. A power of two scales exactly as long as

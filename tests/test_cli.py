@@ -372,11 +372,10 @@ SILENT = [{"family": "none"}] * 3
         ("simulate", {}, ["horizon"]),
         ("recurrence", {}, ["horizon", "trials"]),
         ("spectral", {}, ["mc_samples"]),
-        # bounds needs mc_samples where the gap is Monte Carlo ...
-        ("bounds", {"noise": UNIFORM, "variant": "undirected"}, ["mc_samples"]),
-        # ... or the spectra are
+        # the gap is exact for every family, uniform too ...
+        ("bounds", {"noise": UNIFORM, "variant": "undirected"}, []),
+        # ... so bounds needs mc_samples only where the spectra are Monte Carlo
         ("bounds", {}, ["mc_samples"]),
-        # and runs without it where neither is
         ("bounds", {"variant": "undirected"}, []),
         ("bounds", {"noise": SILENT}, []),
     ],
@@ -409,7 +408,7 @@ def test_command_reports_its_missing_fields(tmp_path, command, overrides, missin
 @pytest.mark.parametrize(
     "command, overrides, monte_carlo",
     [
-        ("bounds", {"noise": UNIFORM, "variant": "undirected"}, True),
+        ("bounds", {"noise": UNIFORM, "variant": "undirected"}, False),
         ("bounds", {}, True),
         ("spectral", {}, True),
         ("bounds", {"noise": SILENT}, False),
@@ -585,10 +584,10 @@ def test_overflowing_tau_max_is_numeric_error(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("omega0", [1e305, 1e300])
 def test_monte_carlo_gap_near_the_largest_double_is_finite(tmp_path, capsys, omega0):
-    # uniform noise takes the Monte Carlo gap. Its 100 000 gaps near 1e305
-    # sum beyond the largest double, and the squared deviations of gaps
-    # near 1e300, one rounding step (~1e284) apart, overflow; the
-    # estimator's sums run on the gaps scaled by a power of two
+    # uniform noise once took a Monte Carlo gap, whose sums overflowed
+    # near 1e305 and 1e300; the exact gap scales the mean gap by the
+    # noise's width before it squares or cubes it, and a gap the noise
+    # cannot reach comes back as it is
     data = yaml.safe_load(bundled_config_path("line5_undirected").read_text())
     data.update(
         omega=[omega0, 0.0, 0.0, 0.0, 0.0],
@@ -601,8 +600,35 @@ def test_monte_carlo_gap_near_the_largest_double_is_finite(tmp_path, capsys, ome
     assert capsys.readouterr().err == ""
     results = json.loads((out / "summary.json").read_text())["results"]
     assert results["e_max_delta_omega"] == pytest.approx(omega0)
-    for key in ("e_max_delta_omega_stderr", "kappa_min", "tau_max"):
+    for key in ("kappa_min", "tau_max"):
         assert math.isfinite(results[key]) and results[key] > 0, key
+
+
+@pytest.mark.parametrize("variance, code", [(1e308, 3), (5e307, 0)])
+def test_gap_of_an_overflowing_uniform_width_exits_numeric(
+    tmp_path, capsys, variance, code
+):
+    # sqrt(3 * 1e308) is inf, so every pair with node 4 has a NaN gap,
+    # which must not be passed over as smaller than the others; at 5e307
+    # the half-width 1.2e154 is finite, and so is every figure
+    data = yaml.safe_load(bundled_config_path("line5_undirected").read_text())
+    data["noise"][4] = {"family": "uniform", "mean": 0.0, "variance": variance}
+    config, out = str(write_config(tmp_path, data)), tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bounds", "--config", config, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (
+            "numeric error: the expected gap of nodes 0 and 4 is not finite (nan)\n"
+        )
+        assert not out.exists()
+        return
+    assert err == ""
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert all_finite(results)
+    half_width = math.sqrt(3 * 5e307)
+    assert results["e_max_delta_omega"] == pytest.approx(half_width / 2, rel=1e-6)
 
 
 def test_parse_error_reports_location(tmp_path):
@@ -795,8 +821,7 @@ def test_recurrence_and_drift_write_row_files(tmp_path):
 SPECTRAL_KEYS = ["e_lambda_max", "e_lambda_min", "samples", "stderr_max", "stderr_min"]
 BOUNDS_KEYS = [
     "continuous_reference_kappa", "e_max_delta_omega", "e_max_delta_omega_pair",
-    "e_max_delta_omega_stderr", "gamma", "kappa", "kappa_min", "tau", "tau_max",
-    "variant",
+    "gamma", "kappa", "kappa_min", "tau", "tau_max", "variant",
 ]
 
 
@@ -1927,7 +1952,9 @@ fuzz_scalars = st.one_of(
     st.sampled_from([2**53 + 1, 10**11, 10**400]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(EXTREME_FLOATS),
-    st.sampled_from(["a\0b", "", "none", "gaussian", "explicit", "sample", "edges"]),
+    st.sampled_from(
+        ["a\0b", "", "none", "gaussian", "uniform", "explicit", "sample", "edges"]
+    ),
 )
 fuzz_values = st.one_of(
     fuzz_scalars,

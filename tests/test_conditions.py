@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from treekuramoto import (
+    NetworkModel,
+    NodeNoise,
     NoiseSpec,
     RandomStream,
     SpectralStats,
@@ -15,14 +17,28 @@ from treekuramoto import (
     bounds_undirected,
     build_tree,
     continuous_reference_kappa,
+    e_max_delta_omega,
+    edge_box_sampler,
     mc_spectral_stats,
+    recurrence_experiment,
 )
-from treekuramoto.conditions import HypothesisViolated, NonPositiveEigenvalue
+from treekuramoto.conditions import (
+    DEFAULT_GAMMA,
+    HypothesisViolated,
+    NonPositiveEigenvalue,
+)
 from treekuramoto.errors import NumericError
 from treekuramoto.linalg import NoConvergence
 from treekuramoto.noise import _mean_and_stderr, sample_noise_block
 
-from conftest import LINE5_EDGES, OMEGA5, VARIANCES5, force_workers, no_children_left
+from conftest import (
+    LINE5_EDGES,
+    OMEGA5,
+    VARIANCES5,
+    force_workers,
+    no_children_left,
+    random_tree,
+)
 
 PI = math.pi
 
@@ -253,7 +269,6 @@ def test_large_tree_chunks_bounded_and_match_oracle(monkeypatch):
     # 200 nodes: one batch of 199 x 199 Laplacians is capped by memory,
     # so the samples span several chunks.
     import treekuramoto.conditions as cond
-    from conftest import random_tree
     from treekuramoto.noise import sample_noise_block
 
     rng = np.random.default_rng(11)
@@ -296,7 +311,6 @@ def test_spectral_memory_does_not_grow_with_sample_count():
     import tracemalloc
 
     import treekuramoto.conditions as cond
-    from conftest import random_tree
 
     rng = np.random.default_rng(5)
     g = random_tree(rng, 50)
@@ -472,3 +486,44 @@ def test_reference_kappa_rejects_nonpositive_frequencies():
     g = build_tree(2, [(0, 1)])
     with pytest.raises(NonPositiveEigenvalue):
         continuous_reference_kappa(np.array([1.0, -5.0]), g, 1.0)
+
+
+def test_paper_conditions_bound_the_dynamics_on_random_trees():
+    # The kappa condition is sufficient: at 1.2 kappa_min(tau) every trial
+    # from the admissible box returns to the cohesive set. The tau
+    # condition is necessary: at 1.2 tau_max(kappa) every trial escapes.
+    # Six seeded trees of 3-8 nodes, half with uniform noise, through
+    # the library's own spectra, gap and bounds. Neither bound is sharp:
+    # the return fraction stays 1.0 far below kappa_min, and every trial
+    # escapes from 0.8 tau_max up, so this catches a tau_max that is too
+    # small but no bound that is too loose (README, "The conditions
+    # against the dynamics").
+    rng = np.random.default_rng(909)
+    failures = []
+    for tree in range(6):
+        n = int(rng.integers(3, 9))
+        graph = random_tree(rng, n)
+        omega = rng.uniform(5.0, 10.0, n)
+        family = "uniform" if tree % 2 else "gaussian"
+        spec = NoiseSpec(
+            tuple(NodeNoise(family, variance=v) for v in rng.uniform(0.1, 2.0, n))
+        )
+        stream = RandomStream(seed=9000 + tree)
+        stats = mc_spectral_stats(graph, omega, spec, n_samples=4000, stream=stream)
+        gap = e_max_delta_omega(omega, spec).value
+        kappa = 1.2 * bounds_frequency_dependent(stats, gap, tau=0.002).kappa_min
+        tau_max = bounds_frequency_dependent(stats, gap, kappa=kappa).tau_max
+        halves = (("return", 0.002, 20_000), ("escape", 1.2 * tau_max, 5_000))
+        for half, tau, horizon in halves:
+            model = NetworkModel(
+                graph=graph, omega=omega, noise=spec, kappa=kappa, tau=tau,
+                variant="frequency_dependent",
+            )
+            run = recurrence_experiment(
+                model, edge_box_sampler(), DEFAULT_GAMMA, trials=64, horizon=horizon,
+                stream=stream,
+            )
+            fraction = run.return_fraction if half == "return" else run.escaped_fraction
+            if fraction != 1.0:
+                failures.append(f"tree {tree} ({n} nodes, {family}): {half} {fraction}")
+    assert not failures, failures

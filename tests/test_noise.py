@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from treekuramoto import (
     e_max_delta_omega,
     folded_normal_mean,
 )
+from treekuramoto.errors import NumericError
 from treekuramoto.noise import (
     FAMILIES,
     InvalidNoiseSpec,
     NegativeVariance,
-    UnsupportedFamily,
     _BELOW_ONE,
     _NoiseReader,
     _open_uniforms,
@@ -256,8 +257,9 @@ def test_folded_normal_negative_variance():
 def test_gap_zero_for_silent_network():
     spec = NoiseSpec.none(3)
     est = e_max_delta_omega(np.zeros(3), spec)
-    assert est.value == 0.0
-    assert est.method == "analytic"
+    assert (est.value, est.pair) == (0.0, (0, 1))
+    with pytest.raises(ValueError, match="at least one node pair"):
+        e_max_delta_omega([0.0], NoiseSpec.none(1))
 
 
 def test_gap_reference_network_all_pairs():
@@ -285,59 +287,167 @@ def test_gap_edges_only_can_be_smaller():
     assert edges_only.value == 5.0
 
 
-def test_gap_monte_carlo_agrees_with_analytic():
-    spec = NoiseSpec.gaussian(VARIANCES5)
-    analytic = e_max_delta_omega(OMEGA5, spec)
-    mc = e_max_delta_omega(
-        OMEGA5,
-        spec,
-        method="mc",
-        mc_samples=200_000,
-        stream=RandomStream(seed=23),
+def gap_quadrature(m, s, a, b=0.0):
+    """Independent oracle: ``E|m + G + V|`` by quadrature of the
+    folded-normal mean (``G ~ Normal(0, s^2)``) of ``m + v`` against the
+    density of ``V``, the uniform on [-a, a] or, with ``b``, the
+    trapezoid of the sum of uniforms on [-a, a] and [-b, b]; the
+    density's corners and the points about the kink at ``v = -m`` break
+    the range."""
+
+    def folded(y):
+        if s == 0:
+            return abs(y)
+        z = y / (s * math.sqrt(2))
+        return s * math.sqrt(2 / math.pi) * math.exp(-z * z) + y * math.erf(z)
+
+    def density(v):
+        return min(a + b - abs(v), 2 * b) / (4 * a * b) if b else 1 / (2 * a)
+
+    corners = {-a - b, -a + b, a - b, a + b}
+    kinks = {-m + k * s for k in (-8, -1, 0, 1, 8)}
+    points = sorted(corners | {p for p in kinks if -a - b < p < a + b})
+    # each piece to 1e-14 of the answer's scale, which exceeds a / 2
+    tolerance = 1e-14 * (abs(m) + a + s)
+    return math.fsum(
+        quad(lambda v: folded(m + v) * density(v), lo, hi, epsabs=tolerance)[0]
+        for lo, hi in zip(points, points[1:])
     )
-    assert mc.method == "monte-carlo"
-    assert mc.stderr > 0
-    assert abs(mc.value - analytic.value) <= 4.0 * mc.stderr
 
 
-def test_gap_analytic_rejected_for_uniform_family():
-    spec = NoiseSpec((NodeNoise("uniform", variance=1.0), NodeNoise("none")))
-    with pytest.raises(UnsupportedFamily):
-        e_max_delta_omega(np.zeros(2), spec, method="analytic")
-    # auto falls back to Monte Carlo
-    est = e_max_delta_omega(
-        np.zeros(2), spec, mc_samples=10_000, stream=RandomStream(seed=5)
-    )
-    assert est.method == "monte-carlo"
+def uniform_node(half_width):
+    return NodeNoise("uniform", variance=half_width**2 / 3)
 
 
-def test_gap_monte_carlo_keeps_the_bits_of_numpy():
-    # ordinary uniform draws: the scaled estimator gives np.mean and
-    # np.std(ddof=1) / sqrt(n) of the gaps bit for bit
-    spec = NoiseSpec(tuple(NodeNoise("uniform", variance=v) for v in VARIANCES5))
-    stream, samples = RandomStream(seed=41), 5000
-    est = e_max_delta_omega(OMEGA5, spec, mc_samples=samples, stream=stream)
-    draws = sample_noise_block(spec, stream.child(purpose="emax"), 0, samples)
-    disturbed = OMEGA5 + draws
-    gaps = {
-        (i, j): np.abs(disturbed[:, i] - disturbed[:, j])
-        for i in range(5)
-        for j in range(i + 1, 5)
-    }
-    means = {pair: float(np.mean(gap)) for pair, gap in gaps.items()}
-    assert est.pair == max(means, key=means.get)
-    assert est.value == means[est.pair]
-    assert est.stderr == float(np.std(gaps[est.pair], ddof=1) / math.sqrt(samples))
+#: Ratios of the narrower scale of a pair to the wider one, on both
+#: sides of the one below which a uniform is folded into the gaussian.
+RATIOS = [1e-12, 1e-8, 0.9e-4, 1.1e-4, 0.1, 1.0]
 
 
-def test_gap_monte_carlo_of_one_draw_has_zero_stderr():
-    # as mc_spectral_stats reports for one sample, where np.std(ddof=1)
-    # would warn of zero degrees of freedom
-    spec = NoiseSpec((NodeNoise("uniform", variance=1.0), NodeNoise("none")))
-    stream = RandomStream(seed=5)
-    est = e_max_delta_omega(np.zeros(2), spec, mc_samples=1, stream=stream)
-    draw = sample_noise_block(spec, stream.child(purpose="emax"), 0, 1)[0]
-    assert (est.value, est.stderr, est.samples) == (abs(draw[0] - draw[1]), 0.0, 1)
+@pytest.mark.parametrize(
+    "other",
+    ["none", "gaussian", "narrow gaussian", "uniform"],
+)
+def test_gap_agrees_with_quadrature_of_the_convolution(other):
+    # one uniform node of half-width a paired with a node of no noise, a
+    # gaussian of standard deviation a / ratio or a * ratio, or a uniform
+    # of half-width a * ratio: width ratios from 1e-12 to 1e12, at means
+    # about the corners of the sum's density, at three magnitudes
+    for ratio in RATIOS if other != "none" else [None]:
+        for a in (1.0, 2.0**-400, 2.0**400):
+            s = b = 0.0
+            if other == "none":
+                second = NodeNoise("none")
+            elif other == "uniform":
+                b = a * ratio
+                second = uniform_node(b)
+            else:
+                s = a / ratio if other == "gaussian" else a * ratio
+                second = NodeNoise("gaussian", variance=s * s)
+            spec = NoiseSpec((uniform_node(a), second))
+            reach = a + b + s
+            for offset in (0.0, 0.3 * a, a - b, a, a + b, 0.99 * reach, 1.5 * reach):
+                got = e_max_delta_omega([offset, 0.0], spec).value
+                want = gap_quadrature(offset, s, a, b)
+                assert got == pytest.approx(want, rel=1e-10, abs=0), (offset, s, a, b)
+
+
+@st.composite
+def gap_cases(draw, families=FAMILIES):
+    """A random tree of 2-8 nodes, its frequencies and a spec mixing
+    ``families`` with negative means, and a pair set."""
+    n = draw(st.integers(2, 8))
+    parents = [draw(st.integers(0, node - 1)) for node in range(1, n)]
+    graph = build_tree(n, [(parent, node) for node, parent in enumerate(parents, 1)])
+    omega = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    nodes = []
+    for _ in range(n):
+        family = draw(st.sampled_from(families))
+        if family == "none":
+            nodes.append(NodeNoise("none"))
+        else:
+            mean = draw(st.floats(-3.0, 3.0))
+            variance = draw(st.floats(0.01, 9.0))
+            nodes.append(NodeNoise(family, mean=mean, variance=variance))
+    pairs = draw(st.sampled_from(["all", "edges"]))
+    return graph, np.array(omega), NoiseSpec(tuple(nodes)), pairs
+
+
+def pair_list(graph, pairs):
+    if pairs == "edges":
+        return [tuple(sorted(edge)) for edge in graph.edges]
+    return [(i, j) for i in range(graph.n) for j in range(i + 1, graph.n)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gap_cases())
+def test_gap_agrees_with_the_mean_over_noise_draws(case):
+    # every pair's exact gap, taken as the gap of a two-node spec, lies
+    # within 4 standard errors of the mean of |disturbed difference| over
+    # the pair's draws; the largest over the pair set is the one reported
+    graph, omega, spec, pairs = case
+    draws = omega + sample_noise_block(spec, RandomStream(seed=27), 0, 20_000)
+    exact = {}
+    for i, j in pair_list(graph, pairs):
+        pair = NoiseSpec((spec.nodes[i], spec.nodes[j]))
+        exact[i, j] = e_max_delta_omega(omega[[i, j]], pair).value
+        gaps = np.abs(draws[:, i] - draws[:, j])
+        stderr = np.std(gaps, ddof=1) / math.sqrt(len(gaps))
+        assert abs(exact[i, j] - np.mean(gaps)) <= 4 * stderr + 1e-12, (i, j)
+    est = e_max_delta_omega(omega, spec, pairs=pairs, graph=graph)
+    assert est.value == max(exact.values())
+    assert exact[est.pair] == est.value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gap_cases(families=("gaussian", "none")))
+def test_gaussian_gap_keeps_the_bits_of_the_folded_normal(case):
+    graph, omega, spec, pairs = case
+    shifted, variances = omega + spec.means(), spec.variances()
+    pair_set = pair_list(graph, pairs)
+    values = [
+        folded_normal_mean(shifted[i] - shifted[j], variances[i] + variances[j])
+        for i, j in pair_set
+    ]
+    est = e_max_delta_omega(omega, spec, pairs=pairs, graph=graph)
+    assert est.value == max(values)
+    assert est.pair == pair_set[values.index(max(values))]
+
+
+@pytest.mark.parametrize("m", [3.0, 1e10, 1e155, 1e200, 1e305, -1e305])
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        (uniform_node(1.0), NodeNoise("none")),
+        (uniform_node(1.0), uniform_node(2.0)),
+        (uniform_node(1.0), uniform_node(1e-9)),
+        (uniform_node(1.0), NodeNoise("gaussian", variance=1e-6)),
+        (uniform_node(1.0), NodeNoise("gaussian", variance=1e-2)),
+    ],
+    ids=["uniform", "two-uniforms", "narrow-uniform", "narrow-gaussian", "gaussian"],
+)
+def test_gap_beyond_the_reach_of_the_noise_is_the_mean_gap(m, nodes):
+    # past a + b no uniform sum reaches zero, so the gap is exactly |m|;
+    # a gaussian's tail below -|m|, 20 standard deviations or more away,
+    # is far below the last bit of |m| (its squares would overflow past
+    # 1e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = e_max_delta_omega([m, 0.0], NoiseSpec(nodes))
+    assert est.value == abs(m)
+
+
+def test_gap_whose_width_overflows_names_its_pair():
+    # sqrt(3 * 1e308) is inf; at 5e307 the half-width 1.2e154 is finite
+    def spec(variance):
+        last = NodeNoise("uniform", variance=variance)
+        return NoiseSpec((NodeNoise("none"), uniform_node(1.0), last))
+
+    with pytest.raises(NumericError, match=r"nodes 0 and 2 is not finite \(nan\)"):
+        e_max_delta_omega([0.0, 1.0, 2.0], spec(1e308))
+    est = e_max_delta_omega([0.0, 1.0, 2.0], spec(5e307))
+    assert math.isfinite(est.value) and est.pair == (0, 2)
+    assert est.value == pytest.approx(math.sqrt(3 * 5e307) / 2, rel=1e-12)
 
 
 class PlacedWords:
