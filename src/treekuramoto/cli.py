@@ -11,10 +11,10 @@ Every run reads a single YAML config file: ``--config PATH``, or
 ``--bundled NAME`` for one of the YAML files in ``treekuramoto/configs``,
 whose names are ``BUNDLED_CONFIGS``. Any scalar field can be overridden
 on the command line with ``--set KEY=VALUE`` (dotted keys for nested
-fields, e.g. ``--set output.decimation=10``). The environment
-variable ``TREEKURAMOTO_SEED`` overrides the config seed; an explicit
-``--set seed=...`` wins over both. All angles are radians, frequencies
-rad/s, the sampling period seconds.
+fields, e.g. ``--set output.decimation=10``, or ``--set seed=99`` for
+one run's seed). A run reads no environment variable: its inputs are
+its command line and its config file. All angles are radians,
+frequencies rad/s, the sampling period seconds.
 
 The config schema is ``_FIELDS``, one row per field: ``treekuramoto
 --help`` lists each row's key, rule, default and the commands that need
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib.resources
 import json
 import math
 import os
@@ -77,24 +76,18 @@ from .dynamics import (
 from .graph import TreeGraph, build_tree
 from .noise import NodeNoise, NoiseSpec, RandomStream
 
-SEED_ENV_VAR = "TREEKURAMOTO_SEED"
-
 #: libyaml's parser where PyYAML was built with it (several times faster
 #: on a large config); the pure-Python one otherwise. Both build the
 #: same mapping and report errors at the same marks.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _HALF_PI = 0.5 * math.pi
 
-_CONFIGS = importlib.resources.files("treekuramoto") / "configs"
+_CONFIGS = Path(__file__).parent / "configs"
 
 #: Names of the bundled example configs: the YAML files packaged in
 #: ``treekuramoto/configs``, sorted.
 BUNDLED_CONFIGS = tuple(
-    sorted(
-        entry.name.removesuffix(".yaml")
-        for entry in _CONFIGS.iterdir()
-        if entry.name.endswith(".yaml")
-    )
+    sorted(entry.stem for entry in _CONFIGS.iterdir() if entry.suffix == ".yaml")
 )
 
 class ParseError(ConfigError):
@@ -149,7 +142,7 @@ def bundled_config_path(name: str) -> Path:
         raise ConfigError(
             f"unknown bundled config {name!r}; available: {', '.join(BUNDLED_CONFIGS)}"
         )
-    return Path(_CONFIGS / f"{name}.yaml")
+    return _CONFIGS / f"{name}.yaml"
 
 
 def _is_number(x) -> bool:
@@ -859,15 +852,6 @@ def _run(args) -> int:
             bundled_config_path(args.bundled) if args.bundled else Path(args.config)
         )
         data = _read_raw(path)
-
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                data["seed"] = int(env_seed)
-            except ValueError:
-                raise ConfigError(
-                    f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-                ) from None
         _apply_overrides(data, args.overrides)
         if args.out is not None:
             _set_field(data, "output.directory", args.out, "--out")

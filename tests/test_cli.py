@@ -492,17 +492,9 @@ def test_config_and_recurrence_share_the_admissible_tolerance(
         recurrence()
 
 
-@pytest.mark.parametrize(
-    "argv, seed",
-    [(["--out", "o"], None), (["--set", "kappa=3"], None), ([], "3")],
-)
-def test_non_mapping_top_level_is_config_error(
-    tmp_path, capsys, monkeypatch, argv, seed
-):
+@pytest.mark.parametrize("argv", [["--out", "o"], ["--set", "kappa=3"], []])
+def test_non_mapping_top_level_is_config_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("TREEKURAMOTO_SEED", raising=False)
-    if seed is not None:
-        monkeypatch.setenv("TREEKURAMOTO_SEED", seed)
     (tmp_path / "list.yaml").write_text("- 1\n- 2\n", encoding="utf-8")
     assert main(["bounds", "--config", "list.yaml"] + argv) == 2
     assert capsys.readouterr().err == (
@@ -1763,31 +1755,37 @@ def test_set_overrides_scalars(tmp_path):
     assert len(read_csv(out / "trajectory.csv")) == 1 + 5
 
 
-def test_seed_env_var_overrides_config(tmp_path, monkeypatch):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    out_c = tmp_path / "c"
-    base = tiny_config(out_a)
-    path_a = write_config(tmp_path, base, "a.yaml")
-    main(["simulate", "--config", str(path_a)])
+def test_set_seed_overrides_the_config_seed(tmp_path):
+    runs = {}
+    for name, seed, argv in [
+        ("config", 99, []), ("other", 5, []), ("set", 5, ["--set", "seed=99"])
+    ]:
+        data = tiny_config(tmp_path / name, seed=seed)
+        path = write_config(tmp_path, data, f"{name}.yaml")
+        assert main(["simulate", "--config", str(path)] + argv) == 0
+        runs[name] = (tmp_path / name / "trajectory.csv").read_bytes()
+    assert runs["other"] != runs["config"]
+    assert runs["set"] == runs["config"]
 
-    monkeypatch.setenv("TREEKURAMOTO_SEED", "1234")
-    base["output"]["directory"] = str(out_b)
-    path_b = write_config(tmp_path, base, "b.yaml")
-    main(["simulate", "--config", str(path_b)])
-    assert (
-        (out_a / "trajectory.csv").read_bytes()
-        != (out_b / "trajectory.csv").read_bytes()
-    )
 
-    # explicit --set wins over the environment
-    base["output"]["directory"] = str(out_c)
-    path_c = write_config(tmp_path, base, "c.yaml")
-    main(["simulate", "--config", str(path_c), "--set", "seed=99"])
-    assert (
-        (out_a / "trajectory.csv").read_bytes()
-        == (out_c / "trajectory.csv").read_bytes()
-    )
+def test_environment_does_not_change_a_run(tmp_path, monkeypatch):
+    # a run's inputs are its argv and its config file: no variable in its
+    # environment, such as one named for the seed, changes a byte
+    argv = ["--bundled", "line5_zero_mean", "--set", "horizon=300", "--set", "trials=3"]
+    csv_files = {"simulate": "trajectory.csv", "recurrence": "trials.csv"}
+    monkeypatch.delenv("TREEKURAMOTO_SEED", raising=False)
+    for command, csv_file in csv_files.items():
+        plain, seeded = tmp_path / command / "plain", tmp_path / command / "seeded"
+        assert main([command, *argv, "--out", str(plain)]) == 0
+        with monkeypatch.context() as env:
+            env.setenv("TREEKURAMOTO_SEED", "1234")
+            assert main([command, *argv, "--out", str(seeded)]) == 0
+        assert (plain / csv_file).read_bytes() == (seeded / csv_file).read_bytes()
+        first, second = (
+            json.loads((out / "summary.json").read_text()) for out in (plain, seeded)
+        )
+        for key in ("results", "provenance"):
+            assert first[key] == second[key], (command, key)
 
 
 def test_same_seed_reproduces_csv_bytes(tmp_path):
@@ -1800,17 +1798,47 @@ def test_same_seed_reproduces_csv_bytes(tmp_path):
 
 
 def test_summary_echo_round_trips(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    path = write_config(tmp_path, tiny_config(out_a))
-    assert main(["simulate", "--config", str(path)]) == 0
-    echo = json.loads((out_a / "summary.json").read_text())["config"]
-    echo_path = tmp_path / "echo.yaml"
-    echo_path.write_text(yaml.safe_dump(echo), encoding="utf-8")
-    assert main(["simulate", "--config", str(echo_path), "--out", str(out_b)]) == 0
-    assert (
-        (out_a / "trajectory.csv").read_bytes()
-        == (out_b / "trajectory.csv").read_bytes()
+    # the config block of a summary is a complete record of its run: run
+    # again from it, elsewhere, every command writes the same bytes and
+    # results, on a line with a fixed start and on a tree with sampled
+    # starts, mixed noise families and a nonzero mean
+    n = 12
+    tree = random_tree(np.random.default_rng(3), n)
+    noise = [
+        {"family": "gaussian", "mean": -0.5, "variance": 1.0},
+        {"family": "uniform", "mean": 0.0, "variance": 2.0},
+        {"family": "none"},
+    ]
+    tree_data = tiny_config(
+        "unused",
+        graph={"n": n, "edges": [list(edge) for edge in tree.edges]},
+        omega=[float(i % 5) for i in range(n)],
+        noise=[noise[i % 3] for i in range(n)],
+        initial={"mode": "sample", "low": 0.1, "high": 1.2},
     )
+    configs = {
+        "line5": ["--bundled", "line5_zero_mean"],
+        "tree": ["--config", str(write_config(tmp_path, tree_data, "tree.yaml"))],
+    }
+    sizes = ["horizon=300", "trials=3", "mc_samples=200", "drift.probes=3",
+             "drift.noise_samples=100"]
+    csv_files = {"simulate": "trajectory.csv", "recurrence": "trials.csv",
+                 "drift": "probes.csv", "spectral": None}
+    for name, source in configs.items():
+        for command, csv_file in csv_files.items():
+            first, second = (tmp_path / name / command / run for run in "ab")
+            argv = [command, *source, "--out", str(first)]
+            for size in sizes:
+                argv += ["--set", size]
+            assert main(argv) == 0
+            echo = json.loads((first / "summary.json").read_text())["config"]
+            echo_path = write_config(first.parent, echo, "echo.yaml")
+            assert main([command, "--config", str(echo_path), "--out", str(second)]) == 0
+            if csv_file is not None:
+                same = (first / csv_file).read_bytes() == (second / csv_file).read_bytes()
+                assert same, (name, command)
+            a, b = (json.loads((o / "summary.json").read_text()) for o in (first, second))
+            assert a["results"] == b["results"], (name, command)
 
 
 # --- CSV formatting -------------------------------------------------------------
