@@ -3,13 +3,13 @@
 Trials, drift probes and spectral samples each read their own
 counter-addressed noise stream, so any split of their indices across
 processes gives the same bits. :func:`forked_map` is the one place that
-splits a run: it takes the run's index count, its work and the caller's
-threshold, derives how many processes share the run
-(:func:`worker_count`), splits the indices into that many contiguous
-ranges (:func:`ranges`), runs the first range in this process and each
-other one in a worker forked for it, and returns every range with its
-part. The number of ranges it returns is the run's worker count, which
-each caller reports with its result.
+splits a run: it takes the run's index count and the bytes each index
+touches, derives how many processes share the run (:func:`worker_count`,
+against the one threshold ``_MIN_FORK_BYTES``), splits the indices into
+that many contiguous ranges (:func:`ranges`), runs the first range in
+this process and each other one in a worker forked for it, and returns
+every range with its part. The number of ranges it returns is the run's
+worker count, which each caller reports with its result.
 
 A worker is ``os.fork`` with one ``os.pipe`` back to the parent and its
 result pickled into it, not ``multiprocessing``. On a 2-vCPU host, after
@@ -35,19 +35,39 @@ _HELD_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 #: worker sets it, in its own copy of the module.
 _in_worker = False
 
+#: Fewest bytes a run touches for which it forks: the 8-byte noise words
+#: it reads, plus, for spectral samples, their Laplacians. In one process
+#: on a 2-vCPU x86-64 host a word costs about the same in every caller on
+#: 5 to 200 nodes: 0.043 / 0.068 / 0.075 us in a recurrence trial*step at
+#: n = 5 / 50 / 200 (0.34 / 3.52 / 15.0 us for 8 / 52 / 200 words), about
+#: 0.1 us as a drift noise value and 0.08 us per 8 bytes of spectral
+#: samples (100 MB a second). 4 MiB is then 20 to 40 ms of work, against
+#: several milliseconds to start a worker and return its result. Two
+#: workers against one there (medians of 7 to 12 alternating pairs, one
+#: BLAS thread): near the threshold 0.81x to 1.09x for recurrence on line5
+#: at 100 x 1 000 (6.4 MB), 0.83x to 0.99x for drift on line5 at
+#: 10 x 8 000 (5.1 MB), 0.87x for 20 000 line5 spectral samples (3.8 MB),
+#: 0.97x for 10 spectral samples on 200 nodes (3.2 MB), 1.05x for
+#: recurrence on line5 at 64 x 1 000 (4.1 MB) and 1.13x for 100 spectral
+#: samples on 50 nodes (2 MB); well above it 0.58x to 0.85x for
+#: recurrence on 50- and 200-node trees at 32 or 64 x 1 000 (13 to
+#: 102 MB) and 0.54x for spectral at 78 MB. Those need the second vCPU
+#: idle: with it busy, the 50-node runs took 1.18x to 1.29x.
+_MIN_FORK_BYTES = 4 * 2**20
 
-def worker_count(items: int, work: float, min_work: float, min_items: int = 1) -> int:
-    """Processes that share a run of ``items`` indices and ``work``
-    units of work.
+
+def worker_count(items: int, work_bytes: float, min_items: int = 1) -> int:
+    """Processes that share a run of ``items`` indices that touch
+    ``work_bytes`` bytes of noise words and Laplacians.
 
     One per CPU in this process's affinity mask, with at least
-    ``min_items`` indices each; a single one when the run is below
-    ``min_work`` units, where there is no affinity mask (nor, on
+    ``min_items`` indices each; a single one when the run touches fewer
+    than ``_MIN_FORK_BYTES``, where there is no affinity mask (nor, on
     Windows, ``os.fork``), and inside a worker.
     """
     slices = items // min_items
     forkable = hasattr(os, "sched_getaffinity") and not _in_worker
-    if slices < 2 or work < min_work or not forkable:
+    if slices < 2 or work_bytes < _MIN_FORK_BYTES or not forkable:
         return 1
     return min(len(os.sched_getaffinity(0)), slices)
 
@@ -58,14 +78,15 @@ def ranges(count: int, workers: int) -> list[tuple[int, int]]:
     return [(w * count // workers, (w + 1) * count // workers) for w in range(workers)]
 
 
-def forked_map(run, task, items, work, min_work, min_items=1) -> list:
+def forked_map(run, task, items, item_bytes, min_items=1) -> list:
     """``[((lo, hi), run(lo, hi)), ...]`` over the :func:`ranges` of
     ``range(items)``, one per process of :func:`worker_count` for
-    ``items``, ``work``, ``min_work`` and ``min_items``: the first range
-    in this process, each other one in a forked worker that pickles its
-    result into a pipe. An exception raised in a worker is raised here,
-    the lowest range's first. Every worker is killed, if it still runs,
-    and reaped before this returns or raises.
+    ``items`` indices of ``item_bytes`` bytes each and ``min_items``
+    indices per range: the first range in this process, each other one
+    in a forked worker that pickles its result into a pipe. An exception
+    raised in a worker is raised here, the lowest range's first. Every
+    worker is killed, if it still runs, and reaped before this returns
+    or raises.
 
     ``task`` names what the ranges index, as in ``"stepping trials"``,
     for the error that reports a worker lost.
@@ -75,7 +96,7 @@ def forked_map(run, task, items, work, min_work, min_items=1) -> list:
             sending its result (killed, for example, by the kernel when
             memory runs out); the message names its range and exit code.
     """
-    bounds = ranges(items, worker_count(items, work, min_work, min_items))
+    bounds = ranges(items, worker_count(items, items * item_bytes, min_items))
     workers = []  # [pid, read end of its pipe, lo, hi]; pid None once reaped
     try:
         for lo, hi in bounds[1:]:

@@ -45,8 +45,9 @@ results are independent of evaluation order and of how work is split
 across workers. Large recurrence runs and drift sweeps split their
 trials or probes into contiguous ranges, one per CPU this process may
 run on, and fork a worker process for each range but the first, in one
-call of ``_fork.forked_map`` each; each command's threshold keeps small
-runs in one process. The results record the count that ran
+call of ``_fork.forked_map`` each, which keeps a run that reads less
+than ``_fork._MIN_FORK_BYTES`` of noise words in one process. The
+results record the count that ran
 (``RecurrenceStats.workers``, ``DriftSweep.workers``). Drift estimates
 take their means and standard errors from ``noise._mean_and_stderr``,
 the package's one Monte Carlo estimator.
@@ -91,28 +92,12 @@ ESCAPE_LEVEL = 0.5 * math.pi - ESCAPE_TOLERANCE
 #: for the rounding of wrapping the phases and taking their differences.
 ADMISSIBLE_LEVEL = 0.5 * math.pi + 1e-12
 
-#: Fewest trial*steps for which :func:`recurrence_experiment` splits its
-#: trials across forked workers. Starting a worker and returning its
-#: results costs about 7 to 10 ms, against about 0.6 us per trial*step
-#: (line5, 200 trials in one process on a 2-vCPU host: medians of 0.54
-#: to 0.65 us in four runs of six).
-_MIN_FORK_WORK = 200_000
-
 #: Fewest trials per worker. A step's numpy dispatch costs about as much
 #: as stepping 20 line5 trials, and every worker pays it, so narrow
 #: slices gain little over one batch. Measured on line5 (median of 10
 #: alternating pairs, 30 000 steps, 2 CPUs), two processes took 0.99x
 #: the time of one at 2 x 5 trials, 0.91x at 2 x 8 and 0.80x at 2 x 16.
 _MIN_SLICE_TRIALS = 16
-
-#: Fewest noise values, probes times draws times nodes, for which
-#: :func:`drift_sweep` splits its probes across forked workers: about
-#: 0.1 us each in one process. Measured in-process against one process
-#: (median of 7 alternating pairs, 2 vCPUs, one BLAS thread), two workers
-#: took 0.89x the time at 500 000 values (10 probes x 1 000 draws on a
-#: 50-node tree, 34 ms in one process), 0.64x at 1e6 and 0.55x at 5e6,
-#: but 0.98x to 1.36x at 200 000.
-_MIN_FORK_DRAWS = 500_000
 
 #: Noise words' worth of doubles that all the buffers of one chunk hold
 #: together: 1 MiB (the floor below aside). A recurrence chunk steps in
@@ -413,11 +398,13 @@ def recurrence_experiment(
 
     Large runs split the trials into contiguous slices, one per CPU
     this process may run on: this process steps the first slice and
-    forked worker processes step the others (see ``_fork``; at least
-    ``_MIN_FORK_WORK`` trial*steps and ``_MIN_SLICE_TRIALS`` trials per
-    slice). Per-trial stream coordinates make the result independent of
-    the batch, chunk and slice sizes, so it is bit-identical at every
-    worker count; ``RecurrenceStats.workers`` records the count.
+    forked worker processes step the others (see ``_fork``): from
+    ``_fork._MIN_FORK_BYTES`` of noise words on, 8 bytes for each of
+    ``noise._words_per_step(n)`` words a trial*step, with at least
+    ``_MIN_SLICE_TRIALS`` trials per slice. Per-trial stream coordinates
+    make the result independent of the batch, chunk and slice sizes, so
+    it is bit-identical at every worker count;
+    ``RecurrenceStats.workers`` records the count.
 
     Raises:
         InvalidInitSampler: a sampled state is non-finite, has a phase of
@@ -461,9 +448,9 @@ def recurrence_experiment(
             model, theta[:, lo:hi], noise_streams[lo:hi], gamma, horizon
         )
 
-    work = trials * horizon
+    trial_bytes = 8 * _words_per_step(n) * horizon
     ran = _fork.forked_map(
-        run, "stepping trials", trials, work, _MIN_FORK_WORK, _MIN_SLICE_TRIALS
+        run, "stepping trials", trials, trial_bytes, _MIN_SLICE_TRIALS
     )
 
     # the error a single batch raises: earliest step, then lowest trial
@@ -646,12 +633,14 @@ def drift_sweep(
     into a testable statement.
 
     Large sweeps split the probes into contiguous ranges, one per CPU
-    this process may run on, once they draw at least ``_MIN_FORK_DRAWS``
-    noise values in all: this process probes the first range and forked
-    workers the others (see ``_fork``). Probe ``i`` samples its state
-    from ``stream.child(trial=i, purpose="probe")`` and its draws from
-    ``stream.child(trial=i)``, so the estimates are bit-identical at
-    every worker count; ``DriftSweep.workers`` records the count.
+    this process may run on, once they read at least
+    ``_fork._MIN_FORK_BYTES`` of noise words in all (8 bytes for each of
+    ``noise._words_per_step(n)`` words a draw): this process probes the
+    first range and forked workers the others (see ``_fork``). Probe
+    ``i`` samples its state from ``stream.child(trial=i,
+    purpose="probe")`` and its draws from ``stream.child(trial=i)``, so
+    the estimates are bit-identical at every worker count;
+    ``DriftSweep.workers`` records the count.
 
     Raises:
         NumericError: a step from a probed state is non-finite (the
@@ -678,6 +667,6 @@ def drift_sweep(
         return estimates
 
     draws = 1 if model.noise.is_deterministic else noise_samples
-    work = n_states * draws * model.graph.n
-    ran = _fork.forked_map(run, "stepping probes", n_states, work, _MIN_FORK_DRAWS)
+    probe_bytes = 8 * _words_per_step(model.graph.n) * draws
+    ran = _fork.forked_map(run, "stepping probes", n_states, probe_bytes)
     return DriftSweep((estimate for _, part in ran for estimate in part), len(ran))

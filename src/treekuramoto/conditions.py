@@ -56,17 +56,6 @@ DEFAULT_SPECTRAL_SAMPLES = 100_000
 #: at 50 nodes, so smaller batches would buy little memory for their time.
 _CHUNK_BYTES = 512 * 2**10
 
-#: Fewest bytes of Laplacians and noise words, summed over all samples as
-#: ``_CHUNK_BYTES`` counts them, for which :func:`mc_spectral_stats`
-#: splits its samples across forked workers: one process solves about
-#: 100 MB a second, on 5 to 200 nodes. Measured in-process against one
-#: process (median of 7 alternating pairs, 2 vCPUs, one BLAS thread),
-#: two workers took 0.87x the time at 3.8 MB (20 000 line5 samples),
-#: 0.68x to 0.73x at 7.7 MB and 0.54x at 78 MB (4 000 samples on a
-#: 50-node tree), but 0.97x at 3.2 MB (10 samples on 200 nodes) and
-#: 1.13x at 2 MB: 100 samples on 50 nodes stay in one process.
-_MIN_FORK_BYTES = 4 * 2**20
-
 
 class HypothesisViolated(NumericError):
     """E[lambda_min] is not strictly positive; the kappa bound is undefined."""
@@ -135,7 +124,7 @@ def mc_spectral_stats(
     deterministic spec short-circuits to the exact eigenvalues.
 
     Large runs split the samples into contiguous ranges, one per CPU
-    this process may run on, once they span ``_MIN_FORK_BYTES`` of
+    this process may run on, once they span ``_fork._MIN_FORK_BYTES`` of
     Laplacians and noise: this process solves the first range and
     forked workers the others (see ``_fork``), each reading its noise
     from the range's first sample on. ``SpectralStats.workers`` records
@@ -180,9 +169,7 @@ def mc_spectral_stats(
             lam[1, start : start + count] = ev[:, -1]
         return lam[:, lo:hi]
 
-    ran = _fork.forked_map(
-        run, "solving samples", n_samples, n_samples * sample_bytes, _MIN_FORK_BYTES
-    )
+    ran = _fork.forked_map(run, "solving samples", n_samples, sample_bytes)
     for (lo, hi), part in ran[1:]:
         lam[:, lo:hi] = part
 

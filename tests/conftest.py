@@ -76,7 +76,7 @@ def force_workers(monkeypatch, workers):
     """Make every forked map of the package split its indices into
     ``workers`` ranges, whatever the run's size and the CPU count."""
     monkeypatch.setattr(
-        _fork, "worker_count", lambda items, work, min_work, min_items=1: workers
+        _fork, "worker_count", lambda items, work_bytes, min_items=1: workers
     )
 
 

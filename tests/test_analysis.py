@@ -17,6 +17,7 @@ from treekuramoto import (
     drift_sweep,
     edge_box_sampler,
     fixed_initial,
+    mc_spectral_stats,
     recurrence_experiment,
     simulate,
 )
@@ -614,18 +615,91 @@ def test_worker_numeric_error_names_global_trial(workers, bad_trials, monkeypatc
 def test_worker_count_derivation(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     count = _fork.worker_count
-    assert count(200, 2_000_000, 200_000, 16) == min(cpus, 200 // 16)
-    assert count(1, 10**9, 200_000, 16) == 1
-    assert count(31, 10**9, 200_000, 16) == 1  # slices narrower than 16
-    assert count(200, 2_000, 200_000, 16) == 1  # below the work threshold
-    assert count(3, 10**9, 1) == min(cpus, 3)
+    assert count(200, 10**9, 16) == min(cpus, 200 // 16)
+    assert count(1, 10**9, 16) == 1
+    assert count(31, 10**9, 16) == 1  # slices narrower than 16
+    assert count(3, 10**9) == min(cpus, 3)
     # a worker process never forks again
     force_workers(monkeypatch, 2)
     in_each = _fork.forked_map(
-        lambda lo, hi: count(200, 2_000_000, 200_000, 16), "testing", 2, 0, 0
+        lambda lo, hi: count(200, 10**9, 16), "testing", 2, 0
     )
     assert in_each == [((0, 1), min(cpus, 200 // 16)), ((1, 2), 1)]
     assert not _fork._in_worker and no_children_left()
+
+
+@pytest.mark.parametrize("command", ["recurrence", "drift", "spectral"])
+def test_worker_count_turns_at_the_fork_bytes(command, monkeypatch):
+    # every caller forks from _fork._MIN_FORK_BYTES of noise words (and,
+    # for spectral, Laplacians) on, and stays in one process one size
+    # below; on line5 a step or draw reads 8 words
+    cpus = len(os.sched_getaffinity(0))
+    model = make_line5_model()
+    if command == "recurrence":
+        # 32 trials, two slices of 16; the size is the horizon
+        size_bytes, ranges = 32 * 8 * 8, 2
+
+        def workers(horizon):
+            return recurrence_experiment(
+                model, edge_box_sampler(0.0, 0.8), GAMMA, 32, horizon,
+                RandomStream(seed=1),
+            ).workers
+
+    elif command == "drift":
+        # 100 probes; the size is the draws a probe. The count alone is
+        # under test: each probe's estimate is its index
+        monkeypatch.setattr(
+            analysis,
+            "drift_estimate",
+            lambda model, theta, gamma, n, stream: stream.trial,
+        )
+        size_bytes, ranges = 100 * 8 * 8, 100
+
+        def workers(draws, model=model):
+            sweep = drift_sweep(model, GAMMA, 100, draws, RandomStream(seed=1))
+            assert sweep == list(range(100))
+            return sweep.workers
+
+        # without noise a probe takes one draw, whatever the sample count
+        assert workers(10**9, two_node_model()) == 1
+        assert drift_sweep(model, GAMMA, 1, 10**9, RandomStream(seed=1)).workers == 1
+    else:
+        # the size is the sample count: a 4 x 4 Laplacian and 8 words
+        # each, and as many ranges as CPUs
+        size_bytes, ranges = 8 * (4 * 4 + 8), cpus
+
+        def workers(samples, noise=model.noise):
+            return mc_spectral_stats(
+                model.graph, model.omega, noise, n_samples=samples,
+                stream=RandomStream(seed=1),
+            ).workers
+
+        # a noise-free spectrum is one exact solve
+        assert workers(10**9, NoiseSpec.none(5)) == 1
+    at_threshold = -(-_fork._MIN_FORK_BYTES // size_bytes)
+    assert workers(at_threshold) == min(cpus, ranges)
+    assert workers(at_threshold - 1) == 1
+    assert no_children_left()
+
+
+def test_recurrence_on_a_wide_tree_forks_by_its_noise_bytes():
+    # 64 trials x 1 000 steps on 50 nodes read 52 noise words a
+    # trial*step, 26.6 MB in all: four slices of 16 trials
+    rng = np.random.default_rng(50)
+    graph = random_tree(rng, 50)
+    model = NetworkModel(
+        graph=graph,
+        omega=rng.uniform(1.0, 10.0, 50),
+        noise=NoiseSpec.gaussian(rng.uniform(0.5, 5.0, 50), np.zeros(50)),
+        kappa=30.0,
+        tau=0.002,
+        variant="frequency_dependent",
+    )
+    stats = recurrence_experiment(
+        model, edge_box_sampler(0.0, 0.8), GAMMA, 64, 1000, RandomStream(seed=7)
+    )
+    assert stats.workers == min(len(os.sched_getaffinity(0)), 4)
+    assert no_children_left()
 
 
 def test_forked_map_keeps_range_order_and_raises_the_lowest_failure(monkeypatch):
@@ -636,7 +710,7 @@ def test_forked_map_keeps_range_order_and_raises_the_lowest_failure(monkeypatch)
         return list(range(lo, hi)), os.getpid()
 
     force_workers(monkeypatch, 3)
-    ran = _fork.forked_map(run, "testing", 4, 0, 0)
+    ran = _fork.forked_map(run, "testing", 4, 0)
     assert [bounds for bounds, _ in ran] == _fork.ranges(4, 3)
     parts = [part for _, part in ran]
     assert [values for values, _ in parts] == [[0], [1], [2, 3]]
@@ -646,7 +720,7 @@ def test_forked_map_keeps_range_order_and_raises_the_lowest_failure(monkeypatch)
     bounds = _fork.ranges(9, 3)
     assert bounds == [(0, 3), (3, 6), (6, 9)]
     with pytest.raises(ValueError, match="^index 4$"):
-        _fork.forked_map(run, "testing", 9, 0, 0)
+        _fork.forked_map(run, "testing", 9, 0)
     assert no_children_left()
 
 
@@ -1084,29 +1158,6 @@ def test_drift_sweep_identical_at_any_worker_count(means, monkeypatch):
                 assert np.array_equal(
                     getattr(ours, field.name), getattr(theirs, field.name)
                 ), (workers, field.name)
-
-
-def test_drift_worker_count_follows_the_draws(monkeypatch):
-    cpus = len(os.sched_getaffinity(0))
-    noisy, silent = make_line5_model(), two_node_model()
-    # the count alone is under test: each probe's estimate is its index
-    monkeypatch.setattr(
-        analysis, "drift_estimate", lambda model, theta, gamma, n, stream: stream.trial
-    )
-
-    def workers(model, probes, samples):
-        sweep = drift_sweep(model, GAMMA, probes, samples, RandomStream(seed=1))
-        assert sweep == list(range(probes))
-        return sweep.workers
-
-    # 100 probes on 5 nodes: 500 noise values a draw
-    draws = -(-analysis._MIN_FORK_DRAWS // 500)
-    assert workers(noisy, 100, draws) == min(cpus, 100)
-    assert workers(noisy, 100, draws - 1) == 1
-    assert workers(noisy, 1, 10**9) == 1
-    # without noise a probe takes one draw, whatever the sample count
-    assert workers(silent, 100, 10**9) == 1
-    assert no_children_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -1131,7 +1131,7 @@ def test_forked_recurrence_never_imports_multiprocessing(tmp_path):
     script = (
         "import sys\n"
         "from treekuramoto import _fork, cli\n"
-        "_fork.worker_count = lambda items, work, min_work, min_items=1: 2\n"
+        "_fork.worker_count = lambda items, work_bytes, min_items=1: 2\n"
         "code = cli.main(sys.argv[1:])\n"
         "loaded = [m for m in sys.modules if m.startswith('multiprocessing')]\n"
         "print('multiprocessing modules:', loaded)\n"
@@ -1155,7 +1155,7 @@ def test_cli_runs_never_import_the_scipy_special_package(tmp_path):
     script = (
         "import sys\n"
         "from treekuramoto import _fork, cli\n"
-        "_fork.worker_count = lambda items, work, min_work, min_items=1: 2\n"
+        "_fork.worker_count = lambda items, work_bytes, min_items=1: 2\n"
         "out = sys.argv[1]\n"
         "for argv in (\n"
         "    ['spectral', '--set', 'mc_samples=200', '--out', out + '/spectral'],\n"

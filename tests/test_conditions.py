@@ -1,5 +1,4 @@
 import math
-import os
 
 import mpmath
 import numpy as np
@@ -154,21 +153,6 @@ def test_spectral_identical_at_any_worker_count(line5, monkeypatch, batch):
     for workers in (2, 3):
         # equality compares every field but workers
         assert runs[workers] == runs[1]
-
-
-def test_spectral_worker_count_follows_the_batch_bytes(line5):
-    import treekuramoto.conditions as cond
-
-    cpus = len(os.sched_getaffinity(0))
-    at_threshold = -(-cond._MIN_FORK_BYTES // line5_batch_bytes(1))
-    for samples, workers in ((at_threshold, cpus), (at_threshold - 1, 1)):
-        stats = mc_spectral_stats(
-            line5, OMEGA5, line5_spec(), n_samples=samples, stream=RandomStream(seed=1)
-        )
-        assert stats.workers == workers
-    # a noise-free spectrum is one exact solve
-    exact = mc_spectral_stats(line5, OMEGA5, NoiseSpec.none(5), n_samples=10**9)
-    assert exact.workers == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
