@@ -28,8 +28,7 @@ from .dynamics import (
 from .conditions import (
     BoundResult,
     SpectralStats,
-    bounds_frequency_dependent,
-    bounds_undirected,
+    bounds,
     continuous_reference_kappa,
     mc_spectral_stats,
 )
@@ -66,8 +65,7 @@ __all__ = [
     "SpectralStats",
     "BoundResult",
     "mc_spectral_stats",
-    "bounds_frequency_dependent",
-    "bounds_undirected",
+    "bounds",
     "continuous_reference_kappa",
     "TrajectoryRecord",
     "RecurrenceStats",

@@ -522,14 +522,13 @@ def _run_bounds(config: ExperimentConfig):
         stats, results["spectral"], provenance["spectral"] = _spectral(
             config, config["mc_samples"] or 1
         )
-        bound = conditions.bounds_frequency_dependent(
-            stats, gap.value, config["gamma"], tau=model.tau, kappa=model.kappa
-        )
     else:
-        bound = conditions.bounds_undirected(
-            model.graph, gap.value, config["gamma"], tau=model.tau, kappa=model.kappa
-        )
-    results.update(asdict(bound))
+        n = model.graph.n
+        stats = conditions.mc_spectral_stats(model.graph, np.ones(n), NoiseSpec.none(n))
+    bound = conditions.bounds(
+        stats, gap.value, config["gamma"], tau=model.tau, kappa=model.kappa
+    )
+    results.update(asdict(bound), variant=model.variant)
     provenance["bounds"] = {"method": "analytic", "samples": 0}
     if np.all(model.omega > 0):
         results["continuous_reference_kappa"] = conditions.continuous_reference_kappa(

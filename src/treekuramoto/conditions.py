@@ -1,10 +1,8 @@
 """Coupling-strength and sampling-period bounds for stochastic
-phase-cohesiveness, plus the Monte Carlo spectral statistics they need.
+phase-cohesiveness, and the spectral statistics they need.
 
-For the frequency-dependent variant the governing quantities are the
-expected extreme eigenvalues of the randomly weighted edge Laplacian
-``B^T diag(omega + n(k)) B``; recurrence of the relative-phase chain is
-guaranteed by
+Both coupling variants share one condition. Recurrence of the
+relative-phase chain is guaranteed by
 
     kappa > ((1 - sin g) * pi / (2 tau) + gap) / (sin(g)^2 * E[lambda_min])
     tau   < ((1 + sin g) * g) / (kappa * E[lambda_max] + gap)
@@ -12,13 +10,16 @@ guaranteed by
 where ``g`` is the cohesion half-width and ``gap`` the largest expected
 absolute disturbed-frequency difference. The kappa condition is
 sufficient and the tau condition necessary; both are open inequalities
-and are reported as strict bounds, never as safe equalities. The
-undirected variant uses the deterministic spectrum of ``B^T B`` instead
-of an expectation.
+and are reported as strict bounds, never as safe equalities. Only the
+spectrum differs: the frequency-dependent variant takes the expected
+extreme eigenvalues of the randomly weighted edge Laplacian
+``B^T diag(omega + n(k)) B``, the undirected variant the exact ones of
+``B^T B``. :func:`bounds` evaluates the condition on either.
 
-:func:`mc_spectral_stats` splits its samples across processes in one
-call of ``_fork.forked_map`` and takes its means and standard errors
-from ``noise._mean_and_stderr``. The gap is exact
+:func:`mc_spectral_stats` is the one spectrum function: exact for a
+noise-free spec, Monte Carlo otherwise. It splits its samples across
+processes in one call of ``_fork.forked_map`` and takes its means and
+standard errors from ``noise._mean_and_stderr``. The gap is exact
 (``noise.e_max_delta_omega``), so the spectra are the bounds' only Monte
 Carlo figures.
 """
@@ -33,7 +34,7 @@ import numpy as np
 from . import _fork
 from .errors import NumericError
 from .dynamics import validate_gamma
-from .graph import TreeGraph, edge_laplacian
+from .graph import TreeGraph
 from .linalg import NoConvergence, batch_eigenvalues, weighted_edge_laplacian
 from .noise import (
     NoiseSpec,
@@ -89,7 +90,7 @@ class SpectralStats:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Evaluated bounds for one variant at one cohesion half-width.
+    """Evaluated bounds on one spectrum at one cohesion half-width.
 
     ``kappa_min`` is the sufficient lower coupling bound at the given
     ``tau``; ``tau_max`` the necessary upper sampling-period bound at
@@ -102,7 +103,6 @@ class BoundResult:
     tau_max: float | None
     gamma: float
     e_max_delta_omega: float
-    variant: str
     tau: float | None = None
     kappa: float | None = None
 
@@ -114,14 +114,15 @@ def mc_spectral_stats(
     n_samples: int = DEFAULT_SPECTRAL_SAMPLES,
     stream: RandomStream | None = None,
 ) -> SpectralStats:
-    """Estimate ``E[lambda_min]`` and ``E[lambda_max]`` of the weighted
-    edge Laplacian under ``n_samples`` disturbance draws.
+    """The extreme eigenvalues ``E[lambda_min]`` and ``E[lambda_max]``
+    of the edge Laplacian weighted with ``omega + n``.
 
-    Each draw weights the edge Laplacian with ``omega + n``; extreme
-    eigenvalues are averaged with their sample standard errors. Samples
-    are addressed by index on the stream, so any evaluation order (or
-    concurrent evaluation) yields the identical result; a fully
-    deterministic spec short-circuits to the exact eigenvalues.
+    A noise-free spec gives the exact eigenvalues of its one Laplacian,
+    needs no stream and has zero standard errors; unit ``omega`` gives
+    those of ``B^T B``. Otherwise they are Monte Carlo means over
+    ``n_samples`` disturbance draws, with their sample standard errors.
+    Samples are addressed by index on the stream, so any evaluation
+    order (or concurrent evaluation) yields the identical result.
 
     Large runs split the samples into contiguous ranges, one per CPU
     this process may run on, once they span ``_fork._MIN_FORK_BYTES`` of
@@ -177,15 +178,29 @@ def mc_spectral_stats(
     return SpectralStats(e_min, e_max, se_min, se_max, n_samples, len(ran))
 
 
-def _evaluate_bounds(
-    lam_min: float,
-    lam_max: float,
+def bounds(
+    stats: SpectralStats,
     e_max_dw: float,
-    gamma: float,
-    tau: float | None,
-    kappa: float | None,
-    variant: str,
+    gamma: float = DEFAULT_GAMMA,
+    tau: float | None = None,
+    kappa: float | None = None,
 ) -> BoundResult:
+    """The coupling and sampling-period bounds on the spectrum ``stats``.
+
+    The frequency-dependent variant passes the Monte Carlo spectrum of
+    ``B^T diag(omega + n) B``; the undirected variant the exact spectrum
+    of ``B^T B``, ``mc_spectral_stats(graph, np.ones(n), NoiseSpec.none(n))``.
+    With an indefinite spectrum the sufficient coupling bound is
+    meaningless, so ``stats.e_lambda_min`` must be strictly positive.
+
+    Raises:
+        HypothesisViolated: ``e_lambda_min <= 0``, checked before the
+            other arguments.
+    """
+    if not stats.e_lambda_min > 0:
+        raise HypothesisViolated(
+            f"E[lambda_min] = {stats.e_lambda_min} is not strictly positive"
+        )
     gamma = validate_gamma(gamma)
     if tau is None and kappa is None:
         raise ValueError("supply tau (for kappa_min), kappa (for tau_max) or both")
@@ -203,10 +218,10 @@ def _evaluate_bounds(
     kappa_min = None
     if tau is not None:
         kappa_min = ((1.0 - sin_g) * math.pi / (2.0 * tau) + e_max_dw) / (
-            sin_g * sin_g * lam_min
+            sin_g * sin_g * stats.e_lambda_min
         )
     kappa_eff = kappa if kappa is not None else kappa_min
-    denominator = kappa_eff * lam_max + e_max_dw
+    denominator = kappa_eff * stats.e_lambda_max + e_max_dw
     # an overflow would report tau_max as 0.0, a bound no tau meets
     if not math.isfinite(denominator):
         raise NumericError(
@@ -214,64 +229,7 @@ def _evaluate_bounds(
             f"({denominator})"
         )
     tau_max = (1.0 + sin_g) * gamma / denominator
-    return BoundResult(
-        kappa_min=kappa_min,
-        tau_max=tau_max,
-        gamma=gamma,
-        e_max_delta_omega=e_max_dw,
-        variant=variant,
-        tau=tau,
-        kappa=kappa,
-    )
-
-
-def bounds_frequency_dependent(
-    stats: SpectralStats,
-    e_max_dw: float,
-    gamma: float = DEFAULT_GAMMA,
-    tau: float | None = None,
-    kappa: float | None = None,
-) -> BoundResult:
-    """Bounds for the frequency-dependent variant.
-
-    Requires ``stats.e_lambda_min > 0``; with an indefinite expected
-    spectrum the sufficient coupling bound is meaningless.
-
-    Raises:
-        HypothesisViolated: ``E[lambda_min] <= 0``.
-    """
-    if not stats.e_lambda_min > 0:
-        raise HypothesisViolated(
-            f"E[lambda_min] = {stats.e_lambda_min} is not strictly positive"
-        )
-    return _evaluate_bounds(
-        stats.e_lambda_min,
-        stats.e_lambda_max,
-        e_max_dw,
-        gamma,
-        tau,
-        kappa,
-        "frequency_dependent",
-    )
-
-
-def bounds_undirected(
-    graph: TreeGraph,
-    e_max_dw: float,
-    gamma: float = DEFAULT_GAMMA,
-    tau: float | None = None,
-    kappa: float | None = None,
-) -> BoundResult:
-    """Bounds for the undirected constant-coupling variant.
-
-    Uses the deterministic extreme eigenvalues of the edge Laplacian,
-    which is positive definite on every tree - no expectation and no
-    positivity hypothesis is involved.
-    """
-    ev = batch_eigenvalues(edge_laplacian(graph))
-    return _evaluate_bounds(
-        float(ev[0]), float(ev[-1]), e_max_dw, gamma, tau, kappa, "undirected"
-    )
+    return BoundResult(kappa_min, tau_max, gamma, e_max_dw, tau, kappa)
 
 
 def continuous_reference_kappa(
@@ -294,8 +252,7 @@ def continuous_reference_kappa(
         raise NonPositiveEigenvalue(
             "reference bound assumes strictly positive frequencies"
         )
-    ev = batch_eigenvalues(weighted_edge_laplacian(graph, omega))
-    lam_min = float(ev[0])
+    lam_min = mc_spectral_stats(graph, omega, NoiseSpec.none(graph.n)).e_lambda_min
     if lam_min <= 0:
         raise NonPositiveEigenvalue(f"lambda_min = {lam_min} is not positive")
     spread = float(np.max(omega) - np.min(omega))

@@ -18,8 +18,7 @@ from treekuramoto import (
     NoiseSpec,
     RandomStream,
     SpectralStats,
-    bounds_frequency_dependent,
-    bounds_undirected,
+    bounds,
     build_tree,
     drift_sweep,
     e_max_delta_omega,
@@ -116,9 +115,7 @@ def test_a03_coupling_and_sampling_bounds():
     failures = []
     gap = e_max_delta_omega(OMEGA5, line5_spec(0.0), pairs="all")
     stats = SpectralStats(1.197, 25.35, 0.0, 0.0, 100_000)
-    bound = bounds_frequency_dependent(
-        stats, gap.value, PI / 2 - 0.044, tau=0.002, kappa=30.0
-    )
+    bound = bounds(stats, gap.value, PI / 2 - 0.044, tau=0.002, kappa=30.0)
     if not 7.9 <= bound.kappa_min <= 8.4:
         failures.append(f"kappa_min {bound.kappa_min:.4f} outside [7.9, 8.4]")
     if not 0.0038 <= bound.tau_max <= 0.0042:
@@ -134,7 +131,8 @@ def test_a03_coupling_and_sampling_bounds():
 def test_a04_two_node_bound_product():
     failures = []
     g = build_tree(2, [(0, 1)])
-    bound = bounds_undirected(g, 0.0, PI / 2 - 1e-6, tau=0.01)
+    unit = mc_spectral_stats(g, np.ones(2), NoiseSpec.none(2))
+    bound = bounds(unit, 0.0, PI / 2 - 1e-6, tau=0.01)
     product = bound.kappa_min * bound.tau_max
     if abs(product - PI / 2) > 1e-4:
         failures.append(f"kappa_min*tau_max = {product:.8f}, pi/2 off by > 1e-4")

@@ -1439,6 +1439,23 @@ def test_spectral_and_bounds_reports(tmp_path):
     assert results["continuous_reference_kappa"] > 0
 
 
+@pytest.mark.parametrize(
+    "name, variant",
+    [
+        ("line5_zero_mean", "frequency_dependent"),
+        ("line5_undirected", "undirected"),
+    ],
+)
+def test_bounds_report_the_models_variant(tmp_path, capsys, name, variant):
+    # a bound depends on its spectrum alone, so the variant comes from
+    # the config's model
+    argv = ["bounds", "--bundled", name, "--out", str(tmp_path)]
+    assert main(argv + ["--set", "mc_samples=20"]) == 0
+    results = json.loads((tmp_path / "summary.json").read_text())["results"]
+    assert results["variant"] == variant
+    assert f"variant: {variant}" in capsys.readouterr().out.splitlines()
+
+
 def test_spectral_on_bundled_reference_configs(tmp_path):
     # Expected extreme-eigenvalue expectations for the four line-5
     # disturbance choices; stochastic values frozen from converged

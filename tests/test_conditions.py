@@ -12,10 +12,10 @@ from treekuramoto import (
     NoiseSpec,
     RandomStream,
     SpectralStats,
-    bounds_frequency_dependent,
-    bounds_undirected,
+    bounds,
     build_tree,
     continuous_reference_kappa,
+    edge_laplacian,
     e_max_delta_omega,
     edge_box_sampler,
     mc_spectral_stats,
@@ -27,7 +27,7 @@ from treekuramoto.conditions import (
     NonPositiveEigenvalue,
 )
 from treekuramoto.errors import NumericError
-from treekuramoto.linalg import NoConvergence
+from treekuramoto.linalg import NoConvergence, batch_eigenvalues
 from treekuramoto.noise import _mean_and_stderr, sample_noise_block
 
 from conftest import (
@@ -59,6 +59,11 @@ def line5_spec(n3_mean=0.0):
 @pytest.fixture
 def line5():
     return build_tree(5, LINE5_EDGES)
+
+
+def unit_spectrum(graph):
+    """The exact spectrum of ``B^T B``, the undirected variant's."""
+    return mc_spectral_stats(graph, np.ones(graph.n), NoiseSpec.none(graph.n))
 
 
 # --- spectral statistics -----------------------------------------------------
@@ -217,7 +222,7 @@ def test_scaled_mean_and_stderr_keep_the_bits_of_numpy(x):
 
 def test_no_convergence_carries_sample_index(monkeypatch):
     import treekuramoto.conditions as cond
-    from treekuramoto.linalg import NoConvergence
+    from treekuramoto.linalg import NoConvergence, batch_eigenvalues
 
     real_laplacian = cond.weighted_edge_laplacian
     seen = 0
@@ -328,36 +333,54 @@ def test_spectral_stats_validation():
 def test_reference_bounds():
     stats = SpectralStats(1.197, 25.35, 0.0, 0.0, 100_000)
     gamma = PI / 2 - 0.044
-    bound = bounds_frequency_dependent(
+    bound = bounds(
         stats, 9.000068, gamma, tau=0.002, kappa=30.0
     )
     assert bound.kappa_min == pytest.approx(8.1697, abs=2e-4)
     assert bound.tau_max == pytest.approx(0.0039664, abs=1e-6)
-    assert bound.variant == "frequency_dependent"
     assert bound.gamma == gamma
 
 
 def test_hypothesis_guard():
     stats = SpectralStats(-1.17, 23.669, 0.0, 0.0, 100_000)
     with pytest.raises(HypothesisViolated):
-        bounds_frequency_dependent(stats, 9.0, PI / 2 - 0.05, tau=0.002)
+        bounds(stats, 9.0, PI / 2 - 0.05, tau=0.002)
     with pytest.raises(HypothesisViolated):
-        bounds_frequency_dependent(
+        bounds(
             SpectralStats(0.0, 1.0, 0.0, 0.0, 1), 0.0, 1.0, tau=0.1
         )
+
+
+@pytest.mark.parametrize("lam_min", [0.0, -1.17])
+@pytest.mark.parametrize(
+    "gap, args",
+    [
+        (9.0, {"gamma": 2.0, "tau": 0.002}),
+        (9.0, {"tau": -1.0}),
+        (9.0, {"tau": 0.002, "kappa": 0.0}),
+        (9.0, {}),
+        (-1.0, {"tau": 0.002}),
+    ],
+    ids=["gamma", "tau", "kappa", "neither", "gap"],
+)
+def test_hypothesis_is_checked_before_the_arguments(lam_min, gap, args):
+    # an indefinite spectrum is the run's numeric error, whatever else is
+    # wrong with the arguments
+    with pytest.raises(HypothesisViolated):
+        bounds(SpectralStats(lam_min, 23.7, 0.0, 0.0, 1), gap, **args)
 
 
 def test_bounds_require_tau_or_kappa():
     stats = SpectralStats(1.0, 10.0, 0.0, 0.0, 1)
     with pytest.raises(ValueError):
-        bounds_frequency_dependent(stats, 0.0, 1.0)
-    only_kappa = bounds_frequency_dependent(stats, 0.0, 1.0, kappa=5.0)
+        bounds(stats, 0.0, 1.0)
+    only_kappa = bounds(stats, 0.0, 1.0, kappa=5.0)
     assert only_kappa.kappa_min is None
     assert only_kappa.tau_max > 0
-    only_tau = bounds_frequency_dependent(stats, 0.0, 1.0, tau=0.01)
+    only_tau = bounds(stats, 0.0, 1.0, tau=0.01)
     assert only_tau.kappa_min > 0
     # with no kappa given, tau_max is evaluated at kappa_min itself
-    at_kmin = bounds_frequency_dependent(
+    at_kmin = bounds(
         stats, 0.0, 1.0, tau=0.01, kappa=only_tau.kappa_min
     )
     assert only_tau.tau_max == at_kmin.tau_max
@@ -369,7 +392,7 @@ def test_round_trip_inversion():
     gamma = PI / 2 - 0.044
     emax = 9.000068
     tau, kappa = 0.002, 30.0
-    bound = bounds_frequency_dependent(stats, emax, gamma, tau=tau, kappa=kappa)
+    bound = bounds(stats, emax, gamma, tau=tau, kappa=kappa)
     sin_g = math.sin(gamma)
     tau_back = ((1 - sin_g) * PI / 2) / (
         bound.kappa_min * sin_g**2 * stats.e_lambda_min - emax
@@ -383,7 +406,7 @@ def test_kappa_min_decreasing_in_gamma():
     stats = SpectralStats(1.197, 25.35, 0.0, 0.0, 100_000)
     gammas = np.linspace(0.3, PI / 2 - 1e-3, 60)
     values = [
-        bounds_frequency_dependent(stats, 9.0, g, tau=0.002).kappa_min
+        bounds(stats, 9.0, g, tau=0.002).kappa_min
         for g in gammas
     ]
     assert np.all(np.diff(values) < 0)
@@ -393,7 +416,7 @@ def test_tau_max_decreasing_in_kappa():
     stats = SpectralStats(1.197, 25.35, 0.0, 0.0, 100_000)
     kappas = np.linspace(9.0, 100.0, 50)
     values = [
-        bounds_frequency_dependent(stats, 9.0, PI / 2 - 0.05, kappa=k).tau_max
+        bounds(stats, 9.0, PI / 2 - 0.05, kappa=k).tau_max
         for k in kappas
     ]
     assert np.all(np.diff(values) < 0)
@@ -406,7 +429,7 @@ def test_undirected_two_node_hand_value():
     # gamma = pi/4, tau = 0.01, silent network; cross-checked with
     # 50-digit arithmetic.
     g = build_tree(2, [(0, 1)])
-    bound = bounds_undirected(g, 0.0, PI / 4, tau=0.01)
+    bound = bounds(unit_spectrum(g), 0.0, PI / 4, tau=0.01)
     mpmath.mp.dps = 50
     g4 = mpmath.pi / 4
     expected = ((1 - mpmath.sin(g4)) * mpmath.pi / (2 * mpmath.mpf("0.01"))) / (
@@ -419,7 +442,7 @@ def test_undirected_two_node_hand_value():
 def test_undirected_line5_uses_edge_laplacian_spectrum():
     g = build_tree(5, LINE5_EDGES)
     gamma = PI / 2 - 0.05
-    bound = bounds_undirected(g, 9.0, gamma, tau=0.002, kappa=30.0)
+    bound = bounds(unit_spectrum(g), 9.0, gamma, tau=0.002, kappa=30.0)
     lam_min = 2 - 2 * math.cos(PI / 5)
     lam_max = 2 - 2 * math.cos(4 * PI / 5)
     sin_g = math.sin(gamma)
@@ -429,10 +452,30 @@ def test_undirected_line5_uses_edge_laplacian_spectrum():
     assert bound.tau_max == pytest.approx(expected_tmax, rel=1e-12)
 
 
+@st.composite
+def relabelled_trees(draw):
+    """A random tree of 2-60 nodes, its edges listed in a shuffled order
+    and each edge's orientation drawn."""
+    n = draw(st.integers(2, 60))
+    edges = [(draw(st.integers(0, node - 1)), node) for node in range(1, n)]
+    edges = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    return build_tree(n, [(h, t) if f else (t, h) for (t, h), f in zip(edges, flips)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(relabelled_trees())
+def test_unit_spectrum_is_the_edge_laplacians(graph):
+    stats = unit_spectrum(graph)
+    ev = batch_eigenvalues(edge_laplacian(graph))[[0, -1]]
+    assert (stats.e_lambda_min, stats.e_lambda_max) == tuple(ev)
+    assert (stats.stderr_min, stats.stderr_max) == (0.0, 0.0)
+
+
 def test_two_node_bound_product_approaches_half_pi():
     g = build_tree(2, [(0, 1)])
     gamma = PI / 2 - 1e-6
-    bound = bounds_undirected(g, 0.0, gamma, tau=0.01)
+    bound = bounds(unit_spectrum(g), 0.0, gamma, tau=0.01)
     product = bound.kappa_min * bound.tau_max
     assert abs(product - PI / 2) <= 1e-6 * (PI / 2)
 
@@ -442,9 +485,9 @@ def test_overflowing_tau_max_denominator_is_numeric_error(line5):
     # true bound, about 1e-309, is a double
     stats = SpectralStats(1.2, 24.6, 0.0, 0.0, 1)
     with pytest.raises(NumericError, match="not finite"):
-        bounds_frequency_dependent(stats, 9.0, tau=0.002, kappa=1e308)
+        bounds(stats, 9.0, tau=0.002, kappa=1e308)
     with pytest.raises(NumericError, match="not finite"):
-        bounds_undirected(line5, 9.0, tau=0.002, kappa=1e308)
+        bounds(unit_spectrum(line5), 9.0, tau=0.002, kappa=1e308)
 
 
 # --- continuous-time reference ---------------------------------------------------
@@ -495,8 +538,8 @@ def test_paper_conditions_bound_the_dynamics_on_random_trees():
         stream = RandomStream(seed=9000 + tree)
         stats = mc_spectral_stats(graph, omega, spec, n_samples=4000, stream=stream)
         gap = e_max_delta_omega(omega, spec).value
-        kappa = 1.2 * bounds_frequency_dependent(stats, gap, tau=0.002).kappa_min
-        tau_max = bounds_frequency_dependent(stats, gap, kappa=kappa).tau_max
+        kappa = 1.2 * bounds(stats, gap, tau=0.002).kappa_min
+        tau_max = bounds(stats, gap, kappa=kappa).tau_max
         halves = (("return", 0.002, 20_000), ("escape", 1.2 * tau_max, 5_000))
         for half, tau, horizon in halves:
             model = NetworkModel(

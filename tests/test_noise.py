@@ -23,6 +23,7 @@ from treekuramoto.noise import (
     NegativeVariance,
     _BELOW_ONE,
     _NoiseReader,
+    _gap_mean,
     _open_uniforms,
     _words_per_step,
     sample_noise_block,
@@ -414,6 +415,58 @@ def test_gaussian_gap_keeps_the_bits_of_the_folded_normal(case):
     assert est.pair == pair_set[values.index(max(values))]
 
 
+@st.composite
+def crowded_gap_cases(draw):
+    """A random tree of 2-60 nodes whose frequencies, means and variances
+    come from short lists, so many pairs tie, with gaussian, uniform and
+    silent nodes mixed, and a pair set."""
+    n = draw(st.integers(2, 60))
+    parents = [draw(st.integers(0, node - 1)) for node in range(1, n)]
+    graph = build_tree(n, [(parent, node) for node, parent in enumerate(parents, 1)])
+    values = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4)
+    omega = st.lists(st.sampled_from(draw(values)), min_size=n, max_size=n)
+    means = st.sampled_from(draw(values))
+    variances = st.sampled_from(draw(st.lists(st.floats(0.01, 400.0), min_size=1)))
+    nodes = []
+    for _ in range(n):
+        family = draw(st.sampled_from(FAMILIES))
+        if family == "none":
+            nodes.append(NodeNoise("none"))
+        else:
+            nodes.append(NodeNoise(family, draw(means), draw(variances)))
+    pairs = draw(st.sampled_from(["all", "edges"]))
+    return graph, np.array(draw(omega)), NoiseSpec(tuple(nodes)), pairs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(crowded_gap_cases())
+def test_skipped_pairs_change_no_bit_of_the_gap(case):
+    # the same value and pair as _gap_mean on every pair, the first pair
+    # attaining the largest gap winning a tie
+    graph, omega, spec, pairs = case
+    shifted = (omega + spec.means()).tolist()
+    best, best_pair = -math.inf, None
+    for i, j in pair_list(graph, pairs):
+        value = _gap_mean(shifted[i] - shifted[j], (spec.nodes[i], spec.nodes[j]))
+        if value > best:
+            best, best_pair = value, (i, j)
+    est = e_max_delta_omega(omega, spec, pairs=pairs, graph=graph)
+    assert (est.value, est.pair) == (best, best_pair)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_a_pair_with_no_mean_gap_can_hold_the_largest_gap(family):
+    # the silent pair's gap, 3, is the largest |m|; the noisy pair's,
+    # E|X| for a difference of standard deviation 4 (0.80 or 0.82 of it),
+    # exceeds it, so a bound tighter than |m| + 0.75 sd(X) would skip the
+    # pair that holds the maximum
+    noisy = NodeNoise(family, variance=8.0)
+    nodes = (NodeNoise("none"), NodeNoise("none"), noisy, noisy)
+    est = e_max_delta_omega([0.0, 3.0, 1.5, 1.5], NoiseSpec(nodes))
+    assert est.pair == (2, 3)
+    assert est.value == _gap_mean(0.0, (noisy, noisy)) > 3.0
+
+
 @pytest.mark.parametrize("m", [3.0, 1e10, 1e155, 1e200, 1e305, -1e305])
 @pytest.mark.parametrize(
     "nodes",
@@ -445,6 +498,10 @@ def test_gap_whose_width_overflows_names_its_pair():
 
     with pytest.raises(NumericError, match=r"nodes 0 and 2 is not finite \(nan\)"):
         e_max_delta_omega([0.0, 1.0, 2.0], spec(1e308))
+    # beside a largest |m| of 1e160 the pair is still evaluated, not
+    # skipped: its bound on the gap is inf
+    with pytest.raises(NumericError, match=r"nodes 0 and 2 is not finite \(nan\)"):
+        e_max_delta_omega([0.0, 1e160, 2.0], spec(1e308))
     est = e_max_delta_omega([0.0, 1.0, 2.0], spec(5e307))
     assert math.isfinite(est.value) and est.pair == (0, 2)
     assert est.value == pytest.approx(math.sqrt(3 * 5e307) / 2, rel=1e-12)
