@@ -107,17 +107,16 @@ class ValidationError(ConfigError):
 class ExperimentConfig:
     """Validated experiment description.
 
-    ``raw`` is the config mapping as read, after overrides. ``model``,
-    ``sampler`` (``(graph, stream) -> phases``, the fixed or sampled start
-    state of ``initial``) and ``stream`` (keyed by ``seed``) are the run's
-    domain objects, built once by validation. Every field is read by its
-    dotted key, as the YAML, ``--set`` and the error messages name it:
-    ``config["drift.probes"]``. ``values`` holds one entry per ``_FIELDS``
-    key, the default where the field is absent (``None`` for an absent
-    optional count), with ``gamma`` as a float.
+    ``model``, ``sampler`` (``(graph, stream) -> phases``, the fixed or
+    sampled start state of ``initial``) and ``stream`` (keyed by ``seed``)
+    are the run's domain objects, built once by validation. Every field is
+    read by its dotted key, as the YAML, ``--set`` and the error messages
+    name it: ``config["drift.probes"]``. ``values`` holds one entry per
+    ``_FIELDS`` key, the default where the field is absent, with ``gamma``
+    as a float; it is ``None`` for an absent optional count and for the
+    ``initial`` fields that its mode does not read.
     """
 
-    raw: dict
     model: NetworkModel
     sampler: Callable[[TreeGraph, RandomStream], np.ndarray]
     stream: RandomStream
@@ -125,6 +124,22 @@ class ExperimentConfig:
 
     def __getitem__(self, key: str):
         return self.values[key]
+
+    def resolved(self) -> dict:
+        """The config as a file would hold it, with every ``_FIELDS`` key
+        and every noise entry's family, mean and variance, defaults filled
+        in: read back, it is the same run whatever the defaults become."""
+        data = {}
+        for f in _FIELDS:
+            if f.key in _KEYS:  # a section: its fields fill it
+                data[f.key] = {}
+            else:
+                (data[f.section] if f.section else data)[f.leaf] = self[f.key]
+        data["noise"] = [
+            {"family": node.family, "mean": node.mean, "variance": node.variance}
+            for node in self.model.noise.nodes
+        ]
+        return data
 
     # the benchmark harness's tests read these two
     @property
@@ -308,7 +323,11 @@ def _validate(data: dict) -> ExperimentConfig:
     phases, low, high = (values.get(f"initial.{k}") for k in ("phases", "low", "high"))
     if mode is not None:
         foreign = ("low", "high") if mode == "explicit" else ("phases",)
-        bad += [f"initial: unknown key {k!r}" for k in initial if k in foreign]
+        bad += [
+            f"initial: unknown key {k!r}"
+            for k, v in initial.items()
+            if k in foreign and v is not None
+        ]
     if mode == "explicit" and initial.get("phases") is None:
         bad.append("initial.phases: must be a list of finite numbers")
     if mode == "sample" and None not in (low, high) and not 0 <= low < high <= _HALF_PI:
@@ -327,6 +346,7 @@ def _validate(data: dict) -> ExperimentConfig:
 
     if mode == "explicit":
         sampler = analysis.fixed_initial(phases)
+        values["initial.low"] = values["initial.high"] = None
     else:
         sampler = analysis.edge_box_sampler(float(low), float(high))
     values["gamma"] = float(values["gamma"])
@@ -339,7 +359,7 @@ def _validate(data: dict) -> ExperimentConfig:
         variant=values["variant"],
     )
     stream = RandomStream(seed=values["seed"])
-    return ExperimentConfig(data, model, sampler, stream, values)
+    return ExperimentConfig(model, sampler, stream, values)
 
 
 def _read_raw(path) -> dict:
@@ -741,7 +761,7 @@ def run_subcommand(command: str, config: ExperimentConfig) -> dict:
     report = {
         "version": __version__,
         "command": command,
-        "config": config.raw,
+        "config": config.resolved(),
         "results": results,
         "provenance": provenance,
         "data_files": list(files),

@@ -17,7 +17,12 @@ extreme eigenvalues of the randomly weighted edge Laplacian
 ``B^T B``. :func:`bounds` evaluates the condition on either.
 
 :func:`mc_spectral_stats` is the one spectrum function: exact for a
-noise-free spec, Monte Carlo otherwise. It splits its samples across
+noise-free spec, from one ``eigvalsh`` solve, and Monte Carlo otherwise.
+Its Monte Carlo samples need only the two extreme eigenvalues; it takes
+them by Sturm counts (``linalg.extreme_eigenvalues``) where the measured
+cost model of :func:`_sturm_pays` says that is faster, which is on trees
+of a few dozen nodes and more, and from ``eigvalsh`` on smaller or deeper
+trees, such as the bundled five-node line. It splits its samples across
 processes in one call of ``_fork.forked_map`` and takes its means and
 standard errors from ``noise._mean_and_stderr``. The gap is exact
 (``noise.e_max_delta_omega``), so the spectra are the bounds' only Monte
@@ -35,7 +40,13 @@ from . import _fork
 from .errors import NumericError
 from .dynamics import validate_gamma
 from .graph import TreeGraph
-from .linalg import NoConvergence, batch_eigenvalues, weighted_edge_laplacian
+from .linalg import (
+    _PASSES,
+    NoConvergence,
+    batch_eigenvalues,
+    extreme_eigenvalues,
+    weighted_edge_laplacian,
+)
 from .noise import (
     NoiseSpec,
     RandomStream,
@@ -50,12 +61,21 @@ DEFAULT_GAMMA = 0.5 * math.pi - 0.05
 #: Default Monte Carlo sample count for spectral statistics.
 DEFAULT_SPECTRAL_SAMPLES = 100_000
 
-#: Bytes one Monte Carlo batch may take, counting each sample's ``m x m``
-#: Laplacian and its noise words, so memory stays bounded at any sample
-#: count. 512 KiB is the smallest power of two that holds one Laplacian
-#: of a 200-node tree; besides its eigensolves a batch costs about 75 us
-#: at 50 nodes, so smaller batches would buy little memory for their time.
-_CHUNK_BYTES = 512 * 2**10
+#: Bytes one Monte Carlo batch may take, counting each sample's working
+#: set (see :func:`mc_spectral_stats`) and its noise words, so memory
+#: stays bounded at any sample count. Sturm counts pay a fixed cost per
+#: batch and run out of cache in large ones: on random trees, pinned to
+#: one CPU, a sample cost 55 / 33 / 24 / 27 us at 50 nodes in batches of
+#: 100 / 200 / 500 / 1 000 samples (0.6 / 1.2 / 3 / 6 MB as counted),
+#: and 214 / 167 / 116 / 145 us at 200 nodes in batches of 30 / 60 / 100
+#: / 200 (0.7 / 1.4 / 2.4 / 4.8 MB). 2 MiB also holds 6 Laplacians of a
+#: 200-node tree for ``eigvalsh``.
+_CHUNK_BYTES = 2 * 2**20
+
+#: Samples of one batch in :func:`_sturm_pays`: at the default budget a
+#: batch holds 350 to 1 150 samples on the 15 to 50 nodes where the rule
+#: can go either way.
+_RULE_BATCH = 500
 
 
 class HypothesisViolated(NumericError):
@@ -118,22 +138,28 @@ def mc_spectral_stats(
     of the edge Laplacian weighted with ``omega + n``.
 
     A noise-free spec gives the exact eigenvalues of its one Laplacian,
-    needs no stream and has zero standard errors; unit ``omega`` gives
+    needs no stream, has zero standard errors and reports the one solve
+    as ``samples``, whatever ``n_samples`` asks for; unit ``omega`` gives
     those of ``B^T B``. Otherwise they are Monte Carlo means over
     ``n_samples`` disturbance draws, with their sample standard errors.
     Samples are addressed by index on the stream, so any evaluation
     order (or concurrent evaluation) yields the identical result.
 
-    Large runs split the samples into contiguous ranges, one per CPU
-    this process may run on, once they span ``_fork._MIN_FORK_BYTES`` of
-    Laplacians and noise: this process solves the first range and
-    forked workers the others (see ``_fork``), each reading its noise
-    from the range's first sample on. ``SpectralStats.workers`` records
-    the count; the other fields are bit-identical at every count.
+    Each batch of samples is solved by Sturm counts or by ``eigvalsh``,
+    as :func:`_sturm_pays` decides from ``graph`` and ``n_samples``
+    alone; the two agree to within a few ``n eps max|w| deg``, and within
+    one method a sample's bits do not depend on its batch. Large runs
+    split the samples into contiguous ranges, one per CPU this process
+    may run on, once they span ``_fork._MIN_FORK_BYTES`` of working
+    arrays and noise: this process solves the first range and forked
+    workers the others (see ``_fork``), each reading its noise from the
+    range's first sample on. ``SpectralStats.workers`` records the count;
+    the other fields are bit-identical at every count.
 
     Raises:
-        NoConvergence: the eigensolver failed on a sample; the message
-            and ``batch_index`` give its index among all the samples.
+        NoConvergence: a sample's weights or eigenvalues were not finite,
+            or the eigensolver failed on it; the message and
+            ``batch_index`` give its index among all the samples.
         NumericError: a worker process ended without a result.
     """
     if n_samples < 1:
@@ -142,14 +168,24 @@ def mc_spectral_stats(
 
     if noise.is_deterministic:
         ev = batch_eigenvalues(weighted_edge_laplacian(graph, omega))
-        return SpectralStats(float(ev[0]), float(ev[-1]), 0.0, 0.0, n_samples)
+        return SpectralStats(float(ev[0]), float(ev[-1]), 0.0, 0.0, 1)
 
     if stream is None:
         raise ValueError("stochastic spectral statistics require a stream")
-    sample_bytes = 8 * (graph.m**2 + _words_per_step(noise.n))
+    sturm = _sturm_pays(graph, n_samples)
+    # working set per sample besides its noise words: for Sturm counts
+    # 11 to 11.5 n doubles in extreme_eigenvalues (tracemalloc) and the
+    # sample's noise and weights, for eigvalsh the m x m Laplacian
+    working = 14 * graph.n if sturm else graph.m**2
+    sample_bytes = 8 * (working + _words_per_step(noise.n))
     chunk = max(1, _CHUNK_BYTES // sample_bytes)
     # the extreme eigenvalues of every sample; each range fills its columns
     lam = np.empty((2, n_samples))
+
+    def solve(w: np.ndarray) -> np.ndarray:
+        if sturm:
+            return extreme_eigenvalues(graph, w)
+        return batch_eigenvalues(weighted_edge_laplacian(graph, w))[:, [0, -1]]
 
     def run(lo: int, hi: int) -> np.ndarray:
         reader = _NoiseReader(noise, [stream.child(purpose="spectral")], lo)
@@ -158,16 +194,13 @@ def mc_spectral_stats(
             count = min(chunk, hi - start)
             reader.read(block[:count])
             try:
-                ev = batch_eigenvalues(
-                    weighted_edge_laplacian(graph, omega + block[:count, :, 0])
-                )
+                ends = solve(omega + block[:count, :, 0])
             except NoConvergence as exc:
                 raise NoConvergence(
                     f"eigensolver failed at sample {start + exc.batch_index}: {exc}",
                     batch_index=start + exc.batch_index,
                 ) from exc
-            lam[0, start : start + count] = ev[:, 0]
-            lam[1, start : start + count] = ev[:, -1]
+            lam[:, start : start + count] = ends.T
         return lam[:, lo:hi]
 
     ran = _fork.forked_map(run, "solving samples", n_samples, sample_bytes)
@@ -176,6 +209,34 @@ def mc_spectral_stats(
 
     (e_min, se_min), (e_max, se_max) = map(_mean_and_stderr, lam)
     return SpectralStats(e_min, e_max, se_min, se_max, n_samples, len(ran))
+
+
+def _sturm_pays(graph: TreeGraph, n_samples: int) -> bool:
+    """Whether :func:`~treekuramoto.linalg.extreme_eigenvalues` solves
+    ``n_samples`` Monte Carlo samples on ``graph`` faster than
+    ``eigvalsh``, by a cost model fitted to timed batches.
+
+    364 batches of 10 to 600 samples (stars, paths, caterpillars, binary
+    and random trees on 10 to 100 nodes; one CPU, one BLAS thread) took,
+    in microseconds, ``_PASSES (7 + 6.7 levels) + 0.41 S n`` by Sturm
+    counts and ``S (1.3 + 0.046 m**2)`` by ``eigvalsh``, each within 16%
+    in the median. Each level of ``graph.elimination_levels`` costs a few
+    numpy calls per pass, so depth costs: at 300 samples a 20-node path
+    took 1.8 times as long as ``eigvalsh``, a 20-node random tree 0.77
+    times and a 20-node star 0.44 times. Sturm counts are chosen where
+    they are predicted to take less than 0.9 of the time, for a batch of
+    ``S = min(n_samples, _RULE_BATCH)`` samples. Of the batches, 5 that
+    the rule sends to Sturm counts took longer (at most 1.29 times) and 4
+    that it keeps on ``eigvalsh`` would have taken 0.84 times or more.
+    Below 9 nodes the per-sample cost alone keeps ``eigvalsh``.
+
+    The rule reads the graph and the sample count only, so a run's bits
+    do not depend on its batches or workers.
+    """
+    levels = len(graph.elimination_levels[1])
+    batch = min(n_samples, _RULE_BATCH)
+    sturm = _PASSES * (7.0 + 6.7 * levels) + 0.41 * batch * graph.n
+    return sturm < 0.9 * batch * (1.3 + 0.046 * graph.m**2)
 
 
 def bounds(

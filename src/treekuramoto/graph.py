@@ -13,7 +13,9 @@ Matrices are dense: the target scale is tens to a few hundred nodes,
 where sparse machinery buys nothing. Each graph caches where the
 nonzeros of its weighted edge Laplacians sit, so
 :func:`~treekuramoto.linalg.weighted_edge_laplacian` writes them
-directly instead of multiplying by the incidence matrix.
+directly instead of multiplying by the incidence matrix, and the levels
+in which :func:`~treekuramoto.linalg.extreme_eigenvalues` eliminates
+the tree from its leaves up.
 """
 
 from __future__ import annotations
@@ -116,6 +118,65 @@ class TreeGraph:
         for arr in pattern:
             arr.setflags(write=False)
         return pattern
+
+    @cached_property
+    def elimination_levels(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The tree rooted at a centre and cut into levels by height, for
+        :func:`~treekuramoto.linalg.extreme_eigenvalues`, as ``(order,
+        children)``.
+
+        ``order`` lists the nodes leaves first, then the nodes of height
+        1, 2, ... and the root last; a node's height is the length of the
+        longest path down to a leaf, so every child comes before its
+        parent. ``children[k]`` belongs to the ``k``-th level above the
+        leaves (the root's is the last): a ``(c, width)`` array whose
+        column ``j`` holds the positions in ``order`` of the children of
+        the level's ``j``-th node, padded with ``n - 1``, the root's
+        position. Rooting at a centre makes the levels as few as the
+        tree's radius.
+        """
+        neighbours = [[] for _ in range(self.n)]
+        for tail, head in self.edges:
+            neighbours[tail].append(head)
+            neighbours[head].append(tail)
+        # peel the leaves off, all at once, until one or two nodes are left:
+        # a node's round is its height in the tree rooted at one of those,
+        # a centre, which is one higher than the other when two are left
+        degree = [len(v) for v in neighbours]
+        height = [0] * self.n
+        layer = [v for v in range(self.n) if degree[v] == 1]
+        left = self.n
+        while left > 2:
+            left -= len(layer)
+            peeled = []
+            for v in layer:
+                for u in neighbours[v]:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        peeled.append(u)
+                        height[u] = height[v] + 1
+            layer = peeled
+        root = min(layer)
+        height[root] += len(layer) - 1
+        below = [
+            [u for u in near if height[u] < height[v]]
+            for v, near in enumerate(neighbours)
+        ]
+        order = sorted(range(self.n), key=lambda v: (v == root, height[v], v))
+        position = {v: i for i, v in enumerate(order)}
+        children = []
+        for h in range(1, height[root] + 1):
+            level = [v for v in order if height[v] == h]
+            table = np.full(
+                (max(len(below[v]) for v in level), len(level)), self.n - 1, np.intp
+            )
+            for j, v in enumerate(level):
+                table[: len(below[v]), j] = [position[u] for u in below[v]]
+            table.setflags(write=False)
+            children.append(table)
+        order = np.array(order, dtype=np.intp)
+        order.setflags(write=False)
+        return order, tuple(children)
 
 
 def build_tree(n: int, edges) -> TreeGraph:

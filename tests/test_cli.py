@@ -522,7 +522,7 @@ def test_out_is_set_like_a_dotted_override(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
     assert main(argv + ["123"]) == 0
     summary = json.loads((tmp_path / "123" / "summary.json").read_text())
-    assert summary["config"]["output"] == {"directory": "123"}
+    assert summary["config"]["output"] == {"directory": "123", "decimation": 1}
 
 
 def test_nul_in_output_directory_is_config_error(tmp_path, capsys):
@@ -1494,6 +1494,21 @@ def test_spectral_on_bundled_reference_configs(tmp_path):
     assert summary["results"]["stderr_min"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["spectral", "bounds"])
+def test_noise_free_spectrum_reports_its_one_solve(tmp_path, command):
+    # line5_noise_free asks for 1 000 samples, but its spectrum is that of
+    # one Laplacian, solved once
+    out = tmp_path / command
+    assert main([command, "--bundled", "line5_noise_free", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    results = summary["results"]
+    assert summary["config"]["mc_samples"] == 1000
+    assert (results if command == "spectral" else results["spectral"])["samples"] == 1
+    assert summary["provenance"]["spectral"] == {
+        "method": "deterministic", "samples": 1, "workers": 1
+    }
+
+
 def test_simulate_escape_in_strong_negative_bundle(tmp_path):
     out = tmp_path / "run"
     assert (
@@ -1817,8 +1832,19 @@ def test_same_seed_reproduces_csv_bytes(tmp_path):
 def test_summary_echo_round_trips(tmp_path):
     # the config block of a summary is a complete record of its run: run
     # again from it, elsewhere, every command writes the same bytes and
-    # results, on a line with a fixed start and on a tree with sampled
-    # starts, mixed noise families and a nonzero mean
+    # results, on a line with a fixed start, on a tree with sampled
+    # starts, mixed noise families and a nonzero mean, and on a config
+    # that leaves out every field with a default. The echo holds every
+    # field, defaults filled in, so a rerun does not depend on them.
+    bare = tiny_config(
+        "unused",
+        noise=[
+            {"family": "gaussian", "variance": 0.5},
+            {"family": "none"},
+            {"family": "uniform", "variance": 1.0},
+        ],
+    )
+    del bare["drift"], bare["output"]
     n = 12
     tree = random_tree(np.random.default_rng(3), n)
     noise = [
@@ -1836,6 +1862,7 @@ def test_summary_echo_round_trips(tmp_path):
     configs = {
         "line5": ["--bundled", "line5_zero_mean"],
         "tree": ["--config", str(write_config(tmp_path, tree_data, "tree.yaml"))],
+        "bare": ["--config", str(write_config(tmp_path, bare, "bare.yaml"))],
     }
     sizes = ["horizon=300", "trials=3", "mc_samples=200", "drift.probes=3",
              "drift.noise_samples=100"]
@@ -1849,6 +1876,18 @@ def test_summary_echo_round_trips(tmp_path):
                 argv += ["--set", size]
             assert main(argv) == 0
             echo = json.loads((first / "summary.json").read_text())["config"]
+            for field in cli._FIELDS:
+                section = echo[field.section] if field.section else echo
+                assert field.leaf in section, (name, command, field.key)
+            for node in echo["noise"]:
+                assert set(node) == {"family", "mean", "variance"}
+            if name == "bare":
+                assert echo["gamma"] == DEFAULT_GAMMA and echo["pair_set"] == "all"
+                assert echo["initial"] == {
+                    "mode": "sample", "phases": None, "low": 0.0, "high": math.pi / 2
+                }
+                assert echo["output"]["decimation"] == 1
+                assert echo["noise"][0]["mean"] == 0.0
             echo_path = write_config(first.parent, echo, "echo.yaml")
             assert main([command, "--config", str(echo_path), "--out", str(second)]) == 0
             if csv_file is not None:

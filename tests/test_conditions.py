@@ -80,6 +80,8 @@ def test_deterministic_spec_is_exact(line5):
     assert stats.e_lambda_max == hi
     assert stats.stderr_min == 0.0
     assert stats.stderr_max == 0.0
+    # one Laplacian was solved, whatever the sample count asked for
+    assert stats.samples == 1
 
 
 def test_noise_free_reference_values(line5):
@@ -190,6 +192,81 @@ def test_worker_eigensolver_failure_names_global_sample(line5, monkeypatch, work
     assert no_children_left()
 
 
+def tree50():
+    """A random 50-node tree with perfbench's ranges of frequencies and
+    Gaussian variances, on which 301 samples take Sturm counts."""
+    rng = np.random.default_rng(21)
+    g = random_tree(rng, 50)
+    omega = rng.uniform(1.0, 10.0, size=50)
+    spec = NoiseSpec.gaussian(rng.uniform(0.5, 5.0, size=50), np.zeros(50))
+    return g, omega, spec
+
+
+def test_size_rule_keeps_small_and_deep_trees_on_eigvalsh(line5):
+    import treekuramoto.conditions as cond
+
+    g, _, _ = tree50()
+    path = build_tree(50, [(i, i + 1) for i in range(49)])
+    star = build_tree(50, [(0, i) for i in range(1, 50)])
+    assert not any(cond._sturm_pays(line5, s) for s in (2, 100, 10**9))
+    assert cond._sturm_pays(g, 100) and cond._sturm_pays(star, 100)
+    # 25 levels: at 100 samples Sturm counts took as long as eigvalsh
+    assert not cond._sturm_pays(path, 100) and cond._sturm_pays(path, 300)
+    # a batch of 10 does not pay for the fixed cost of 51 passes
+    assert not cond._sturm_pays(g, 10)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 37, 150])
+def test_sturm_spectra_identical_at_any_worker_count_and_batch(monkeypatch, batch):
+    import treekuramoto.conditions as cond
+
+    g, omega, spec = tree50()
+    assert cond._sturm_pays(g, 301)
+    if batch is not None:
+        monkeypatch.setattr(cond, "_CHUNK_BYTES", batch * 8 * (14 * 50 + 52))
+    runs = {}
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        runs[workers] = mc_spectral_stats(
+            g, omega, spec, n_samples=301, stream=RandomStream(seed=4)
+        )
+        assert runs[workers].workers == workers
+        assert no_children_left()
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+    reference = mc_spectral_stats(
+        g, omega, spec, n_samples=301, stream=RandomStream(seed=4)
+    )
+    assert runs[1] == reference
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sturm_non_finite_weight_names_global_sample(monkeypatch, workers):
+    import treekuramoto.conditions as cond
+
+    # samples 130 and 250 get a NaN weight: at 2 workers both lie in the
+    # second range (150..300), at 3 in the second (100..199) and third
+    g, omega, spec = tree50()
+    stream = RandomStream(seed=5)
+    draws = stream.child(purpose="spectral")
+    bad = [omega[0] + sample_noise_block(spec, draws, k, 1)[0, 0] for k in (130, 250)]
+    extremes = cond.extreme_eigenvalues
+
+    def failing(graph, w):
+        w = w.copy()
+        w[np.isin(w[:, 0], bad), 3] = np.nan
+        return extremes(graph, w)
+
+    monkeypatch.setattr(cond, "extreme_eigenvalues", failing)
+    monkeypatch.setattr(cond, "_CHUNK_BYTES", 40 * 8 * (14 * 50 + 52))
+    force_workers(monkeypatch, workers)
+    with pytest.raises(
+        NoConvergence, match=r"^eigensolver failed at sample 130: "
+    ) as failure:
+        mc_spectral_stats(g, omega, spec, n_samples=301, stream=stream)
+    assert failure.value.batch_index == 130
+    assert no_children_left()
+
+
 def test_spectral_means_near_the_largest_double_stay_finite(line5):
     # lambda_max of each sample is about 1.7e308: a running sum of the
     # samples overflows, their mean does not
@@ -255,8 +332,9 @@ def test_no_convergence_carries_sample_index(monkeypatch):
 
 
 def test_large_tree_chunks_bounded_and_match_oracle(monkeypatch):
-    # 200 nodes: one batch of 199 x 199 Laplacians is capped by memory,
-    # so the samples span several chunks.
+    # 200 nodes: Sturm counts, whose batches are capped by memory at 14 n
+    # doubles and 200 noise words a sample, so the samples span several
+    # chunks.
     import treekuramoto.conditions as cond
     from treekuramoto.noise import sample_noise_block
 
@@ -265,13 +343,13 @@ def test_large_tree_chunks_bounded_and_match_oracle(monkeypatch):
     omega = rng.uniform(1.0, 10.0, size=200)
     spec = NoiseSpec.gaussian(rng.uniform(0.5, 5.0, size=200), np.zeros(200))
     batches = []
-    real_laplacian = cond.weighted_edge_laplacian
+    real_extremes = cond.extreme_eigenvalues
 
     def spy(graph, w):
         batches.append(w.shape[0])
-        return real_laplacian(graph, w)
+        return real_extremes(graph, w)
 
-    monkeypatch.setattr(cond, "weighted_edge_laplacian", spy)
+    monkeypatch.setattr(cond, "extreme_eigenvalues", spy)
     # the spy counts this process's batches: no worker solves any
     force_workers(monkeypatch, 1)
     n_samples = 240
@@ -279,7 +357,7 @@ def test_large_tree_chunks_bounded_and_match_oracle(monkeypatch):
         g, omega, spec, n_samples=n_samples, stream=RandomStream(seed=12)
     )
     assert len(batches) >= 2 and sum(batches) == n_samples
-    assert max(batches) * 8 * g.m**2 <= cond._CHUNK_BYTES
+    assert max(batches) * 8 * (14 * g.n + 200) <= cond._CHUNK_BYTES
 
     draws = sample_noise_block(
         spec, RandomStream(seed=12).child(purpose="spectral"), 0, n_samples

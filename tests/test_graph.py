@@ -152,3 +152,62 @@ def test_graph_is_immutable():
     for arr in build_tree(3, [(0, 1), (1, 2)]).laplacian_pattern:
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def eccentricities(g):
+    """Each node's largest distance to another node, by breadth-first search."""
+    neighbours = [[] for _ in range(g.n)]
+    for t, h in g.edges:
+        neighbours[t].append(h)
+        neighbours[h].append(t)
+    result = []
+    for source in range(g.n):
+        distance = {source: 0}
+        queue = [source]
+        for v in queue:
+            for u in neighbours[v]:
+                if u not in distance:
+                    distance[u] = distance[v] + 1
+                    queue.append(u)
+        result.append(max(distance.values()))
+    return result
+
+
+@pytest.mark.parametrize("shape", ["star", "path", "random", "pair"])
+def test_elimination_levels_root_a_centre_and_list_children_first(shape):
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 7, 30):
+        if shape == "star":
+            g = build_tree(n, [(node, 0) for node in range(1, n)])
+        elif shape == "path":
+            g = build_tree(n, [(node, node - 1) for node in range(n - 1, 0, -1)])
+        elif shape == "random":
+            g = random_tree(rng, n)
+        else:
+            g = build_tree(2, [(1, 0)])
+        order, children = g.elimination_levels
+        assert sorted(order) == list(range(g.n))
+        ecc = eccentricities(g)
+        root = order[-1]
+        # rooted at a centre, the levels are as few as the radius
+        assert ecc[root] == min(ecc) == len(children)
+        assert children[-1].shape[1] == 1
+        stop = g.n
+        listed = []
+        for table in reversed(children):
+            start = stop - table.shape[1]
+            for j, parent in enumerate(order[start:stop]):
+                below = [p for p in table[:, j] if p != g.n - 1]
+                # children come before their parent, and each is a neighbour
+                assert all(p < start for p in below)
+                assert all(
+                    (parent, order[p]) in g.edges or (order[p], parent) in g.edges
+                    for p in below
+                )
+                listed += below
+            stop = start
+        # every node but the root is somebody's child exactly once, and the
+        # nodes before the first level are the leaves
+        assert sorted(listed) == list(range(g.n - 1))
+        degree = np.bincount(np.concatenate([g.tails, g.heads]), minlength=g.n)
+        assert all(degree[v] == 1 for v in order[:stop])

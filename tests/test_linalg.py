@@ -8,7 +8,12 @@ from treekuramoto import (
     edge_laplacian,
     weighted_edge_laplacian,
 )
-from treekuramoto.linalg import DimensionMismatch, NoConvergence, batch_eigenvalues
+from treekuramoto.linalg import (
+    DimensionMismatch,
+    NoConvergence,
+    batch_eigenvalues,
+    extreme_eigenvalues,
+)
 
 from conftest import LINE5_EDGES, OMEGA5
 
@@ -307,3 +312,96 @@ def test_property_eigenvalue_sum_equals_trace(tree):
     lap = weighted_edge_laplacian(g, w[0])
     tol = 1e-10 * g.m * np.max(np.abs(lap))
     assert abs(batch_eigenvalues(lap).sum() - np.trace(lap)) <= tol
+
+
+# --- extreme eigenvalues by Sturm counts -------------------------------------
+
+SIGNED_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def shaped_trees(draw, batch):
+    """A star, a path or a random tree on 2-60 nodes, its nodes relabelled,
+    its edges flipped and listed in a shuffled order, and a ``(batch, n)``
+    array of weights of mixed sign with exact +0.0 and -0.0 among them."""
+    n = draw(st.integers(2, 60))
+    shape = draw(st.sampled_from(["star", "path", "random"]))
+    if shape == "star":
+        edges = [(0, node) for node in range(1, n)]
+    elif shape == "path":
+        edges = [(node - 1, node) for node in range(1, n)]
+    else:
+        edges = [(draw(st.integers(0, node - 1)), node) for node in range(1, n)]
+    label = draw(st.permutations(range(n)))
+    edges = [
+        (label[h], label[t]) if draw(st.booleans()) else (label[t], label[h])
+        for t, h in edges
+    ]
+    edges = draw(st.permutations(edges))
+    w = draw(arrays(float, (batch, n), elements=SIGNED_WEIGHTS))
+    return build_tree(n, edges), w
+
+
+@PROPERTY_SETTINGS
+@given(shaped_trees(batch=4))
+def test_property_sturm_extremes_match_eigvalsh(tree):
+    # within a few n eps max|w| deg of LAPACK, the scale of the rounding
+    # in either method; an all-zero sample gives exact zeros
+    g, w = tree
+    ends = extreme_eigenvalues(g, w)
+    ev = batch_eigenvalues(weighted_edge_laplacian(g, w))
+    degree = np.bincount(np.concatenate([g.tails, g.heads]))
+    tol = 4 * g.n * np.finfo(float).eps * np.max(np.abs(w) * degree, axis=1)
+    assert ends.shape == (len(w), 2)
+    assert np.all(np.abs(ends[:, 0] - ev[:, 0]) <= tol)
+    assert np.all(np.abs(ends[:, 1] - ev[:, -1]) <= tol)
+
+
+@PROPERTY_SETTINGS
+@given(shaped_trees(batch=9), st.integers(1, 7))
+def test_property_sturm_extremes_independent_of_the_batch(tree, k):
+    # a batch split into pieces of 1, k and the rest gives the same bits
+    g, w = tree
+    whole = extreme_eigenvalues(g, w)
+    pieces = [
+        extreme_eigenvalues(g, part) for part in (w[:1], w[1 : 1 + k], w[1 + k :])
+    ]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sturm_non_finite_weight_names_its_row(bad):
+    g = build_tree(5, LINE5_EDGES)
+    w = np.tile(OMEGA5, (6, 1))
+    w[4, 2] = bad
+    with pytest.raises(NoConvergence) as err:
+        extreme_eigenvalues(g, w)
+    assert err.value.batch_index == 4
+
+
+def test_sturm_rejects_weights_of_the_wrong_shape():
+    g = build_tree(5, LINE5_EDGES)
+    for w in (OMEGA5, np.ones((2, 4))):
+        with pytest.raises(DimensionMismatch):
+            extreme_eigenvalues(g, w)
+
+
+def test_sturm_extremes_near_the_ends_of_the_double_range():
+    # each sample is scaled by a power of two, so a spectrum that eigvalsh
+    # solves finitely near the largest double, or among tiny weights, is
+    # solved as finely; one that overflows is reported
+    g = build_tree(4, [(0, 1), (1, 2), (1, 3)])
+    w = np.array([[1.7e308, 1.0, 1.7e308, -2.0], [3e-300, 1e-310, 2e-300, 1e-300]])
+    ends = extreme_eigenvalues(g, w)
+    ev = batch_eigenvalues(weighted_edge_laplacian(g, w))
+    assert np.all(np.isfinite(ends))
+    degree = np.bincount(np.concatenate([g.tails, g.heads]))
+    tol = 4 * g.n * np.finfo(float).eps * np.max(np.abs(w) * degree, axis=1)
+    assert np.all(np.abs(ends - ev[:, [0, -1]]) <= tol[:, None])
+    with pytest.raises(NoConvergence) as err:
+        extreme_eigenvalues(g, np.array([OMEGA5[:4], [1.7e308] * 4]))
+    assert err.value.batch_index == 1
