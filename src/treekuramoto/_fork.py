@@ -37,27 +37,25 @@ _in_worker = False
 
 #: Fewest bytes a run touches for which it forks: the 8-byte noise words
 #: it reads, plus, for spectral samples, their working arrays (an m x m
-#: Laplacian for eigvalsh, 14 n doubles for Sturm counts). In one process
-#: on a 2-vCPU x86-64 host a word costs about the same in every caller on
-#: 5 to 200 nodes: 0.043 / 0.068 / 0.075 us in a recurrence trial*step at
-#: n = 5 / 50 / 200 (0.34 / 3.52 / 15.0 us for 8 / 52 / 200 words), about
-#: 0.1 us as a drift noise value, 0.08 us per 8 bytes of eigvalsh spectral
-#: samples (100 MB a second) and 0.05 us by Sturm counts on 50 nodes.
-#: 4 MiB is then 20 to 40 ms of work, against several milliseconds to
-#: start a worker and return its result. Two workers against one there
-#: (medians of 7 to 12 alternating pairs, one BLAS thread): near the
-#: threshold 0.81x to 1.09x for recurrence on line5 at 100 x 1 000
-#: (6.4 MB), 0.83x to 0.99x for drift on line5 at 10 x 8 000 (5.1 MB),
-#: 0.87x for 20 000 line5 spectral samples (3.8 MB), 0.97x for 10
-#: eigvalsh samples on 200 nodes (3.2 MB), 1.05x for recurrence on line5
-#: at 64 x 1 000 (4.1 MB) and 1.13x for 100 eigvalsh samples on 50 nodes
-#: (2 MB); well above it 0.58x to 0.85x for recurrence on 50- and
-#: 200-node trees at 32 or 64 x 1 000 (13 to 102 MB) and 0.54x for
-#: eigvalsh samples at 78 MB. Those need the second vCPU idle: with it
-#: busy, the 50-node runs took 1.18x to 1.29x. Sturm counts on 50 nodes
-#: at 700 / 1 500 / 4 000 samples (4.2 / 9 / 24 MB) took 0.77x to 1.51x /
-#: 1.24x / 0.68x to 1.08x in two sets of 9 pairs, with the second vCPU
-#: partly busy.
+#: Laplacian for eigvalsh, which solves only trees of up to 23 nodes,
+#: 14 n doubles for Sturm counts). In one process on a 2-vCPU x86-64
+#: host a word costs about the same in every caller on 5 to 200 nodes:
+#: 0.043 / 0.068 / 0.075 us in a recurrence trial*step at n = 5 / 50 /
+#: 200 (0.34 / 3.52 / 15.0 us for 8 / 52 / 200 words), about 0.1 us as a
+#: drift noise value, 0.08 us per 8 bytes of eigvalsh spectral samples
+#: (100 MB a second) and 0.05 us by Sturm counts on 50 nodes. 4 MiB is
+#: then 20 to 40 ms of work, against several milliseconds to start a
+#: worker and return its result. Two workers against one there (medians
+#: of 7 to 12 alternating pairs, one BLAS thread): near the threshold
+#: 0.81x to 1.09x for recurrence on line5 at 100 x 1 000 (6.4 MB), 0.83x
+#: to 0.99x for drift on line5 at 10 x 8 000 (5.1 MB), 0.87x for 20 000
+#: line5 spectral samples (3.8 MB) and 1.05x for recurrence on line5 at
+#: 64 x 1 000 (4.1 MB); well above it 0.58x to 0.85x for recurrence on
+#: 50- and 200-node trees at 32 or 64 x 1 000 (13 to 102 MB). Those need
+#: the second vCPU idle: with it busy, the 50-node runs took 1.18x to
+#: 1.29x. Sturm counts on 50 nodes at 700 / 1 500 / 4 000 samples (4.2 /
+#: 9 / 24 MB) took 0.77x to 1.51x / 1.24x / 0.68x to 1.08x in two sets
+#: of 9 pairs, with the second vCPU partly busy.
 _MIN_FORK_BYTES = 4 * 2**20
 
 

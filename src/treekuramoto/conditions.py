@@ -18,11 +18,11 @@ extreme eigenvalues of the randomly weighted edge Laplacian
 
 :func:`mc_spectral_stats` is the one spectrum function: exact for a
 noise-free spec, from one ``eigvalsh`` solve, and Monte Carlo otherwise.
-Its Monte Carlo samples need only the two extreme eigenvalues; it takes
-them by Sturm counts (``linalg.extreme_eigenvalues``) where the measured
-cost model of :func:`_sturm_pays` says that is faster, which is on trees
-of a few dozen nodes and more, and from ``eigvalsh`` on smaller or deeper
-trees, such as the bundled five-node line. It splits its samples across
+Its Monte Carlo samples need only the two extreme eigenvalues. The tree
+alone picks how they are solved (:func:`_sturm_pays`): by Sturm counts
+(``linalg.extreme_eigenvalues``) on every tree of 24 nodes or more and
+on smaller ones that are not too deep, and by ``eigvalsh`` on the rest,
+such as the bundled five-node line. It splits its samples across
 processes in one call of ``_fork.forked_map`` and takes its means and
 standard errors from ``noise._mean_and_stderr``. The gap is exact
 (``noise.e_max_delta_omega``), so the spectra are the bounds' only Monte
@@ -41,7 +41,6 @@ from .errors import NumericError
 from .dynamics import validate_gamma
 from .graph import TreeGraph
 from .linalg import (
-    _PASSES,
     NoConvergence,
     batch_eigenvalues,
     extreme_eigenvalues,
@@ -68,14 +67,9 @@ DEFAULT_SPECTRAL_SAMPLES = 100_000
 #: one CPU, a sample cost 55 / 33 / 24 / 27 us at 50 nodes in batches of
 #: 100 / 200 / 500 / 1 000 samples (0.6 / 1.2 / 3 / 6 MB as counted),
 #: and 214 / 167 / 116 / 145 us at 200 nodes in batches of 30 / 60 / 100
-#: / 200 (0.7 / 1.4 / 2.4 / 4.8 MB). 2 MiB also holds 6 Laplacians of a
-#: 200-node tree for ``eigvalsh``.
+#: / 200 (0.7 / 1.4 / 2.4 / 4.8 MB). ``eigvalsh`` solves only trees of
+#: 23 nodes or fewer, of which 2 MiB holds 516 Laplacians or more.
 _CHUNK_BYTES = 2 * 2**20
-
-#: Samples of one batch in :func:`_sturm_pays`: at the default budget a
-#: batch holds 350 to 1 150 samples on the 15 to 50 nodes where the rule
-#: can go either way.
-_RULE_BATCH = 500
 
 
 class HypothesisViolated(NumericError):
@@ -145,16 +139,17 @@ def mc_spectral_stats(
     Samples are addressed by index on the stream, so any evaluation
     order (or concurrent evaluation) yields the identical result.
 
-    Each batch of samples is solved by Sturm counts or by ``eigvalsh``,
-    as :func:`_sturm_pays` decides from ``graph`` and ``n_samples``
-    alone; the two agree to within a few ``n eps max|w| deg``, and within
-    one method a sample's bits do not depend on its batch. Large runs
-    split the samples into contiguous ranges, one per CPU this process
-    may run on, once they span ``_fork._MIN_FORK_BYTES`` of working
-    arrays and noise: this process solves the first range and forked
-    workers the others (see ``_fork``), each reading its noise from the
-    range's first sample on. ``SpectralStats.workers`` records the count;
-    the other fields are bit-identical at every count.
+    The samples are solved by Sturm counts or by ``eigvalsh``, as
+    :func:`_sturm_pays` decides from ``graph`` alone; the two agree to
+    within a few ``n eps max|w| deg``, and a sample's bits depend only
+    on the tree and its own weights, never on its batch or on
+    ``n_samples``. Large runs split the samples into contiguous ranges,
+    one per CPU this process may run on, once they span
+    ``_fork._MIN_FORK_BYTES`` of working arrays and noise: this process
+    solves the first range and forked workers the others (see
+    ``_fork``), each reading its noise from the range's first sample on.
+    ``SpectralStats.workers`` records the count; the other fields are
+    bit-identical at every count.
 
     Raises:
         NoConvergence: a sample's weights or eigenvalues were not finite,
@@ -172,7 +167,7 @@ def mc_spectral_stats(
 
     if stream is None:
         raise ValueError("stochastic spectral statistics require a stream")
-    sturm = _sturm_pays(graph, n_samples)
+    sturm = _sturm_pays(graph)
     # working set per sample besides its noise words: for Sturm counts
     # 11 to 11.5 n doubles in extreme_eigenvalues (tracemalloc) and the
     # sample's noise and weights, for eigvalsh the m x m Laplacian
@@ -211,32 +206,25 @@ def mc_spectral_stats(
     return SpectralStats(e_min, e_max, se_min, se_max, n_samples, len(ran))
 
 
-def _sturm_pays(graph: TreeGraph, n_samples: int) -> bool:
-    """Whether :func:`~treekuramoto.linalg.extreme_eigenvalues` solves
-    ``n_samples`` Monte Carlo samples on ``graph`` faster than
-    ``eigvalsh``, by a cost model fitted to timed batches.
+def _sturm_pays(graph: TreeGraph) -> bool:
+    """Whether Monte Carlo samples on ``graph`` are solved by Sturm
+    counts (:func:`~treekuramoto.linalg.extreme_eigenvalues`) rather
+    than by ``eigvalsh``: where ``2 n >= 12 + 3 levels``, ``levels`` the
+    levels of ``graph.elimination_levels``.
 
-    364 batches of 10 to 600 samples (stars, paths, caterpillars, binary
-    and random trees on 10 to 100 nodes; one CPU, one BLAS thread) took,
-    in microseconds, ``_PASSES (7 + 6.7 levels) + 0.41 S n`` by Sturm
-    counts and ``S (1.3 + 0.046 m**2)`` by ``eigvalsh``, each within 16%
-    in the median. Each level of ``graph.elimination_levels`` costs a few
-    numpy calls per pass, so depth costs: at 300 samples a 20-node path
-    took 1.8 times as long as ``eigvalsh``, a 20-node random tree 0.77
-    times and a 20-node star 0.44 times. Sturm counts are chosen where
-    they are predicted to take less than 0.9 of the time, for a batch of
-    ``S = min(n_samples, _RULE_BATCH)`` samples. Of the batches, 5 that
-    the rule sends to Sturm counts took longer (at most 1.29 times) and 4
-    that it keeps on ``eigvalsh`` would have taken 0.84 times or more.
-    Below 9 nodes the per-sample cost alone keeps ``eigvalsh``.
-
-    The rule reads the graph and the sample count only, so a run's bits
-    do not depend on its batches or workers.
+    Sturm counts pay a few numpy calls per level in each of 51 passes,
+    ``eigvalsh`` a cost that grows with ``m**2``. Timed on paths, stars,
+    binary, random trees and caterpillars of 5 to 30, 40 and 50 nodes at
+    2 000 and 100 000 samples (pinned to one CPU, one BLAS thread), the
+    rule picks the faster solver, or one within 5% of it, in all but two
+    of the 280 cases, both on its boundary (README, Model). Every tree of
+    24 nodes or more takes Sturm counts, since its levels are at most
+    ``n / 2``, and every tree of 7 nodes or fewer ``eigvalsh``. The rule
+    reads no sample count, so a sample's bits never depend on how many a
+    run takes, and tiny runs on deep trees pay Sturm counts' fixed cost
+    per level: a few milliseconds at 100 samples.
     """
-    levels = len(graph.elimination_levels[1])
-    batch = min(n_samples, _RULE_BATCH)
-    sturm = _PASSES * (7.0 + 6.7 * levels) + 0.41 * batch * graph.n
-    return sturm < 0.9 * batch * (1.3 + 0.046 * graph.m**2)
+    return 2 * graph.n >= 12 + 3 * len(graph.elimination_levels[1])
 
 
 def bounds(

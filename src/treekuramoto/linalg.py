@@ -24,9 +24,10 @@ node weights in this package can go negative, which makes
   eigenvalue of ``B^T diag(w) B``, from the node weights, without forming
   the ``m x m`` matrix: it bisects on Sturm counts, each one ``O(n)``
   elimination on the tree with every edge subdivided. It needs about
-  ``11 n`` doubles a sample where LAPACK needs ``m**2``, and on trees of
-  a few dozen nodes and more it takes a fraction of ``eigvalsh``'s time
-  (``conditions._sturm_pays`` says where).
+  ``11 n`` doubles a sample where LAPACK needs ``m**2``, and
+  ``conditions._sturm_pays`` picks it, from the tree alone, on the trees
+  where it is the faster of the two: every one of 24 nodes or more, and
+  smaller ones that are not too deep.
 
 Both take a batch of matrices or weight rows, so Monte Carlo loops solve
 many samples at once, and a batch gives the same bits as its members

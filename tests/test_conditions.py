@@ -194,7 +194,7 @@ def test_worker_eigensolver_failure_names_global_sample(line5, monkeypatch, work
 
 def tree50():
     """A random 50-node tree with perfbench's ranges of frequencies and
-    Gaussian variances, on which 301 samples take Sturm counts."""
+    Gaussian variances, which takes Sturm counts."""
     rng = np.random.default_rng(21)
     g = random_tree(rng, 50)
     omega = rng.uniform(1.0, 10.0, size=50)
@@ -202,18 +202,82 @@ def tree50():
     return g, omega, spec
 
 
-def test_size_rule_keeps_small_and_deep_trees_on_eigvalsh(line5):
+def path_tree(n):
+    return build_tree(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_tree(n):
+    return build_tree(n, [(0, i) for i in range(1, n)])
+
+
+def test_solver_rule_on_the_measured_grid(line5):
     import treekuramoto.conditions as cond
 
-    g, _, _ = tree50()
-    path = build_tree(50, [(i, i + 1) for i in range(49)])
-    star = build_tree(50, [(0, i) for i in range(1, 50)])
-    assert not any(cond._sturm_pays(line5, s) for s in (2, 100, 10**9))
-    assert cond._sturm_pays(g, 100) and cond._sturm_pays(star, 100)
-    # 25 levels: at 100 samples Sturm counts took as long as eigvalsh
-    assert not cond._sturm_pays(path, 100) and cond._sturm_pays(path, 300)
-    # a batch of 10 does not pay for the fixed cost of 51 passes
-    assert not cond._sturm_pays(g, 10)
+    # anchors of the timed grid: deep or small trees on eigvalsh, shallow
+    # ones from 9 nodes and every tree from 24 nodes on Sturm counts
+    binary12 = build_tree(12, [((i - 1) // 2, i) for i in range(1, 12)])
+    two_nodes = build_tree(2, [(0, 1)])
+    for g in (line5, two_nodes, path_tree(8), path_tree(22)):
+        assert not cond._sturm_pays(g)
+    for g in (star_tree(9), binary12, path_tree(25), tree50()[0]):
+        assert cond._sturm_pays(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "path", "star", "caterpillar"]),
+    st.one_of(st.integers(2, 7), st.integers(24, 120)),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_solver_rule_by_size(shape, n, seed):
+    # a tree of 24 nodes or more has at most n / 2 levels and takes Sturm
+    # counts; one of 7 or fewer keeps eigvalsh, whatever its shape
+    import treekuramoto.conditions as cond
+
+    if shape == "random":
+        g = random_tree(np.random.default_rng(seed), n)
+    elif shape == "path":
+        g = path_tree(n)
+    elif shape == "star":
+        g = star_tree(n)
+    else:
+        spine = (n + 1) // 2
+        legs = [(i - spine, i) for i in range(spine, n)]
+        g = build_tree(n, [(i, i + 1) for i in range(spine - 1)] + legs)
+    assert cond._sturm_pays(g) == (n >= 24)
+
+
+@pytest.mark.parametrize("graph", [path_tree(50), star_tree(12)], ids=["path50", "star12"])
+def test_sample_extremes_independent_of_the_sample_count(monkeypatch, graph):
+    # each sample's extremes come from the tree and its own weights: the
+    # first 100 of 1 000 samples are the bits of a 100-sample run
+    import treekuramoto.conditions as cond
+
+    extremes, eigenvalues = cond.extreme_eigenvalues, cond.batch_eigenvalues
+    rows = []
+
+    def sturm(g, w):
+        ends = extremes(g, w)
+        rows.append(ends)
+        return ends
+
+    def lapack(m):
+        ev = eigenvalues(m)
+        rows.append(ev[:, [0, -1]])
+        return ev
+
+    monkeypatch.setattr(cond, "extreme_eigenvalues", sturm)
+    monkeypatch.setattr(cond, "batch_eigenvalues", lapack)
+    force_workers(monkeypatch, 1)
+    rng = np.random.default_rng(8)
+    omega = rng.uniform(1.0, 10.0, size=graph.n)
+    spec = NoiseSpec.gaussian(rng.uniform(0.5, 5.0, size=graph.n), np.zeros(graph.n))
+    runs = []
+    for n_samples in (100, 1000):
+        rows.clear()
+        mc_spectral_stats(graph, omega, spec, n_samples, RandomStream(seed=6))
+        runs.append(np.concatenate(rows)[:100])
+    assert runs[0].tobytes() == runs[1].tobytes()
 
 
 @pytest.mark.parametrize("batch", [None, 1, 37, 150])
@@ -221,7 +285,7 @@ def test_sturm_spectra_identical_at_any_worker_count_and_batch(monkeypatch, batc
     import treekuramoto.conditions as cond
 
     g, omega, spec = tree50()
-    assert cond._sturm_pays(g, 301)
+    assert cond._sturm_pays(g)
     if batch is not None:
         monkeypatch.setattr(cond, "_CHUNK_BYTES", batch * 8 * (14 * 50 + 52))
     runs = {}
