@@ -197,20 +197,18 @@ def extreme_eigenvalues(graph: TreeGraph, w) -> np.ndarray:
         # pivots: the edge above each non-root position, then the inner nodes
         pivots = np.empty((2 * n - 1 - leaves, 2 * samples))
         negative = np.empty(pivots.shape, dtype=bool)
+        levels = _level_views(children, leaves, inverse, pivots, x)
+        leaf_pivots, leaf_x = pivots[:leaves], x[:leaves]
         for _ in range(_PASSES):
-            np.subtract(lam, leaf_weights, out=pivots[:leaves])
-            np.divide(1.0, pivots[:leaves], out=x[:leaves])
-            start = leaves
-            for table in children:
-                stop = start + table.shape[1]
-                node = pivots[n - 1 + start - leaves : n - 1 + stop - leaves]
-                passed = np.add.reduce(x.take(table, axis=0), axis=0)
-                np.subtract(inverse[start:stop], passed, out=node)
-                if stop < n:  # all but the root, which has no edge above
+            np.subtract(lam, leaf_weights, out=leaf_pivots)
+            np.divide(1.0, leaf_pivots, out=leaf_x)
+            for table, inverse_rows, node, passed, edge, edge_x in levels:
+                np.add.reduce(x.take(table, axis=0), axis=0, out=passed)
+                np.subtract(inverse_rows, passed, out=node)
+                if edge is not None:  # the root has no edge above
                     np.divide(1.0, node, out=passed)
-                    np.subtract(lam, passed, out=pivots[start:stop])
-                    np.divide(1.0, pivots[start:stop], out=x[start:stop])
-                start = stop
+                    np.subtract(lam, passed, out=edge)
+                    np.divide(1.0, edge, out=edge_x)
             np.less(pivots, 0.0, out=negative)
             above = np.add.reduce(negative, axis=0, dtype=np.int32) >= target
             half *= 0.5
@@ -218,6 +216,26 @@ def extreme_eigenvalues(graph: TreeGraph, w) -> np.ndarray:
         ends = np.ldexp(lam.reshape(2, samples).T, exponent[:, None])
     _check_finite(np.isfinite(ends).all(axis=1))
     return ends
+
+
+def _level_views(children, leaves: int, inverse, pivots, x) -> list:
+    """For each level of inner nodes above the leaves, in elimination
+    order: its children table, its rows of ``inverse``, its node pivots,
+    a view of one ``passed`` buffer its width, and its rows of the edge
+    pivots and of ``x`` (``None`` at the root, which has no edge above).
+    :func:`extreme_eigenvalues` takes them once and reuses them in every
+    pass."""
+    n = len(x)
+    buffer = np.empty((max(table.shape[1] for table in children), x.shape[1]))
+    levels, start = [], leaves
+    for table in children:
+        stop = start + table.shape[1]
+        node = pivots[n - 1 + start - leaves : n - 1 + stop - leaves]
+        passed = buffer[: stop - start]
+        edge, edge_x = (pivots[start:stop], x[start:stop]) if stop < n else (None, None)
+        levels.append((table, inverse[start:stop], node, passed, edge, edge_x))
+        start = stop
+    return levels
 
 
 def _gershgorin_bracket(graph: TreeGraph, w: np.ndarray) -> tuple[np.ndarray, ...]:

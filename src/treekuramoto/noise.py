@@ -31,14 +31,19 @@ takes each pair's expectation in closed form, with ``math.erfc`` for the
 gaussian tail.
 
 scipy's special functions come only from its compiled ufunc module,
-``scipy.special._ufuncs``, which :func:`_special_ufuncs` loads without
-running the ``scipy.special`` package's ``__init__``. That ``__init__``
-imports scipy's array-API layer, and with it ``numpy.f2py``,
-``numpy.testing`` and ``numpy.ma``, which nearly doubled the import time
-of the CLI (README, "Fixed cost of a CLI process"). ``ndtri`` is bound
-from that module. ``ndtr`` and ``bdtr`` are in it too: take them from
-there, since an ``import scipy.special`` anywhere in the package brings
-the cost back.
+``scipy.special._ufuncs``, and numpy's ``Philox`` and ``Generator`` only
+from their compiled modules, ``numpy.random._philox`` and
+``numpy.random._generator``. :func:`_from_package` loads each without
+running its package's ``__init__``. The ``scipy.special`` package's
+``__init__`` imports scipy's array-API layer, and with it
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, which nearly doubled
+the import time of the CLI; the ``numpy.random`` package's loads the
+legacy ``RandomState`` (``mtrand``), the other bit generators and their
+pickling helpers, 0.8 MB of every CLI process (README, "Fixed cost of a
+CLI process"). ``ndtri`` is bound from ``_ufuncs``. ``ndtr`` and
+``bdtr`` are in it too: take them from there, since an ``import
+scipy.special`` anywhere in the package brings the cost back; and never
+read ``np.random``, whose lazy attribute imports the whole package.
 """
 
 from __future__ import annotations
@@ -51,36 +56,45 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Philox
 
 from .errors import ConfigError, NumericError, _check_items
 
 
-def _special_ufuncs():
-    """``scipy.special._ufuncs``, or ``scipy.special`` if it is already loaded.
+def _from_package(package: str, *names: str) -> list:
+    """The objects ``names``, each ``"module.attribute"`` of a submodule
+    of ``package``, or the package's own attributes if it is loaded.
 
-    The extension is imported under an unexecuted stand-in for its parent
+    The submodules are imported under an unexecuted stand-in for their
     package, which is then taken out of ``sys.modules``: a later ``import
-    scipy.special`` runs the real ``__init__``, which reuses the loaded
-    extension, so both give the same ufunc objects. ``scipy.special`` is
-    looked up in ``sys.modules`` and never as an attribute of ``scipy``,
-    whose module ``__getattr__`` would import the whole package.
+    package`` runs the real ``__init__``, which reuses the loaded
+    submodules, so both give the same objects. The package is looked up
+    in ``sys.modules`` and never as an attribute of its parent, whose
+    module ``__getattr__`` may import the whole package. A package laid
+    out otherwise (``ImportError`` or ``AttributeError``) is imported
+    whole.
     """
-    loaded = sys.modules.get("scipy.special")
-    if loaded is not None:
-        return loaded
-    spec = importlib.util.find_spec("scipy.special")
-    sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
-    try:
-        return importlib.import_module("scipy.special._ufuncs")
-    finally:
-        del sys.modules["scipy.special"]
+    pairs = [dotted.split(".") for dotted in names]
+    loaded = sys.modules.get(package)
+    if loaded is None:
+        spec = importlib.util.find_spec(package)
+        sys.modules[package] = importlib.util.module_from_spec(spec)
+        try:
+            return [
+                getattr(importlib.import_module(f"{package}.{module}"), name)
+                for module, name in pairs
+            ]
+        except (ImportError, AttributeError):
+            pass
+        finally:
+            del sys.modules[package]
+        loaded = importlib.import_module(package)
+    return [getattr(loaded, name) for _, name in pairs]
 
 
-try:
-    ndtri = _special_ufuncs().ndtri
-except (ImportError, AttributeError):  # a scipy laid out otherwise
-    from scipy.special import ndtri
+(ndtri,) = _from_package("scipy.special", "_ufuncs.ndtri")
+Philox, Generator = _from_package(
+    "numpy.random", "_philox.Philox", "_generator.Generator"
+)
 
 FAMILIES = ("gaussian", "uniform", "none")
 
@@ -200,12 +214,12 @@ class RandomStream:
         digest = hashlib.blake2b(tag, digest_size=16).digest()
         return np.frombuffer(digest, dtype=np.uint64)
 
-    def _generator(self, index: int) -> np.random.Generator:
+    def _generator(self, index: int) -> Generator:
         """Generator whose next word is word ``index`` of this stream."""
         counter, offset = divmod(index, _WORDS_PER_COUNTER)
         bitgen = Philox(counter=counter, key=self._key())
         bitgen.random_raw(offset)
-        return np.random.Generator(bitgen)
+        return Generator(bitgen)
 
     def uniforms(self, index: int, count: int) -> np.ndarray:
         """``count`` doubles in the open interval (0, 1), from the raw

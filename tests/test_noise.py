@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from treekuramoto.noise import (
     NegativeVariance,
     _BELOW_ONE,
     _NoiseReader,
+    _from_package,
     _gap_mean,
     _open_uniforms,
     _words_per_step,
@@ -539,6 +541,62 @@ def test_ndtri_is_scipy_specials_in_either_import_order(special_first):
     done = run_python(script)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_cli_import_leaves_the_numpy_random_package_unloaded():
+    # noise loads Philox and Generator without numpy.random's __init__,
+    # whose legacy RandomState (mtrand) and other bit generators no command
+    # uses; the package, imported later, must reuse the same classes, and a
+    # stream must draw the same bits before and after
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import treekuramoto.cli",
+        "from treekuramoto import noise",
+        "heavy = ('numpy.random', 'numpy.random.mtrand')",
+        "print('loaded:', [m for m in heavy if m in sys.modules])",
+        "stream = noise.RandomStream(seed=7, trial=3, purpose='order')",
+        "before = stream.uniforms(5, 1000)",
+        "import numpy.random",
+        "assert numpy.random.Philox is noise.Philox",
+        "assert numpy.random.Generator is noise.Generator",
+        "after = stream.uniforms(5, 1000)",
+        "assert np.array_equal(before.view(np.uint64), after.view(np.uint64))",
+        "print('ok')",
+    ])
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "loaded: []\nok\n"
+
+
+def test_noise_takes_numpy_randoms_classes_when_it_is_loaded_first():
+    script = "\n".join([
+        "import numpy.random",
+        "from treekuramoto import noise",
+        "assert noise.Philox is numpy.random.Philox",
+        "assert noise.Generator is numpy.random.Generator",
+        "print('ok')",
+    ])
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
+def test_from_package_imports_a_package_laid_out_otherwise(tmp_path, monkeypatch):
+    # a submodule that is not there makes _from_package import the package
+    # whole and take the name from it
+    package = tmp_path / "laid_out_otherwise"
+    package.mkdir()
+    (package / "__init__.py").write_text("from ._core import thing\n")
+    (package / "_core.py").write_text("thing = object()\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        (thing,) = _from_package("laid_out_otherwise", "_elsewhere.thing")
+        assert thing is sys.modules["laid_out_otherwise._core"].thing
+        assert sys.modules["laid_out_otherwise"].thing is thing
+    finally:
+        sys.modules.pop("laid_out_otherwise", None)
+        sys.modules.pop("laid_out_otherwise._core", None)
 
 
 #: The smallest word, the smallest with a nonzero top 53 bits and the
