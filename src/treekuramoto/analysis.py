@@ -230,6 +230,31 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def percentile(values, q: float) -> float:
+    """The ``q``-th percentile, ``0 <= q <= 100``, of ``values``, one or
+    more finite numbers, with the bits of ``np.percentile(values, q)``
+    (its default linear interpolation between order statistics).
+
+    numpy's own percentile imports ``numpy.ma`` on first use (through
+    ``np.unique``), 2 MB of a CLI process's peak RSS, so its steps are
+    taken here without it: the virtual index ``(n - 1) * q / 100``, the
+    values at its floor and the next index after a partition with
+    numpy's own ``kth``, and the interpolation from the nearer one. At
+    the last index numpy takes the last value twice, and its weight from
+    index -1.
+    """
+    x = np.array(values).ravel()
+    n = len(x)
+    virtual = (n - 1) * np.true_divide(q, 100)
+    lo = math.floor(virtual) if virtual < n - 1 else -1
+    hi = lo + 1 if lo >= 0 else -1
+    x.partition(sorted({0, -1, lo, hi}))
+    a, b = x[lo], x[hi]
+    g = float(virtual - lo)
+    d = b - a
+    return float(b - d * (1 - g) if g >= 0.5 else a + d * g)
+
+
 @dataclass(frozen=True)
 class DriftEstimate:
     """Monte Carlo estimate of the one-step drift at a probed state."""
@@ -424,23 +449,33 @@ def recurrence_experiment(
     graph = model.graph
     n = graph.n
 
-    # trials-minor: one column per trial
+    def admissible(phases):
+        """The start states of the columns of ``phases``, wrapped; raises
+        for the lowest trial outside the admissible set."""
+        wrapped = _start_state(phases)
+        # NaN compares False, so unresolvable phases are rejected too
+        inside = np.all(edge_geodesics(graph, wrapped.T) <= ADMISSIBLE_LEVEL, axis=1)
+        if not inside.all():
+            raise InvalidInitSampler(
+                f"trial {int(np.argmin(inside))} starts outside the admissible set"
+            )
+        return wrapped
+
+    # trials-minor: one column per trial, wrapped and checked in one pass
     _check_items(n * trials, "initial phases")
     theta = np.empty((n, trials))
     for t in range(trials):
-        candidate = _start_state(
-            init_sampler(graph, stream.child(trial=t, purpose="init"))
-        )
-        if candidate.shape != (n,):
+        sample = init_sampler(graph, stream.child(trial=t, purpose="init"))
+        phases = sample.theta if isinstance(sample, PhaseState) else sample
+        phases = np.asarray(phases, dtype=float)
+        if phases.shape != (n,):
+            # a lower trial outside the admissible set fails first
+            admissible(theta[:, :t])
             raise InvalidInitSampler(
-                f"sampler returned shape {candidate.shape}, expected ({n},)"
+                f"sampler returned shape {phases.shape}, expected ({n},)"
             )
-        # NaN compares False, so unresolvable phases are rejected too
-        if not np.all(edge_geodesics(graph, candidate) <= ADMISSIBLE_LEVEL):
-            raise InvalidInitSampler(
-                f"trial {t} starts outside the admissible set"
-            )
-        theta[:, t] = candidate
+        theta[:, t] = phases
+    theta = admissible(theta)
     noise_streams = [stream.child(trial=t, purpose="noise") for t in range(trials)]
 
     def run(lo: int, hi: int):

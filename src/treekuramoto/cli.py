@@ -638,7 +638,7 @@ def _run_recurrence(config: ExperimentConfig):
         "gamma": stats.gamma,
         "max_excursion_overall": float(np.max(stats.max_excursion)),
         "return_time_median": float(np.median(finite)) if finite.size else None,
-        "return_time_p90": float(np.percentile(finite, 90)) if finite.size else None,
+        "return_time_p90": analysis.percentile(finite, 90) if finite.size else None,
         "return_time_max": int(np.max(finite)) if finite.size else None,
     }
     for name, flags in (

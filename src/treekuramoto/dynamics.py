@@ -345,6 +345,10 @@ def _integrate(model, theta, frequency, out, step_max=None):
     # the start states' coupling, at their own width
     c = theta.shape[1]
     current = factor(incidence_t @ theta, np.empty((m, c)), np.empty((n, c)))
+    # the steps repeat factor inline, on each block's rows of sines
+    # sliced once
+    first_sines = sines[first_edges]
+    rest_sines = [(incidence, sines[edges]) for incidence, edges in rest]
     # _wrap_small needs |theta| <= pi, and would keep a -0.0; every
     # wrapped state after the first step has both properties
     reach = float(np.abs(theta).max())
@@ -362,8 +366,7 @@ def _integrate(model, theta, frequency, out, step_max=None):
         # every pre-wrap state lies within reach + bound
         unresolved = not reach + bound < _UNRESOLVED
         small, reach = True, np.pi
-        for j in range(j0, j0 + count):
-            state = out[j]
+        for j, state, rel_now in zip(range(j0, j0 + count), block, rel):
             if frequency_dependent:
                 # theta + tau * frequency * (1 - kappa * S)
                 multiply(state, current, out=state)
@@ -379,12 +382,21 @@ def _integrate(model, theta, frequency, out, step_max=None):
                     state[np.abs(state) >= _UNRESOLVED] = np.nan
                 _wrap_inplace(state, scratch, mask)
             previous = state
-            if j == last and step_max is None:
+            if j == last:
                 break
-            rel_now = dot(incidence_t, state, out=rel[j - j0])
-            if j != last:
-                current = factor(rel_now, sines, coupling)
+            dot(incidence_t, state, out=rel_now)
+            sin(rel_now, out=sines)
+            dot(first, first_sines, out=coupling)
+            for incidence, block_sines in rest_sines:
+                coupling += incidence @ block_sines
+            multiply(coupling, gain, out=coupling)
+            if frequency_dependent:
+                subtract(1.0, coupling, out=coupling)
+            current = coupling
         if step_max is not None:
+            if j == last:
+                # the last state's edge differences, which no coupling needs
+                dot(incidence_t, previous, out=rel[count - 1])
             distance = _fold(rel[:count], folded[:count])
             np.maximum.reduce(distance, axis=1, out=step_max[j0 : j0 + count])
         checked = block if step_max is None else step_max[j0 : j0 + count, None]

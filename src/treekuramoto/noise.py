@@ -12,10 +12,10 @@ value) rather than rejection methods, which would consume a variable
 number of words and break counter addressing.
 
 Words become open-interval uniforms in one place, :func:`_open_uniforms`,
-which numpy's ``Generator.random`` fills straight from the placed Philox
-(the top 53 bits of each word, scaled), and uniforms become disturbances
-in one place, :func:`_disturbances`: one vectorized pass per family over
-that family's nodes, whose scaling pass writes into the caller's block.
+which takes the placed Philox's raw words and scales their top 53 bits,
+and uniforms become disturbances in one place, :func:`_disturbances`:
+one vectorized pass per family over that family's nodes, whose scaling
+pass writes into the caller's block.
 Two readers feed them. :func:`sample_noise_block` addresses one
 stream's block by counter. :class:`_NoiseReader` reads many streams in
 step order, with one generator per stream that is placed once and then
@@ -31,19 +31,21 @@ takes each pair's expectation in closed form, with ``math.erfc`` for the
 gaussian tail.
 
 scipy's special functions come only from its compiled ufunc module,
-``scipy.special._ufuncs``, and numpy's ``Philox`` and ``Generator`` only
-from their compiled modules, ``numpy.random._philox`` and
-``numpy.random._generator``. :func:`_from_package` loads each without
-running its package's ``__init__``. The ``scipy.special`` package's
-``__init__`` imports scipy's array-API layer, and with it
+``scipy.special._ufuncs``, and numpy's ``Philox`` only from its compiled
+module, ``numpy.random._philox``. :func:`_from_package` loads each
+without running its package's ``__init__``. The ``scipy.special``
+package's ``__init__`` imports scipy's array-API layer, and with it
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, which nearly doubled
 the import time of the CLI; the ``numpy.random`` package's loads the
 legacy ``RandomState`` (``mtrand``), the other bit generators and their
 pickling helpers, 0.8 MB of every CLI process (README, "Fixed cost of a
-CLI process"). ``ndtri`` is bound from ``_ufuncs``. ``ndtr`` and
-``bdtr`` are in it too: take them from there, since an ``import
-scipy.special`` anywhere in the package brings the cost back; and never
-read ``np.random``, whose lazy attribute imports the whole package.
+CLI process"). numpy's ``Generator`` is not loaded either: it would only
+scale the words as :func:`_open_uniforms` does, and its module brings
+``_bounded_integers`` and ``_pcg64`` with it, about 1 MB more. ``ndtri``
+is bound from ``_ufuncs``. ``ndtr`` and ``bdtr`` are in it too: take
+them from there, since an ``import scipy.special`` anywhere in the
+package brings the cost back; and never read ``np.random``, whose lazy
+attribute imports the whole package.
 """
 
 from __future__ import annotations
@@ -92,9 +94,7 @@ def _from_package(package: str, *names: str) -> list:
 
 
 (ndtri,) = _from_package("scipy.special", "_ufuncs.ndtri")
-Philox, Generator = _from_package(
-    "numpy.random", "_philox.Philox", "_generator.Generator"
-)
+(Philox,) = _from_package("numpy.random", "_philox.Philox")
 
 FAMILIES = ("gaussian", "uniform", "none")
 
@@ -214,12 +214,12 @@ class RandomStream:
         digest = hashlib.blake2b(tag, digest_size=16).digest()
         return np.frombuffer(digest, dtype=np.uint64)
 
-    def _generator(self, index: int) -> Generator:
-        """Generator whose next word is word ``index`` of this stream."""
+    def _generator(self, index: int) -> Philox:
+        """Philox whose next word is word ``index`` of this stream."""
         counter, offset = divmod(index, _WORDS_PER_COUNTER)
         bitgen = Philox(counter=counter, key=self._key())
         bitgen.random_raw(offset)
-        return Generator(bitgen)
+        return bitgen
 
     def uniforms(self, index: int, count: int) -> np.ndarray:
         """``count`` doubles in the open interval (0, 1), from the raw
@@ -240,12 +240,19 @@ _BELOW_ONE = 1.0 - 2.0**-53
 def _open_uniforms(generators, out: np.ndarray) -> np.ndarray:
     """Fill row ``i`` of ``out`` with doubles in the open interval (0, 1),
     one from each of the next 64-bit words of ``generators[i]``: the top
-    53 bits scaled to [0, 1) (``Generator.random``) plus 2**-54. The sum
-    rounds to exactly 1 for the one word value whose top 53 bits are all
-    ones; that value is mapped to the largest double below 1, and every
-    other is unchanged."""
+    53 bits scaled to [0, 1) (the bits of numpy's ``Generator.random``)
+    plus 2**-54. The sum rounds to exactly 1 for the one word value whose
+    top 53 bits are all ones; that value is mapped to the largest double
+    below 1, and every other is unchanged.
+
+    Each row's words are shifted in place and converted and scaled
+    into the row, exactly below 2**53, so the only buffer beside ``out``
+    is one row's words. Converting all rows in one call needs all their
+    words at once (README, "Bounded noise chunks")."""
     for row, generator in zip(out, generators):
-        generator.random(out=row)
+        words = generator.random_raw(len(row))
+        words >>= 11
+        np.multiply(words, 2.0**-53, out=row)
     out += 2.0**-54
     return np.minimum(out, _BELOW_ONE, out=out)
 

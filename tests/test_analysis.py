@@ -24,6 +24,7 @@ from treekuramoto import (
 from treekuramoto.analysis import (
     ESCAPE_TOLERANCE,
     InvalidInitSampler,
+    percentile,
     wilson_interval,
 )
 from treekuramoto.errors import NumericError
@@ -216,6 +217,49 @@ def test_invalid_init_sampler_detected():
 
     with pytest.raises(InvalidInitSampler):
         recurrence_experiment(model, bad_sampler, GAMMA, 2, 10, RandomStream(seed=1))
+
+
+@pytest.mark.parametrize(
+    "bad_shape, message",
+    [
+        (None, "trial 3 starts outside the admissible set"),
+        (4, "trial 3 starts outside the admissible set"),
+        (1, r"sampler returned shape \(4,\), expected \(5,\)"),
+    ],
+)
+def test_start_states_checked_in_one_pass_name_the_lowest_failing_trial(
+    bad_shape, message
+):
+    # trial 3 of 5 leaves the admissible set; a trial of the wrong shape
+    # fails the run before it is checked, but a lower trial outside the
+    # set still fails first. Samplers may return a PhaseState.
+    model = make_line5_model()
+    admissible = edge_box_sampler(0.0, PI / 2)
+
+    def sampler(graph, stream):
+        if stream.trial == bad_shape:
+            return np.zeros(4)
+        if stream.trial == 3:
+            return np.array([0.0, 1.6, 0.0, 0.0, 0.0])
+        return dynamics.PhaseState(admissible(graph, stream))
+
+    with pytest.raises(InvalidInitSampler, match=message):
+        recurrence_experiment(model, sampler, GAMMA, 5, 10, RandomStream(seed=1))
+
+
+def test_phase_state_sampler_runs_as_its_phases():
+    model = make_line5_model()
+    sampler = edge_box_sampler(0.0, PI / 2)
+
+    def as_state(graph, stream):
+        return dynamics.PhaseState(sampler(graph, stream))
+
+    runs = [
+        recurrence_experiment(model, s, GAMMA, 5, 200, RandomStream(seed=4))
+        for s in (sampler, as_state)
+    ]
+    for name in ("started_in_set", "return_time", "max_excursion", "escape_time"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
 
 
 # --- recurrence ----------------------------------------------------------------
@@ -835,6 +879,32 @@ def test_wilson_interval_validation():
         wilson_interval(3, 2)
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=300),
+        # few distinct values: ties, and -0.0 beside 0.0
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 7.0]), min_size=1, max_size=40),
+        st.lists(
+            st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=300
+        ),
+    ),
+    st.one_of(st.just(90), st.integers(0, 100)),
+)
+@example([7], 90)
+@example([3.5], 90)
+@example([-0.0], 90)
+@example([-0.0, -0.0], 100)
+@example([1e300, -1e300, 1e300], 90)
+def test_percentile_bits_equal_numpys(values, q):
+    # return_time_p90 is this helper: numpy's percentile imports numpy.ma
+    for x in (values, np.array(values)):
+        expected = np.float64(np.percentile(x, q))
+        got = percentile(x, q)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == expected.tobytes()
 
 
 def test_two_node_rotation_returns():

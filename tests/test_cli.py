@@ -1176,6 +1176,29 @@ def test_cli_runs_never_import_the_scipy_special_package(tmp_path):
         assert summary["provenance"][command]["workers"] == 2
 
 
+def test_recurrence_runs_never_import_numpy_ma_or_numpys_generator(tmp_path):
+    # return_time_p90 is taken without np.percentile, whose np.unique
+    # imports numpy.ma, and noise scales Philox's raw words itself, without
+    # numpy's Generator module: both cost every recurrence process memory
+    script = (
+        "import sys\n"
+        "from treekuramoto import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "heavy = ('numpy.ma', 'numpy.random._generator')\n"
+        "print('loaded:', [m for m in heavy if m in sys.modules])\n"
+        "sys.exit(code)\n"
+    )
+    out = tmp_path / "out"
+    done = run_python(
+        script, "recurrence", "--bundled", "line5_zero_mean",
+        "--out", str(out), "--set", "horizon=1000", "--set", "trials=31",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded: []"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["return_time_p90"] is not None
+
+
 def cli_process(*args, stdout=subprocess.DEVNULL, **popen):
     """The CLI running ``args`` in a new Python process, its stderr piped."""
     return subprocess.Popen(
